@@ -44,9 +44,9 @@ int main() {
   for (int k : {200, 400, 600, 800, 1000, 1200}) {
     const MiningParams params{3, k, 60.0};
     const MineOutcome r = RunK2(rdbms.get(), params);
-    const IoStats before = lsmt->io_stats();
-    const MineOutcome l = RunK2(lsmt.get(), params);
-    const IoStats tier_io = IoStats::Delta(lsmt->io_stats(), before);
+    K2HopStats lsmt_stats;
+    const MineOutcome l = RunK2(lsmt.get(), params, &lsmt_stats);
+    const IoStats& tier_io = lsmt_stats.io;
     table.AddRow({std::to_string(k), Fmt(r.seconds), Fmt(l.seconds),
                   std::to_string(r.convoys)});
     fanout.AddRow({std::to_string(k), TierVector(tier_io.tier_sstables_touched),

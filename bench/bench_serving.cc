@@ -91,6 +91,9 @@ struct SourceResult {
   std::shared_ptr<const CatalogSnapshot> snap;
   const Store* store = nullptr;    ///< the store that fed this catalog
   const ConvoyCatalog* catalog = nullptr;
+  /// Mining plus footprint-ingest IO. Parallel miners read through store
+  /// snapshots, so the store's own io_stats() does not see their mining.
+  IoStats io;
 };
 
 }  // namespace
@@ -115,10 +118,14 @@ int main(int argc, char** argv) {
     src.store = batch_store.get();
     src.catalog = &batch_catalog;
     Stopwatch sw;
-    auto batch_mined = MineK2Hop(batch_store.get(), params);
+    K2HopStats mine_stats;
+    auto batch_mined = MineK2Hop(batch_store.get(), params, {}, &mine_stats);
     K2_CHECK(batch_mined.ok());
+    const IoStats before_ingest = batch_store->io_stats();
     K2_CHECK_OK(
         batch_catalog.AddConvoys(batch_mined.value(), batch_store.get()));
+    src.io = mine_stats.io;
+    src.io.Accumulate(IoStats::Delta(batch_store->io_stats(), before_ingest));
     src.snap = batch_catalog.Publish();
     src.build_seconds = sw.ElapsedSeconds();
     sources.push_back(std::move(src));
@@ -144,6 +151,7 @@ int main(int argc, char** argv) {
     K2_CHECK_OK(online_catalog.ReplaceAll(final_result.value(), &stream_store));
     src.snap = online_catalog.Publish();
     src.build_seconds = sw.ElapsedSeconds();  // includes mining the stream
+    src.io = stream_store.io_stats();
     sources.push_back(std::move(src));
   }
 
@@ -157,9 +165,14 @@ int main(int argc, char** argv) {
     PartitionedK2HopOptions options;
     options.num_shards = 4;
     Stopwatch sw;
-    auto mined = MinePartitionedK2Hop(part_store.get(), params, options);
+    PartitionedK2HopStats mine_stats;
+    auto mined =
+        MinePartitionedK2Hop(part_store.get(), params, options, &mine_stats);
     K2_CHECK(mined.ok());
+    const IoStats before_ingest = part_store->io_stats();
     K2_CHECK_OK(part_catalog.AddConvoys(mined.value(), part_store.get()));
+    src.io = mine_stats.io;
+    src.io.Accumulate(IoStats::Delta(part_store->io_stats(), before_ingest));
     src.snap = part_catalog.Publish();
     src.build_seconds = sw.ElapsedSeconds();
     sources.push_back(std::move(src));
@@ -300,16 +313,15 @@ int main(int argc, char** argv) {
     // Each record carries ITS source's store and that store's IO (mining
     // plus footprint ingest), so per-source cost stays attributable.
     RecordMiningRun("serve-" + src.name + "@r1", *src.store, params,
-                    src.build_seconds, snap.size(), src.store->io_stats(),
-                    single);
+                    src.build_seconds, snap.size(), src.io, single);
     JsonFields multi;
     multi.Str("source", src.name)
         .Int("catalog_convoys", snap.size())
         .Int("readers", static_cast<uint64_t>(mt_readers))
         .Num("qps_mt_mixed", q_mt);
     RecordMiningRun("serve-" + src.name + "@r" + std::to_string(mt_readers),
-                    *src.store, params, mt_seconds, snap.size(),
-                    src.store->io_stats(), multi);
+                    *src.store, params, mt_seconds, snap.size(), src.io,
+                    multi);
   }
   table.Print();
   std::cout << "\nqueries/sec per type against the published snapshot "

@@ -42,15 +42,15 @@ int main() {
     }
     const double load_seconds = load_watch.ElapsedSeconds();
 
-    store->io_stats().Clear();
     k2::Stopwatch mine_watch;
-    auto result = k2::MineK2Hop(store.get(), query);
+    k2::K2HopStats stats;  // counts the IO of every thread's store snapshot
+    auto result = k2::MineK2Hop(store.get(), query, {}, &stats);
     if (!result.ok()) {
       std::cerr << result.status().ToString() << "\n";
       return 1;
     }
     const double mine_seconds = mine_watch.ElapsedSeconds();
-    const k2::IoStats& io = store->io_stats();
+    const k2::IoStats& io = stats.io;
     std::cout << std::left << std::setw(8) << store->name() << std::right
               << std::setw(9) << std::fixed << std::setprecision(3)
               << load_seconds << std::setw(9) << mine_seconds << std::setw(9)

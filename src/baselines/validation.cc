@@ -45,12 +45,10 @@ uint64_t ConvoyKey(const Convoy& v) {
 class RestrictionProber {
  public:
   RestrictionProber(Store* store, const Convoy& candidate,
-                    const MiningParams& params, ValidationStats* stats,
-                    SnapshotScratch* scratch)
+                    const MiningParams& params, SnapshotScratch* scratch)
       : store_(store),
         candidate_(candidate),
         params_(params),
-        stats_(stats),
         scratch_(scratch) {}
 
   /// True when DB[t]|O clusters to exactly {O} for every t (FC property).
@@ -64,7 +62,6 @@ class RestrictionProber {
 
   /// Maximal convoys of the restricted dataset with lifespan >= k.
   Result<std::vector<Convoy>> SweepRestriction() {
-    if (stats_ != nullptr) ++stats_->split_rounds;
     SweepOptions options;
     options.min_length = params_.k;
     return MaximalConvoySweep(
@@ -76,6 +73,8 @@ class RestrictionProber {
         candidate_.lifespan(), params_.m, options);
   }
 
+  size_t reclusterings() const { return cache_.size(); }
+
  private:
   Result<const std::vector<ObjectSet>*> ClustersAt(Timestamp t) {
     auto it = cache_.find(t);
@@ -83,7 +82,6 @@ class RestrictionProber {
       K2_ASSIGN_OR_RETURN(
           std::vector<ObjectSet> cs,
           ReCluster(store_, t, candidate_.objects, params_, scratch_));
-      if (stats_ != nullptr) ++stats_->reclusterings;
       it = cache_.emplace(t, std::move(cs)).first;
     }
     return &it->second;
@@ -92,49 +90,87 @@ class RestrictionProber {
   Store* store_;
   const Convoy& candidate_;
   const MiningParams& params_;
-  ValidationStats* stats_;
   SnapshotScratch* scratch_;
   std::unordered_map<Timestamp, std::vector<ObjectSet>> cache_;
 };
 
 }  // namespace
 
-Result<std::vector<Convoy>> ValidateFullyConnected(
-    Store* store, std::vector<Convoy> candidates, const MiningParams& params,
-    bool recursive, ValidationStats* stats) {
-  if (stats != nullptr) stats->candidates_in = candidates.size();
+Result<FcCheck> CheckFullyConnected(Store* store, const Convoy& candidate,
+                                    const MiningParams& params,
+                                    SnapshotScratch* scratch) {
+  RestrictionProber prober(store, candidate, params, scratch);
+  FcCheck check;
+  K2_ASSIGN_OR_RETURN(check.fully_connected, prober.IsFullyConnected());
+  if (!check.fully_connected) {
+    K2_ASSIGN_OR_RETURN(check.pieces, prober.SweepRestriction());
+  }
+  check.reclusterings = prober.reclusterings();
+  return check;
+}
+
+Result<std::vector<Convoy>> ValidateInRounds(
+    std::vector<Convoy> candidates, const MiningParams& params,
+    bool recursive, ValidationStats* stats,
+    const FcRoundChecker& check_round) {
+  ValidationStats local_stats;
+  ValidationStats* s = stats != nullptr ? stats : &local_stats;
+  s->candidates_in = candidates.size();
   MaximalConvoySet accepted;
-  SnapshotScratch scratch;
-  std::deque<Convoy> work(candidates.begin(), candidates.end());
   std::unordered_set<uint64_t> seen;
-
+  std::vector<Convoy> work = std::move(candidates);
+  std::vector<Convoy> round;
+  std::vector<FcCheck> checks;
   while (!work.empty()) {
-    Convoy v = std::move(work.front());
-    work.pop_front();
-    if (v.objects.size() < static_cast<size_t>(params.m) ||
-        v.length() < params.k) {
-      continue;
+    round.clear();
+    for (Convoy& v : work) {
+      if (v.objects.size() < static_cast<size_t>(params.m) ||
+          v.length() < params.k) {
+        continue;
+      }
+      if (seen.insert(ConvoyKey(v)).second) round.push_back(std::move(v));
     }
-    if (!seen.insert(ConvoyKey(v)).second) continue;
-
-    RestrictionProber prober(store, v, params, stats, &scratch);
-    K2_ASSIGN_OR_RETURN(bool is_fc, prober.IsFullyConnected());
-    if (is_fc) {
-      if (stats != nullptr) ++stats->fc_accepted;
-      accepted.Insert(std::move(v));
-      continue;
-    }
-    K2_ASSIGN_OR_RETURN(std::vector<Convoy> pieces, prober.SweepRestriction());
-    if (recursive) {
-      for (Convoy& piece : pieces) work.push_back(std::move(piece));
-    } else {
-      // Original one-pass DCVal: split results are emitted unvalidated
-      // (recursive = false is only ever entered with first-level
-      // candidates, since nothing is pushed back).
-      for (Convoy& piece : pieces) accepted.Insert(std::move(piece));
+    work.clear();
+    checks.assign(round.size(), FcCheck());
+    K2_RETURN_NOT_OK(check_round(round, &checks));
+    for (size_t i = 0; i < round.size(); ++i) {
+      FcCheck& check = checks[i];
+      s->reclusterings += check.reclusterings;
+      if (check.fully_connected) {
+        ++s->fc_accepted;
+        accepted.Insert(std::move(round[i]));
+        continue;
+      }
+      ++s->split_rounds;
+      for (Convoy& piece : check.pieces) {
+        // Original one-pass DCVal (recursive = false): split results are
+        // emitted unvalidated, so there is only ever one round.
+        if (recursive) {
+          work.push_back(std::move(piece));
+        } else {
+          accepted.Insert(std::move(piece));
+        }
+      }
     }
   }
   return accepted.TakeSorted();
+}
+
+Result<std::vector<Convoy>> ValidateFullyConnected(
+    Store* store, std::vector<Convoy> candidates, const MiningParams& params,
+    bool recursive, ValidationStats* stats) {
+  SnapshotScratch scratch;
+  return ValidateInRounds(
+      std::move(candidates), params, recursive, stats,
+      [&](const std::vector<Convoy>& round,
+          std::vector<FcCheck>* checks) -> Status {
+        for (size_t i = 0; i < round.size(); ++i) {
+          K2_ASSIGN_OR_RETURN((*checks)[i], CheckFullyConnected(
+                                                store, round[i], params,
+                                                &scratch));
+        }
+        return Status::OK();
+      });
 }
 
 }  // namespace k2

@@ -9,8 +9,10 @@
 #ifndef K2_BASELINES_VALIDATION_H_
 #define K2_BASELINES_VALIDATION_H_
 
+#include <functional>
 #include <vector>
 
+#include "cluster/clusterer.h"
 #include "common/convoy.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -36,6 +38,37 @@ struct ValidationStats {
 Result<std::vector<Convoy>> ValidateFullyConnected(
     Store* store, std::vector<Convoy> candidates, const MiningParams& params,
     bool recursive = true, ValidationStats* stats = nullptr);
+
+/// Outcome of checking one candidate: either it is fully connected, or
+/// `pieces` holds the maximal convoys (lifespan >= k) of its restriction.
+struct FcCheck {
+  bool fully_connected = false;
+  std::vector<Convoy> pieces;
+  size_t reclusterings = 0;  ///< restricted DBSCAN runs the check made
+};
+
+/// The per-candidate step of ValidateFullyConnected. A deterministic
+/// function of the store's content, so any thread may run it on its own
+/// store handle and scratch.
+Result<FcCheck> CheckFullyConnected(Store* store, const Convoy& candidate,
+                                    const MiningParams& params,
+                                    SnapshotScratch* scratch);
+
+/// Checks every convoy of one round; `checks` arrives sized to the round.
+/// The convoys of a round are independent of each other.
+using FcRoundChecker = std::function<Status(const std::vector<Convoy>& round,
+                                            std::vector<FcCheck>* checks)>;
+
+/// The loop behind ValidateFullyConnected, with the checking of each round
+/// left to `check_round` (sequential, or fanned out over threads). Rounds are the
+/// levels of the split recursion: the work queue is deduplicated between
+/// rounds on the calling thread, in queue order, so every distinct piece is
+/// checked exactly once and the result and `stats` do not depend on how a
+/// round is scheduled.
+Result<std::vector<Convoy>> ValidateInRounds(
+    std::vector<Convoy> candidates, const MiningParams& params,
+    bool recursive, ValidationStats* stats,
+    const FcRoundChecker& check_round);
 
 }  // namespace k2
 

@@ -8,21 +8,6 @@
 
 namespace k2 {
 
-Status LockedScanTimestamp(Store* store, Timestamp t,
-                           std::vector<SnapshotPoint>* out,
-                           Mutex* store_mu) {
-  if (store_mu == nullptr) return store->ScanTimestamp(t, out);
-  MutexLock lock(*store_mu);
-  return store->ScanTimestamp(t, out);
-}
-
-Status LockedGetPoints(Store* store, Timestamp t, const ObjectSet& objects,
-                       std::vector<SnapshotPoint>* out, Mutex* store_mu) {
-  if (store_mu == nullptr) return store->GetPoints(t, objects, out);
-  MutexLock lock(*store_mu);
-  return store->GetPoints(t, objects, out);
-}
-
 Status GeometricClusterer::ValidateParams(const MiningParams& params) const {
   if (!(params.eps > 0.0)) {
     return Status::Invalid(
@@ -35,17 +20,16 @@ Status GeometricClusterer::ValidateParams(const MiningParams& params) const {
 
 Result<std::vector<ObjectSet>> GeometricClusterer::Cluster(
     Store* store, Timestamp t, const MiningParams& params,
-    SnapshotScratch* scratch, Mutex* store_mu) const {
-  K2_RETURN_NOT_OK(LockedScanTimestamp(store, t, &scratch->points, store_mu));
+    SnapshotScratch* scratch, Mutex* /*store_mu*/) const {
+  K2_RETURN_NOT_OK(store->ScanTimestamp(t, &scratch->points));
   return Dbscan(scratch->points, params.eps, params.m, &scratch->dbscan);
 }
 
 Result<std::vector<ObjectSet>> GeometricClusterer::ReCluster(
     Store* store, Timestamp t, const ObjectSet& objects,
     const MiningParams& params, SnapshotScratch* scratch,
-    Mutex* store_mu) const {
-  K2_RETURN_NOT_OK(
-      LockedGetPoints(store, t, objects, &scratch->points, store_mu));
+    Mutex* /*store_mu*/) const {
+  K2_RETURN_NOT_OK(store->GetPoints(t, objects, &scratch->points));
   return Dbscan(scratch->points, params.eps, params.m, &scratch->dbscan);
 }
 

@@ -14,9 +14,10 @@
 //
 // Implementations must be immutable after construction: one clusterer
 // instance is shared by every mining thread, and all mutable working state
-// lives in the caller-owned SnapshotScratch (one per thread). To add a
-// clusterer, implement Cluster/ReCluster against the same store fetch
-// helpers (respecting store_mu) and keep the output contract: canonical
+// lives in the caller-owned SnapshotScratch (one per thread). Each thread
+// also brings its own store handle (a Store::CreateReadSnapshot), so an
+// implementation simply reads the store it is given. To add a clusterer,
+// implement Cluster/ReCluster and keep the output contract: canonical
 // lexicographically-sorted ObjectSets, each of size >= params.m.
 #ifndef K2_CLUSTER_CLUSTERER_H_
 #define K2_CLUSTER_CLUSTERER_H_
@@ -45,8 +46,12 @@ struct SnapshotScratch {
 
 /// Interface of one snapshot-clustering substrate. Thread-compatible:
 /// const methods may run concurrently from many threads as long as each
-/// passes its own scratch (and a shared store_mu when the store itself is
-/// shared — only the fetch is serialized; clustering runs outside the lock).
+/// passes its own scratch and its own store handle.
+///
+/// The trailing `store_mu` parameter is unused: nothing passes it and
+/// implementations ignore it. It stays only so that overrides written
+/// against the older seam (which serialized a shared store on it) keep
+/// compiling.
 class SnapshotClusterer {
  public:
   virtual ~SnapshotClusterer() = default;
@@ -105,14 +110,6 @@ const SnapshotClusterer* ResolveClusterer(const MiningParams& params);
 /// ValidateParams (eps <= 0 for geometric substrates). For default params
 /// this accepts exactly the set MiningParams::Valid() accepts.
 Status ValidateMiningParams(const MiningParams& params);
-
-// Store fetch helpers shared by clusterer implementations: serialize on
-// `store_mu` when non-null (Store implementations are not thread-safe).
-Status LockedScanTimestamp(Store* store, Timestamp t,
-                           std::vector<SnapshotPoint>* out,
-                           Mutex* store_mu);
-Status LockedGetPoints(Store* store, Timestamp t, const ObjectSet& objects,
-                       std::vector<SnapshotPoint>* out, Mutex* store_mu);
 
 }  // namespace k2
 

@@ -83,8 +83,8 @@ std::vector<ObjectSet> ClusterFetched(std::span<const SnapshotPoint> points,
 
 Result<std::vector<ObjectSet>> CoLocationGraphClusterer::Cluster(
     Store* store, Timestamp t, const MiningParams& params,
-    SnapshotScratch* scratch, Mutex* store_mu) const {
-  K2_RETURN_NOT_OK(LockedScanTimestamp(store, t, &scratch->points, store_mu));
+    SnapshotScratch* scratch, Mutex* /*store_mu*/) const {
+  K2_RETURN_NOT_OK(store->ScanTimestamp(t, &scratch->points));
   BuildInducedAdjacency(scratch->points, log_->EdgesAt(t), scratch);
   return GraphClusters(scratch->graph.oids, scratch->graph.adj_offsets,
                        scratch->graph.adj, params.m, &scratch->graph);
@@ -93,9 +93,8 @@ Result<std::vector<ObjectSet>> CoLocationGraphClusterer::Cluster(
 Result<std::vector<ObjectSet>> CoLocationGraphClusterer::ReCluster(
     Store* store, Timestamp t, const ObjectSet& objects,
     const MiningParams& params, SnapshotScratch* scratch,
-    Mutex* store_mu) const {
-  K2_RETURN_NOT_OK(
-      LockedGetPoints(store, t, objects, &scratch->points, store_mu));
+    Mutex* /*store_mu*/) const {
+  K2_RETURN_NOT_OK(store->GetPoints(t, objects, &scratch->points));
   BuildInducedAdjacency(scratch->points, log_->EdgesAt(t), scratch);
   return GraphClusters(scratch->graph.oids, scratch->graph.adj_offsets,
                        scratch->graph.adj, params.m, &scratch->graph);
@@ -112,17 +111,16 @@ Status EpsGraphClusterer::ValidateParams(const MiningParams& params) const {
 
 Result<std::vector<ObjectSet>> EpsGraphClusterer::Cluster(
     Store* store, Timestamp t, const MiningParams& params,
-    SnapshotScratch* scratch, Mutex* store_mu) const {
-  K2_RETURN_NOT_OK(LockedScanTimestamp(store, t, &scratch->points, store_mu));
+    SnapshotScratch* scratch, Mutex* /*store_mu*/) const {
+  K2_RETURN_NOT_OK(store->ScanTimestamp(t, &scratch->points));
   return EpsGraphClusters(scratch->points, params.eps, params.m, scratch);
 }
 
 Result<std::vector<ObjectSet>> EpsGraphClusterer::ReCluster(
     Store* store, Timestamp t, const ObjectSet& objects,
     const MiningParams& params, SnapshotScratch* scratch,
-    Mutex* store_mu) const {
-  K2_RETURN_NOT_OK(
-      LockedGetPoints(store, t, objects, &scratch->points, store_mu));
+    Mutex* /*store_mu*/) const {
+  K2_RETURN_NOT_OK(store->GetPoints(t, objects, &scratch->points));
   return EpsGraphClusters(scratch->points, params.eps, params.m, scratch);
 }
 

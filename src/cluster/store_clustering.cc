@@ -13,10 +13,8 @@ SnapshotScratch* ThreadLocalSnapshotScratch() {
 
 Result<std::vector<ObjectSet>> ClusterSnapshot(Store* store, Timestamp t,
                                                const MiningParams& params,
-                                               SnapshotScratch* scratch,
-                                               Mutex* store_mu) {
-  return ResolveClusterer(params)->Cluster(store, t, params, scratch,
-                                           store_mu);
+                                               SnapshotScratch* scratch) {
+  return ResolveClusterer(params)->Cluster(store, t, params, scratch);
 }
 
 Result<std::vector<ObjectSet>> ClusterSnapshot(Store* store, Timestamp t,
@@ -27,10 +25,9 @@ Result<std::vector<ObjectSet>> ClusterSnapshot(Store* store, Timestamp t,
 Result<std::vector<ObjectSet>> ReCluster(Store* store, Timestamp t,
                                          const ObjectSet& objects,
                                          const MiningParams& params,
-                                         SnapshotScratch* scratch,
-                                         Mutex* store_mu) {
+                                         SnapshotScratch* scratch) {
   return ResolveClusterer(params)->ReCluster(store, t, objects, params,
-                                             scratch, store_mu);
+                                             scratch);
 }
 
 Result<std::vector<ObjectSet>> ReCluster(Store* store, Timestamp t,

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "cluster/clusterer.h"
-#include "common/mutex.h"
 #include "common/object_set.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -22,15 +21,13 @@ namespace k2 {
 /// `params` (for the default geometric clusterer: the (m,eps)-clusters).
 ///
 /// The scratch overloads reuse `scratch` across calls (allocation-free in
-/// steady state). Store implementations are not thread-safe: when several
-/// threads share one store, pass the same `store_mu` to every call and only
-/// the fetch is serialized — clustering runs outside the lock.
+/// steady state). A store handle serves one thread at a time: concurrent
+/// callers each pass their own Store::CreateReadSnapshot handle.
 Result<std::vector<ObjectSet>> ClusterSnapshot(Store* store, Timestamp t,
                                                const MiningParams& params);
 Result<std::vector<ObjectSet>> ClusterSnapshot(Store* store, Timestamp t,
                                                const MiningParams& params,
-                                               SnapshotScratch* scratch,
-                                               Mutex* store_mu = nullptr);
+                                               SnapshotScratch* scratch);
 
 /// reCluster(DB[t]|O): fetches only the points of `objects` at `t` (random
 /// point reads) and clusters them. This is the pruned access path.
@@ -40,8 +37,7 @@ Result<std::vector<ObjectSet>> ReCluster(Store* store, Timestamp t,
 Result<std::vector<ObjectSet>> ReCluster(Store* store, Timestamp t,
                                          const ObjectSet& objects,
                                          const MiningParams& params,
-                                         SnapshotScratch* scratch,
-                                         Mutex* store_mu = nullptr);
+                                         SnapshotScratch* scratch);
 
 }  // namespace k2
 

@@ -7,7 +7,7 @@
 #include <unordered_map>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
+#include "core/snapshot_slots.h"
 
 namespace k2 {
 
@@ -81,8 +81,8 @@ std::vector<ObjectSet> CandidateClusters(const std::vector<ObjectSet>& left,
 Result<std::vector<ObjectSet>> HwmtSpanning(
     Store* store, const MiningParams& params, Timestamp b_left,
     Timestamp b_right, const std::vector<ObjectSet>& candidates,
-    bool binary_order, bool verify_right_benchmark, SnapshotScratch* scratch,
-    Mutex* store_mu) {
+    bool binary_order, bool verify_right_benchmark,
+    SnapshotScratch* scratch) {
   std::vector<ObjectSet> surviving = candidates;
   if (surviving.empty()) return surviving;
   std::optional<SnapshotScratch> local_scratch;
@@ -105,9 +105,8 @@ Result<std::vector<ObjectSet>> HwmtSpanning(
   for (Timestamp t : order) {
     std::vector<ObjectSet> next;
     for (const ObjectSet& candidate : surviving) {
-      K2_ASSIGN_OR_RETURN(
-          std::vector<ObjectSet> clusters,
-          ReCluster(store, t, candidate, params, scratch, store_mu));
+      K2_ASSIGN_OR_RETURN(std::vector<ObjectSet> clusters,
+                          ReCluster(store, t, candidate, params, scratch));
       for (ObjectSet& c : clusters) next.push_back(std::move(c));
     }
     if (next.empty()) return next;  // no spanning convoy in this window
@@ -236,91 +235,44 @@ void ConvoyExtensionWalk::Flush(Timestamp limit,
   frontier_.clear();
 }
 
-namespace {
-
-/// Shared walker for ExtendRight / ExtendLeft. `dir` = +1 walks toward
-/// `limit` on the right, -1 toward the left. Each convoy is walked
-/// independently; the shared MaximalConvoySet only deduplicates results.
-Result<std::vector<Convoy>> ExtendDirected(Store* store,
-                                           const MiningParams& params,
-                                           std::vector<Convoy> convoys,
-                                           Timestamp limit, int dir) {
-  MaximalConvoySet results;
-  SnapshotScratch scratch;
-  std::vector<Convoy> completed;
-  for (Convoy& v : convoys) {
-    completed.clear();
-    ConvoyExtensionWalk walk(v, dir);
-    K2_RETURN_NOT_OK(walk.Advance(store, params, limit, &completed, &scratch));
-    walk.Flush(limit, &completed);
-    for (Convoy& c : completed) results.Insert(std::move(c));
-  }
-  return results.TakeSorted();
-}
-
-}  // namespace
-
 Result<std::vector<Convoy>> ExtendRight(Store* store,
                                         const MiningParams& params,
-                                        std::vector<Convoy> convoys,
+                                        const std::vector<Convoy>& convoys,
                                         Timestamp dataset_end) {
-  return ExtendDirected(store, params, std::move(convoys), dataset_end, +1);
+  SnapshotSlots slots(store, 1);
+  return slots.Extend(params, convoys, dataset_end, +1);
 }
 
 Result<std::vector<Convoy>> ExtendLeft(Store* store, const MiningParams& params,
-                                       std::vector<Convoy> convoys,
+                                       const std::vector<Convoy>& convoys,
                                        Timestamp dataset_start) {
-  return ExtendDirected(store, params, std::move(convoys), dataset_start, -1);
+  SnapshotSlots slots(store, 1);
+  return slots.Extend(params, convoys, dataset_start, -1);
 }
 
 // k2-lint: allow(validate-mining-params): internal pipeline stage — the
 // public entries (MineK2Hop, MinePartitionedK2Hop) validate before
 // dispatching here, and the DCHECK below restates the contract.
-Status MineHopWindows(Store* store, const MiningParams& params,
+Status MineHopWindows(SnapshotSlots* slots, const MiningParams& params,
                       std::span<const Timestamp> benchmarks,
                       const K2HopOptions& options,
                       std::vector<std::vector<ObjectSet>>* spanning,
-                      HopWindowPipelineStats* stats, ThreadPool* pool,
-                      Mutex* store_mu,
-                      std::vector<SnapshotScratch>* scratches) {
+                      HopWindowPipelineStats* stats) {
   // Entry-point validation (ValidateMiningParams) happened in the caller;
   // shard drivers reaching this directly must uphold the same contract.
   K2_DCHECK(params.m >= 2 && params.k >= 2);
   HopWindowPipelineStats local_stats;
   HopWindowPipelineStats* s = stats != nullptr ? stats : &local_stats;
-  std::vector<SnapshotScratch> local_scratches;
-  if (scratches == nullptr) {
-    local_scratches.resize(pool != nullptr ? pool->num_workers() + 1 : 1);
-    scratches = &local_scratches;
-  }
-
-  // Runs fn(slot, i) for i in [0, n): on the pool when present, inline
-  // otherwise. Statuses are collected per item; the first failure wins.
-  auto for_each_indexed =
-      [&](size_t n,
-          const std::function<Status(size_t, size_t)>& fn) -> Status {
-    if (pool == nullptr) {
-      for (size_t i = 0; i < n; ++i) K2_RETURN_NOT_OK(fn(0, i));
-      return Status::OK();
-    }
-    std::vector<Status> statuses(n);
-    pool->ParallelFor(n, [&](size_t slot, size_t i) {
-      statuses[i] = fn(slot, i);
-    });
-    for (Status& status : statuses) K2_RETURN_NOT_OK(status);
-    return Status::OK();
-  };
 
   // Step 1: cluster the benchmark points, concurrently across points.
   Stopwatch sw;
   s->benchmark_points = benchmarks.size();
   std::vector<std::vector<ObjectSet>> benchmark_clusters(benchmarks.size());
-  K2_RETURN_NOT_OK(
-      for_each_indexed(benchmarks.size(), [&](size_t slot, size_t i) {
-        auto result = ClusterSnapshot(store, benchmarks[i], params,
-                                      &(*scratches)[slot], store_mu);
-        K2_RETURN_NOT_OK(result.status());
-        benchmark_clusters[i] = result.MoveValue();
+  K2_RETURN_NOT_OK(slots->ForEach(
+      benchmarks.size(), [&](SnapshotSlots::Slot& slot, size_t i) -> Status {
+        K2_ASSIGN_OR_RETURN(benchmark_clusters[i],
+                            ClusterSnapshot(slot.store, benchmarks[i], params,
+                                            &slot.scratch));
         return Status::OK();
       }));
   s->phases.Add("benchmark", sw.ElapsedSeconds());
@@ -346,17 +298,17 @@ Status MineHopWindows(Store* store, const MiningParams& params,
   // Step 3: HWMT inside each window, concurrently across windows.
   sw.Restart();
   spanning->assign(num_windows, {});
-  K2_RETURN_NOT_OK(for_each_indexed(num_windows, [&](size_t slot, size_t w) {
-    if (candidates[w].empty()) return Status::OK();
-    auto result =
-        HwmtSpanning(store, params, benchmarks[w], benchmarks[w + 1],
-                     candidates[w], options.hwmt_binary_order,
-                     /*verify_right_benchmark=*/!options.candidate_pruning,
-                     &(*scratches)[slot], store_mu);
-    K2_RETURN_NOT_OK(result.status());
-    (*spanning)[w] = result.MoveValue();
-    return Status::OK();
-  }));
+  K2_RETURN_NOT_OK(slots->ForEach(
+      num_windows, [&](SnapshotSlots::Slot& slot, size_t w) -> Status {
+        if (candidates[w].empty()) return Status::OK();
+        K2_ASSIGN_OR_RETURN(
+            (*spanning)[w],
+            HwmtSpanning(slot.store, params, benchmarks[w], benchmarks[w + 1],
+                         candidates[w], options.hwmt_binary_order,
+                         /*verify_right_benchmark=*/!options.candidate_pruning,
+                         &slot.scratch));
+        return Status::OK();
+      }));
   for (size_t w = 0; w < num_windows; ++w) {
     s->spanning_convoys += (*spanning)[w].size();
   }
@@ -370,18 +322,15 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
   K2HopStats local;
   K2HopStats* s = stats != nullptr ? stats : &local;
-  const IoStats io_before = store->io_stats();
   s->total_points = store->num_points();
 
   const TimeRange range = store->time_range();
   if (range.length() < params.k) return std::vector<Convoy>{};
 
   // Threading setup. With T = num_threads (default hardware_concurrency),
-  // the two embarrassingly parallel phases run on the calling thread plus
-  // T - 1 pool workers; T = 1 is the exact sequential path. Stores are not
-  // thread-safe, so fetches are serialized by `store_mu` while clustering
-  // runs concurrently on per-slot scratches. Outputs are gathered by
-  // benchmark/window index, so results are identical for every T.
+  // every per-item phase runs on the calling thread plus T - 1 pool
+  // workers, each reading through its own store snapshot; T = 1 runs
+  // inline on the store itself.
   int threads =
       options.num_threads > 0
           ? options.num_threads
@@ -390,19 +339,14 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
   // num_threads is always honored, but the default skips the pool for jobs
   // too small to amortize it (sub-millisecond mines in tests and sweeps).
   if (options.num_threads <= 0 && store->num_points() < 65536) threads = 1;
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads - 1);
-  Mutex store_mu;
-  std::vector<SnapshotScratch> scratches(static_cast<size_t>(threads));
+  SnapshotSlots slots(store, threads);
 
   // Steps 1–3: the per-window pipeline over the full benchmark grid.
   const std::vector<Timestamp> benchmarks = BenchmarkPoints(range, params.k);
   std::vector<std::vector<ObjectSet>> spanning;
   HopWindowPipelineStats hw;
-  K2_RETURN_NOT_OK(MineHopWindows(
-      store, params, benchmarks, options, &spanning, &hw,
-      pool.has_value() ? &*pool : nullptr,
-      pool.has_value() ? &store_mu : nullptr, &scratches));
+  K2_RETURN_NOT_OK(
+      MineHopWindows(&slots, params, benchmarks, options, &spanning, &hw));
   s->benchmark_points = hw.benchmark_points;
   s->hop_windows = hw.hop_windows;
   s->hop_windows_mined = hw.hop_windows_mined;
@@ -422,12 +366,10 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
   // Step 5: extension to exact lifespans (right first, then left, as in
   // Sec. 4.5); the k filter applies only after the left pass.
   sw.Restart();
-  K2_ASSIGN_OR_RETURN(merged, ExtendRight(store, params, std::move(merged),
-                                          range.end));
+  K2_ASSIGN_OR_RETURN(merged, slots.Extend(params, merged, range.end, +1));
   s->phases.Add("extend-right", sw.ElapsedSeconds());
   sw.Restart();
-  K2_ASSIGN_OR_RETURN(merged, ExtendLeft(store, params, std::move(merged),
-                                         range.start));
+  K2_ASSIGN_OR_RETURN(merged, slots.Extend(params, merged, range.start, -1));
   merged = FilterMinLength(std::move(merged), params.k);
   s->phases.Add("extend-left", sw.ElapsedSeconds());
   s->prevalidation_convoys = merged.size();
@@ -436,15 +378,13 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
   std::vector<Convoy> result;
   if (options.validate) {
     sw.Restart();
-    K2_ASSIGN_OR_RETURN(result,
-                        ValidateFullyConnected(store, std::move(merged), params,
-                                               /*recursive=*/true,
-                                               &s->validation));
+    K2_ASSIGN_OR_RETURN(
+        result, slots.Validate(params, std::move(merged), &s->validation));
     s->phases.Add("validation", sw.ElapsedSeconds());
   } else {
     result = std::move(merged);
   }
-  s->io = IoStats::Delta(store->io_stats(), io_before);
+  s->io = slots.io();
   return result;
 }
 

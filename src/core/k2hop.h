@@ -15,7 +15,6 @@
 #include "baselines/validation.h"
 #include "cluster/store_clustering.h"
 #include "common/convoy.h"
-#include "common/mutex.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/types.h"
@@ -23,7 +22,7 @@
 
 namespace k2 {
 
-class ThreadPool;
+class SnapshotSlots;
 
 struct K2HopOptions {
   /// HWMT probes hop-window ticks in binary-subdivision (farthest-first)
@@ -36,15 +35,16 @@ struct K2HopOptions {
   /// Run the final FC validation; false stops after extension and returns
   /// the (partially connected) extended candidates.
   bool validate = true;
-  /// Worker threads for the two embarrassingly parallel phases (benchmark
-  /// clustering and hop-window verification). 0 = hardware_concurrency,
-  /// except that small stores (< 64k points) run sequentially because the
-  /// pool costs more than it saves there; 1 = fully sequential (today's
-  /// single-threaded behaviour); an explicit value > 1 always uses the
-  /// pool. Results are
-  /// byte-identical for every thread count: per-item outputs are gathered by
-  /// benchmark/window index and the store is the only shared state (its
-  /// accesses are serialized; clustering runs outside the lock).
+  /// Concurrent runners for every per-item phase: benchmark clustering,
+  /// HWMT, right and left extension, and FC validation. Each runner reads
+  /// the store through its own Store::CreateReadSnapshot handle, so reads
+  /// are never serialized (an rdbms snapshot brings its own buffer pool).
+  /// 0 = hardware_concurrency, except that small stores (< 64k points) run
+  /// sequentially because the pool and snapshots cost more than they save
+  /// there; 1 = sequential on the store itself; an explicit value > 1
+  /// always uses the pool. Results and the Table-5 IO counters are
+  /// identical for every thread count: per-item outputs are gathered by
+  /// index and folded in order (see core/snapshot_slots.h).
   int num_threads = 0;
 };
 
@@ -109,31 +109,24 @@ struct HopWindowPipelineStats {
 /// Fills `spanning->at(w)` with the spanning convoys of the window
 /// [benchmarks[w], benchmarks[w+1]] for w in [0, benchmarks.size() - 1).
 ///
-/// With `pool`, benchmark clustering and window verification fan out over
-/// the pool (store fetches serialized by `store_mu`, results gathered by
-/// index — output is identical for every pool size); without it the run is
-/// sequential and `store_mu` may be null. `scratches` (optional) must hold
-/// one slot per concurrent runner (pool workers + 1, or 1 when sequential).
-/// `stats` may be null.
-Status MineHopWindows(Store* store, const MiningParams& params,
+/// Benchmark clustering and window verification fan out over `slots`;
+/// results are gathered by index, so the output is identical for every
+/// slot count. `stats` may be null.
+Status MineHopWindows(SnapshotSlots* slots, const MiningParams& params,
                       std::span<const Timestamp> benchmarks,
                       const K2HopOptions& options,
                       std::vector<std::vector<ObjectSet>>* spanning,
-                      HopWindowPipelineStats* stats = nullptr,
-                      ThreadPool* pool = nullptr, Mutex* store_mu = nullptr,
-                      std::vector<SnapshotScratch>* scratches = nullptr);
+                      HopWindowPipelineStats* stats = nullptr);
 
 /// HWMT (Algorithm 2): verifies candidates at every tick strictly inside
 /// (b_left, b_right); when `verify_right_benchmark`, b_right is probed too
 /// (used by the no-pruning ablation). Returns the surviving object sets.
-/// `scratch` (optional) makes repeated calls allocation-free; `store_mu`
-/// (optional) serializes store access when windows are verified
-/// concurrently.
+/// `scratch` (optional) makes repeated calls allocation-free.
 Result<std::vector<ObjectSet>> HwmtSpanning(
     Store* store, const MiningParams& params, Timestamp b_left,
     Timestamp b_right, const std::vector<ObjectSet>& candidates,
     bool binary_order = true, bool verify_right_benchmark = false,
-    SnapshotScratch* scratch = nullptr, Mutex* store_mu = nullptr);
+    SnapshotScratch* scratch = nullptr);
 
 /// DCM merge (Sec. 4.4): folds per-window spanning convoys left to right
 /// into maximal spanning convoys. `spanning[i]` spans
@@ -223,10 +216,10 @@ class ConvoyExtensionWalk {
 /// objects stop clustering together; splits continue as smaller convoys.
 Result<std::vector<Convoy>> ExtendRight(Store* store,
                                         const MiningParams& params,
-                                        std::vector<Convoy> convoys,
+                                        const std::vector<Convoy>& convoys,
                                         Timestamp dataset_end);
 Result<std::vector<Convoy>> ExtendLeft(Store* store, const MiningParams& params,
-                                       std::vector<Convoy> convoys,
+                                       const std::vector<Convoy>& convoys,
                                        Timestamp dataset_start);
 
 }  // namespace k2

@@ -1,13 +1,11 @@
 #include "core/partition.h"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
 
-#include "common/mutex.h"
-#include "common/thread_pool.h"
+#include "core/snapshot_slots.h"
 
 namespace k2 {
 
@@ -55,13 +53,12 @@ PartitionedK2HopMiner::PartitionedK2HopMiner(Store* store,
 Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
   K2_RETURN_NOT_OK(ValidateMiningParams(params_));
   stats_ = PartitionedK2HopStats();
-  const IoStats parent_before = store_->io_stats();
   stats_.total_points = store_->num_points();
 
   const TimeRange range = store_->time_range();
   if (range.length() < params_.k) return std::vector<Convoy>{};
 
-  // --- plan: shard the benchmark grid, open per-slot read snapshots ------
+  // --- plan: shard the benchmark grid, set up the per-slot snapshots ----
   Stopwatch sw;
   const std::vector<Timestamp> benchmarks =
       BenchmarkPoints(range, params_.k);
@@ -81,50 +78,10 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
   stats_.seams = plan.size() - 1;
 
   // One read snapshot per concurrent runner: shards (and later per-convoy
-  // walks) on different slots never share a store handle, so they fetch
-  // concurrently instead of serializing on one store mutex. Handles are
-  // created lazily on a slot's first task — snapshot setup can be real IO
-  // (the LSM engine re-reads every table's index and bloom), so idle slots
-  // (more cores than shards on a small mine) must not pay it. A slot's
-  // snapshot is only ever touched by the task currently holding that slot;
-  // the mutex merely serializes concurrent *creations* against the shared
-  // parent store. Setup IO is excluded from stats_.io by capturing each
-  // handle's counters right after creation.
-  const size_t slots = static_cast<size_t>(threads);
-  std::vector<std::unique_ptr<Store>> snapshots(slots);
-  std::vector<IoStats> snapshot_before(slots);
-  std::vector<std::vector<SnapshotScratch>> slot_scratch(slots);
-  for (size_t i = 0; i < slots; ++i) slot_scratch[i].resize(1);
-  Mutex snapshot_create_mu;
-  auto slot_store = [&](size_t slot) -> Result<Store*> {
-    if (snapshots[slot] == nullptr) {
-      MutexLock lock(snapshot_create_mu);
-      K2_ASSIGN_OR_RETURN(snapshots[slot], store_->CreateReadSnapshot());
-      snapshot_before[slot] = snapshots[slot]->io_stats();
-    }
-    return snapshots[slot].get();
-  };
-
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads - 1);
-
-  // Runs fn(slot, i) for i in [0, n): on the pool when present, inline
-  // otherwise. Two items on the same slot never run concurrently, so
-  // slot-indexed snapshots and scratches stay single-threaded.
-  auto for_each_indexed =
-      [&](size_t n,
-          const std::function<Status(size_t, size_t)>& fn) -> Status {
-    if (!pool.has_value()) {
-      for (size_t i = 0; i < n; ++i) K2_RETURN_NOT_OK(fn(0, i));
-      return Status::OK();
-    }
-    std::vector<Status> statuses(n);
-    pool->ParallelFor(n, [&](size_t slot, size_t i) {
-      statuses[i] = fn(slot, i);
-    });
-    for (Status& status : statuses) K2_RETURN_NOT_OK(status);
-    return Status::OK();
-  };
+  // walks and validation checks) on different slots never share a store
+  // handle, so they fetch concurrently. Snapshots open on a slot's first
+  // task, so idle slots (more cores than shards) cost nothing.
+  SnapshotSlots slots(store_, threads);
   stats_.phases.Add("plan", sw.ElapsedSeconds());
 
   // --- shards: full per-window pipeline + local DCM merge, concurrently --
@@ -136,20 +93,19 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
   std::vector<std::vector<Convoy>> local_died(plan.size());
   std::vector<SpanningConvoyMerger::StartMap> local_active(plan.size());
   stats_.shard_runs.assign(plan.size(), {});
-  K2_RETURN_NOT_OK(for_each_indexed(
-      plan.size(), [&](size_t slot, size_t i) -> Status {
+  K2_RETURN_NOT_OK(slots.ForEach(
+      plan.size(), [&](SnapshotSlots::Slot& slot, size_t i) -> Status {
         Stopwatch shard_sw;
         const ShardPlan& shard = plan[i];
         ShardRunStats& run = stats_.shard_runs[i];
         run.ticks = shard.ticks;
-        K2_ASSIGN_OR_RETURN(Store* shard_store, slot_store(slot));
-        const IoStats before = shard_store->io_stats();
+        // The shard runs sequentially on its slot's store handle.
+        SnapshotSlots shard_slots(slot.store, 1);
         const std::span<const Timestamp> shard_benchmarks(
             benchmarks.data() + shard.first_window, shard.num_benchmarks());
-        K2_RETURN_NOT_OK(MineHopWindows(
-            shard_store, params_, shard_benchmarks, shard_options,
-            &spanning[i], &run.pipeline, /*pool=*/nullptr,
-            /*store_mu=*/nullptr, &slot_scratch[slot]));
+        K2_RETURN_NOT_OK(MineHopWindows(&shard_slots, params_,
+                                        shard_benchmarks, shard_options,
+                                        &spanning[i], &run.pipeline));
         // Local DCM merge. The fold starts empty, so deaths are only
         // locally maximal and starts are only locally earliest; the stitch
         // below decides whether that local view is globally valid (nothing
@@ -164,7 +120,7 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
         run.local_merged = local_died[i].size();
         run.seam_active = local_active[i].size();
         run.seconds = shard_sw.ElapsedSeconds();
-        run.io = IoStats::Delta(shard_store->io_stats(), before);
+        run.io = shard_slots.io();
         return Status::OK();
       }));
   for (const ShardRunStats& run : stats_.shard_runs) {
@@ -210,80 +166,29 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
   stats_.merged_convoys = merged.size();
   stats_.phases.Add("stitch", sw.ElapsedSeconds());
 
-  // --- extension: per-convoy resumable walks, concurrently --------------
+  // --- extension and validation: per-convoy, concurrently --------------
   // Walks read arbitrary ticks through the slot's snapshot and freely cross
-  // shard seams. Results are gathered by seed index and folded through the
-  // same MaximalConvoySet barrier as batch ExtendRight/ExtendLeft, so the
-  // outcome is identical for every slot count.
-  auto extend_all = [&](std::vector<Convoy> seeds, Timestamp limit, int dir,
-                        const char* phase) -> Result<std::vector<Convoy>> {
-    Stopwatch phase_sw;
-    std::vector<std::vector<Convoy>> completed(seeds.size());
-    K2_RETURN_NOT_OK(for_each_indexed(
-        seeds.size(), [&](size_t slot, size_t i) -> Status {
-          K2_ASSIGN_OR_RETURN(Store* walk_store, slot_store(slot));
-          ConvoyExtensionWalk walk(seeds[i], dir);
-          K2_RETURN_NOT_OK(walk.Advance(walk_store, params_, limit,
-                                        &completed[i],
-                                        &slot_scratch[slot][0]));
-          walk.Flush(limit, &completed[i]);
-          return Status::OK();
-        }));
-    MaximalConvoySet results;
-    for (std::vector<Convoy>& pieces : completed) {
-      for (Convoy& c : pieces) results.Insert(std::move(c));
-    }
-    stats_.phases.Add(phase, phase_sw.ElapsedSeconds());
-    return results.TakeSorted();
-  };
-  K2_ASSIGN_OR_RETURN(
-      merged, extend_all(std::move(merged), range.end, +1, "extend-right"));
-  K2_ASSIGN_OR_RETURN(
-      merged, extend_all(std::move(merged), range.start, -1, "extend-left"));
+  // shard seams; the folds replay the batch barriers in seed order.
+  sw.Restart();
+  K2_ASSIGN_OR_RETURN(merged, slots.Extend(params_, merged, range.end, +1));
+  stats_.phases.Add("extend-right", sw.ElapsedSeconds());
+  sw.Restart();
+  K2_ASSIGN_OR_RETURN(merged,
+                      slots.Extend(params_, merged, range.start, -1));
   merged = FilterMinLength(std::move(merged), params_.k);
+  stats_.phases.Add("extend-left", sw.ElapsedSeconds());
   stats_.prevalidation_convoys = merged.size();
 
-  // --- validation: per-convoy FC checks, concurrently -------------------
   std::vector<Convoy> result;
-  if (!options_.validate) {
-    result = std::move(merged);
+  if (options_.validate) {
+    sw.Restart();
+    K2_ASSIGN_OR_RETURN(result, slots.Validate(params_, std::move(merged),
+                                               &stats_.validation));
+    stats_.phases.Add("validation", sw.ElapsedSeconds());
   } else {
-    Stopwatch validate_sw;
-    std::vector<std::vector<Convoy>> validated(merged.size());
-    std::vector<ValidationStats> validation_stats(merged.size());
-    K2_RETURN_NOT_OK(for_each_indexed(
-        merged.size(), [&](size_t slot, size_t i) -> Status {
-          K2_ASSIGN_OR_RETURN(Store* validate_store, slot_store(slot));
-          auto piece_result = ValidateFullyConnected(
-              validate_store, {merged[i]}, params_,
-              /*recursive=*/true, &validation_stats[i]);
-          K2_RETURN_NOT_OK(piece_result.status());
-          validated[i] = piece_result.MoveValue();
-          return Status::OK();
-        }));
-    // Second batch barrier: global maximality over the validated pieces.
-    MaximalConvoySet out;
-    for (std::vector<Convoy>& pieces : validated) {
-      for (Convoy& c : pieces) out.Insert(std::move(c));
-    }
-    for (const ValidationStats& vs : validation_stats) {
-      stats_.validation.candidates_in += vs.candidates_in;
-      stats_.validation.fc_accepted += vs.fc_accepted;
-      stats_.validation.split_rounds += vs.split_rounds;
-      stats_.validation.reclusterings += vs.reclusterings;
-    }
-    result = out.TakeSorted();
-    stats_.phases.Add("validation", validate_sw.ElapsedSeconds());
+    result = std::move(merged);
   }
-
-  // IO total: parent delta (fallback snapshots delegate there) plus every
-  // native snapshot's own counters since creation.
-  stats_.io = IoStats::Delta(store_->io_stats(), parent_before);
-  for (size_t i = 0; i < slots; ++i) {
-    if (snapshots[i] == nullptr) continue;  // slot never ran a task
-    stats_.io.Accumulate(
-        IoStats::Delta(snapshots[i]->io_stats(), snapshot_before[i]));
-  }
+  stats_.io = slots.io();
   return result;
 }
 

@@ -6,10 +6,11 @@
 // candidate clusters, HWMT, local DCM merge) against its own read snapshot
 // of the store, and a sequential stitch walks the shard seams, carrying the
 // spanning-convoy fold state across boundaries. Extension walks and FC
-// validation then fan out per convoy, and the batch maximality barriers are
-// replayed over the gathered results — the output is byte-identical to
-// batch MineK2Hop for every shard and thread count (asserted by the
-// partitioned differential suite).
+// validation then fan out over the same slots as in batch MineK2Hop (see
+// core/snapshot_slots.h), and the batch maximality barriers are replayed
+// over the gathered results — the output is byte-identical to batch
+// MineK2Hop for every shard and thread count (asserted by the partitioned
+// differential suite).
 //
 // A shard is the distribution unit: it touches only its own tick slice
 // (plus the shared boundary benchmarks) through a self-contained store

@@ -1,0 +1,92 @@
+#include "core/snapshot_slots.h"
+
+#include <algorithm>
+
+#include "common/thread_pool.h"
+#include "core/k2hop.h"
+
+namespace k2 {
+
+SnapshotSlots::SnapshotSlots(Store* store, int threads)
+    : store_(store),
+      store_before_(store->io_stats()),
+      slots_(static_cast<size_t>(std::max(threads, 1))) {
+  if (slots_.size() > 1) {
+    pool_ = std::make_unique<ThreadPool>(static_cast<int>(slots_.size()) - 1);
+  } else {
+    slots_[0].slot.store = store_;
+  }
+}
+
+SnapshotSlots::~SnapshotSlots() = default;
+
+Result<SnapshotSlots::Slot*> SnapshotSlots::Acquire(size_t slot) {
+  SlotState& s = slots_[slot];
+  if (s.slot.store == nullptr) {
+    MutexLock lock(create_mu_);
+    K2_ASSIGN_OR_RETURN(s.snapshot, store_->CreateReadSnapshot());
+    s.opened = s.snapshot->io_stats();
+    s.slot.store = s.snapshot.get();
+  }
+  return &s.slot;
+}
+
+Status SnapshotSlots::ForEach(
+    size_t n, const std::function<Status(Slot&, size_t)>& fn) {
+  if (pool_ == nullptr) {
+    for (size_t i = 0; i < n; ++i) K2_RETURN_NOT_OK(fn(slots_[0].slot, i));
+    return Status::OK();
+  }
+  std::vector<Status> statuses(n);
+  pool_->ParallelFor(n, [&](size_t slot, size_t i) {
+    auto acquired = Acquire(slot);
+    statuses[i] = acquired.ok() ? fn(*acquired.value(), i) : acquired.status();
+  });
+  for (Status& status : statuses) K2_RETURN_NOT_OK(status);
+  return Status::OK();
+}
+
+Result<std::vector<Convoy>> SnapshotSlots::Extend(
+    const MiningParams& params, const std::vector<Convoy>& seeds,
+    Timestamp limit, int dir) {
+  std::vector<std::vector<Convoy>> completed(seeds.size());
+  K2_RETURN_NOT_OK(ForEach(seeds.size(), [&](Slot& slot, size_t i) -> Status {
+    ConvoyExtensionWalk walk(seeds[i], dir);
+    K2_RETURN_NOT_OK(
+        walk.Advance(slot.store, params, limit, &completed[i], &slot.scratch));
+    walk.Flush(limit, &completed[i]);
+    return Status::OK();
+  }));
+  MaximalConvoySet results;
+  for (std::vector<Convoy>& pieces : completed) {
+    for (Convoy& c : pieces) results.Insert(std::move(c));
+  }
+  return results.TakeSorted();
+}
+
+Result<std::vector<Convoy>> SnapshotSlots::Validate(
+    const MiningParams& params, std::vector<Convoy> candidates,
+    ValidationStats* stats) {
+  return ValidateInRounds(
+      std::move(candidates), params, /*recursive=*/true, stats,
+      [&](const std::vector<Convoy>& round,
+          std::vector<FcCheck>* checks) -> Status {
+        return ForEach(round.size(), [&](Slot& slot, size_t i) -> Status {
+          K2_ASSIGN_OR_RETURN(
+              (*checks)[i],
+              CheckFullyConnected(slot.store, round[i], params, &slot.scratch));
+          return Status::OK();
+        });
+      });
+}
+
+IoStats SnapshotSlots::io() const {
+  IoStats total = IoStats::Delta(store_->io_stats(), store_before_);
+  for (const SlotState& s : slots_) {
+    if (s.snapshot == nullptr) continue;  // no pool, or the slot never ran
+    total.Accumulate(IoStats::Delta(s.snapshot->io_stats(), s.opened));
+  }
+  return total;
+}
+
+}  // namespace k2

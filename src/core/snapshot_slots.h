@@ -1,0 +1,95 @@
+// The slot machinery of the parallel mining pipelines. A slot is one
+// concurrent runner — the calling thread or one pool worker — and owns
+// everything a task touches: a store handle and a clustering scratch. With
+// more than one slot, every slot reads through its own
+// Store::CreateReadSnapshot handle, so no two threads share a store handle
+// and no store access is serialized; with one slot there is no pool and the
+// slot reads the store itself, so the sequential run is the same code.
+//
+// Per-item work (a benchmark point, a hop-window, a convoy's extension
+// walk, a validation candidate) is a deterministic function of the store's
+// content, so the slot it runs on cannot change it. Results are gathered by
+// item index and folded on the calling thread in index order, which keeps
+// the miners' output byte-identical for every thread count.
+#ifndef K2_CORE_SNAPSHOT_SLOTS_H_
+#define K2_CORE_SNAPSHOT_SLOTS_H_
+
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "baselines/validation.h"
+#include "cluster/clusterer.h"
+#include "common/convoy.h"
+#include "common/mutex.h"
+#include "common/status.h"
+#include "common/types.h"
+#include "storage/store.h"
+
+namespace k2 {
+
+class ThreadPool;
+
+class SnapshotSlots {
+ public:
+  /// What a task may touch: only the task currently running on the slot
+  /// does, so neither member needs a lock.
+  struct Slot {
+    Store* store = nullptr;  ///< the slot's read snapshot, or the store
+    SnapshotScratch scratch;
+  };
+
+  /// `threads` runners: the calling thread plus `threads - 1` pool workers.
+  /// A slot's snapshot is opened on its first task, so idle slots cost
+  /// nothing. `store` is borrowed and must not be mutated while this object
+  /// lives.
+  SnapshotSlots(Store* store, int threads);
+  ~SnapshotSlots();
+
+  SnapshotSlots(const SnapshotSlots&) = delete;
+  SnapshotSlots& operator=(const SnapshotSlots&) = delete;
+
+  /// Runs fn(slot, i) for every i in [0, n): over the pool when there is
+  /// one (every item runs; the lowest-index failure is returned), else
+  /// inline in index order, stopping at the first failure.
+  Status ForEach(size_t n, const std::function<Status(Slot&, size_t)>& fn);
+
+  /// Extension to exact lifespans (Sec. 4.5): one ConvoyExtensionWalk per
+  /// seed toward `limit` (`dir` = +1 right, -1 left), folded in seed order
+  /// through a MaximalConvoySet.
+  Result<std::vector<Convoy>> Extend(const MiningParams& params,
+                                     const std::vector<Convoy>& seeds,
+                                     Timestamp limit, int dir);
+
+  /// Recursive FC validation (Sec. 4.6) with each round's candidates
+  /// checked concurrently (see ValidateInRounds).
+  Result<std::vector<Convoy>> Validate(const MiningParams& params,
+                                       std::vector<Convoy> candidates,
+                                       ValidationStats* stats);
+
+  /// Store IO consumed since construction: the store's own delta plus each
+  /// snapshot's reads since it was opened (snapshot setup excluded).
+  IoStats io() const;
+
+ private:
+  struct SlotState {
+    Slot slot;
+    std::unique_ptr<Store> snapshot;  ///< null until opened, or no pool
+    IoStats opened;                   ///< the snapshot's counters when opened
+  };
+
+  /// The slot, with its snapshot opened on first use.
+  Result<Slot*> Acquire(size_t slot);
+
+  Store* store_;
+  IoStats store_before_;
+  std::unique_ptr<ThreadPool> pool_;
+  std::vector<SlotState> slots_;
+  /// Serializes snapshot creation: two slots opening at once would both
+  /// call into the shared parent store.
+  Mutex create_mu_;
+};
+
+}  // namespace k2
+
+#endif  // K2_CORE_SNAPSHOT_SLOTS_H_

@@ -22,6 +22,33 @@ const PointRecord* Dataset::Find(Timestamp t, ObjectId oid) const {
   return &*it;
 }
 
+size_t SelectObjects(std::span<const PointRecord> tick,
+                     const ObjectSet& objects,
+                     std::vector<SnapshotPoint>* out) {
+  const size_t before = out->size();
+  const size_t n = tick.size();
+  size_t lo = 0;  // every record before lo has an oid below the next wanted
+  for (ObjectId oid : objects) {
+    // Gallop to a bound `hi` whose record is >= oid, doubling the stride,
+    // then binary-search the last stride.
+    size_t hi = lo;
+    for (size_t stride = 1; hi < n && tick[hi].oid < oid; stride *= 2) {
+      lo = hi + 1;
+      hi += stride;
+    }
+    const auto it = std::lower_bound(
+        tick.begin() + lo, tick.begin() + std::min(hi, n), oid,
+        [](const PointRecord& r, ObjectId o) { return r.oid < o; });
+    lo = static_cast<size_t>(it - tick.begin());
+    if (lo == n) break;
+    if (tick[lo].oid == oid) {
+      out->push_back(SnapshotPoint{oid, tick[lo].x, tick[lo].y});
+      ++lo;
+    }
+  }
+  return out->size() - before;
+}
+
 Dataset Dataset::Restrict(const std::vector<ObjectId>& sorted_oids,
                           TimeRange range) const {
   DatasetBuilder builder;

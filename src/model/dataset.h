@@ -10,6 +10,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/object_set.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -69,6 +70,15 @@ class Dataset {
   std::unordered_set<ObjectId> object_ids_;
   TimeRange time_range_{0, -1};
 };
+
+/// Sorted select over one tick's oid-sorted records (a Dataset::Snapshot or
+/// a tick extent read from disk): appends the records whose oid is in
+/// `objects` to `*out`, in oid order, and returns how many it appended.
+/// Each lookup gallops forward from the previous match, so a dense batch
+/// costs O(|tick|) and a sparse one O(|objects| · log |tick|).
+size_t SelectObjects(std::span<const PointRecord> tick,
+                     const ObjectSet& objects,
+                     std::vector<SnapshotPoint>* out);
 
 /// The snapshot of `dataset` at tick `t` as the oid-sorted SnapshotPoint
 /// vector Store::Append expects — the bridge from a materialized dataset to

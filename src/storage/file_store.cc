@@ -69,15 +69,7 @@ Status GetFlatFilePoints(std::FILE* file, const std::string& path,
   const FileStore::Extent& ext = extents[it - timestamps.begin()];
   K2_RETURN_NOT_OK(
       ReadRowsAt(file, path, ext.row_offset, ext.count, scratch, stats));
-  auto rec_it = scratch->begin();
-  for (ObjectId oid : objects) {
-    while (rec_it != scratch->end() && rec_it->oid < oid) ++rec_it;
-    if (rec_it == scratch->end()) break;
-    if (rec_it->oid == oid) {
-      out->push_back(SnapshotPoint{rec_it->oid, rec_it->x, rec_it->y});
-    }
-  }
-  stats->point_hits += out->size();
+  stats->point_hits += SelectObjects(*scratch, objects, out);
   return Status::OK();
 }
 

@@ -1,13 +1,13 @@
 #include "storage/lsm/sstable.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#define K2_SSTABLE_HAS_MMAP 1
-#endif
 
 #include "common/crc32c.h"
 #include "storage/store.h"
@@ -150,53 +150,64 @@ Status SSTableBuilder::Finish() {
 // SSTable (reader)
 // ---------------------------------------------------------------------------
 
-SSTable::~SSTable() {
-#ifdef K2_SSTABLE_HAS_MMAP
-  if (map_ != nullptr) {
-    munmap(const_cast<char*>(map_), map_size_);
-  }
-#endif
-  if (file_ != nullptr) std::fclose(file_);
+SSTable::File::~File() {
+  if (map != nullptr) munmap(const_cast<char*>(map), map_size);
+  if (fd >= 0) ::close(fd);
 }
+
+namespace {
+
+/// Reads exactly `n` bytes at `offset`. pread keeps no file position, so any
+/// number of handles can read through one shared descriptor.
+Status PreadFully(int fd, void* buf, size_t n, uint64_t offset,
+                  const std::string& path, const char* what) {
+  char* p = static_cast<char*>(buf);
+  while (n > 0) {
+    const ssize_t got = ::pread(fd, p, n, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) {
+      return Status::IOError(std::string(what) + " read failed on " + path);
+    }
+    p += got;
+    n -= static_cast<size_t>(got);
+    offset += static_cast<uint64_t>(got);
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<std::unique_ptr<SSTable>> SSTable::Open(const std::string& path,
                                                uint64_t seq, IoStats* stats) {
-  std::unique_ptr<SSTable> table(new SSTable());
-  table->path_ = path;
-  table->seq_ = seq;
-  table->stats_ = stats;
+  auto file = std::make_shared<File>();
+  file->path = path;
   // k2-lint: allow(lsm-io-through-env): read path — Env only shims
-  // write-path IO for fault injection; reads go straight to libc + mmap.
-  table->file_ = std::fopen(path.c_str(), "rb");
-  if (table->file_ == nullptr) {
+  // write-path IO for fault injection; reads go straight to the OS + mmap.
+  file->fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (file->fd < 0) {
     return Status::IOError("cannot open " + path + ": " +
                            std::strerror(errno));
   }
-  std::FILE* f = table->file_;
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    return Status::IOError("size seek failed on " + path);
-  }
-  const long end = std::ftell(f);
-  if (end < 0) {
+  struct stat st;
+  if (::fstat(file->fd, &st) != 0) {
     return Status::IOError("size probe failed on " + path);
   }
-  const uint64_t file_size = static_cast<uint64_t>(end);
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
   if (file_size < kFooterSize) {
     return Status::Invalid("truncated SSTable (no footer) in " + path);
   }
 
-  if (std::fseek(f, -static_cast<long>(kFooterSize), SEEK_END) != 0) {
-    return Status::IOError("footer seek failed on " + path);
-  }
+  char footer[kFooterSize];
+  K2_RETURN_NOT_OK(PreadFully(file->fd, footer, kFooterSize,
+                              file_size - kFooterSize, path, "footer"));
   uint64_t index_offset, bloom_offset, num_entries, magic;
   uint32_t meta_crc, version;
-  if (std::fread(&index_offset, 8, 1, f) != 1 ||
-      std::fread(&bloom_offset, 8, 1, f) != 1 ||
-      std::fread(&num_entries, 8, 1, f) != 1 ||
-      std::fread(&meta_crc, 4, 1, f) != 1 ||
-      std::fread(&version, 4, 1, f) != 1 || std::fread(&magic, 8, 1, f) != 1) {
-    return Status::IOError("footer read failed on " + path);
-  }
+  std::memcpy(&index_offset, footer, 8);
+  std::memcpy(&bloom_offset, footer + 8, 8);
+  std::memcpy(&num_entries, footer + 16, 8);
+  std::memcpy(&meta_crc, footer + 24, 4);
+  std::memcpy(&version, footer + 28, 4);
+  std::memcpy(&magic, footer + 32, 8);
   if (magic != kSstMagic) {
     return Status::Invalid("bad SSTable magic in " + path);
   }
@@ -215,22 +226,19 @@ Result<std::unique_ptr<SSTable>> SSTable::Open(const std::string& path,
   // a single field of it.
   const size_t meta_size = static_cast<size_t>(meta_end - index_offset);
   std::vector<char> meta(meta_size);
-  if (std::fseek(f, static_cast<long>(index_offset), SEEK_SET) != 0) {
-    return Status::IOError("index seek failed on " + path);
-  }
-  if (meta_size > 0 && std::fread(meta.data(), 1, meta_size, f) != meta_size) {
-    return Status::IOError("index read failed on " + path);
-  }
+  K2_RETURN_NOT_OK(
+      PreadFully(file->fd, meta.data(), meta_size, index_offset, path,
+                 "index"));
   if (Crc32c(meta.data(), meta.size()) != meta_crc) {
     return Status::Invalid("SSTable meta checksum mismatch in " + path);
   }
 
-  table->num_entries_ = num_entries;
+  file->num_entries = num_entries;
   const size_t num_blocks = (bloom_offset - index_offset) / kIndexEntrySize;
-  table->index_.resize(num_blocks);
+  file->index.resize(num_blocks);
   const char* p = meta.data();
   uint64_t counted = 0;
-  for (IndexEntry& e : table->index_) {
+  for (IndexEntry& e : file->index) {
     std::memcpy(&e.first_key, p, 8);
     std::memcpy(&e.last_key, p + 8, 8);
     std::memcpy(&e.offset, p + 16, 8);
@@ -254,27 +262,29 @@ Result<std::unique_ptr<SSTable>> SSTable::Open(const std::string& path,
   }
   std::vector<uint64_t> words(num_words);
   if (num_words > 0) std::memcpy(words.data(), p, size_t{num_words} * 8);
-  table->bloom_ = BloomFilter::FromWords(std::move(words), num_hashes);
+  file->bloom = BloomFilter::FromWords(std::move(words), num_hashes);
 
-  if (!table->index_.empty()) {
-    table->min_key_ = table->index_.front().first_key;
-    table->max_key_ = table->index_.back().last_key;
+  if (!file->index.empty()) {
+    file->min_key = file->index.front().first_key;
+    file->max_key = file->index.back().last_key;
   }
 
-#ifdef K2_SSTABLE_HAS_MMAP
   // Tables are immutable once built: map the whole file read-only so block
-  // fetches are page-cache copies instead of fseek+fread syscall pairs. On
-  // mapping failure the stdio handle stays as the fallback read path.
-  if (file_size > 0) {
-    void* map = mmap(nullptr, static_cast<size_t>(file_size), PROT_READ,
-                     MAP_PRIVATE, fileno(f), 0);
-    if (map != MAP_FAILED) {
-      table->map_ = static_cast<const char*>(map);
-      table->map_size_ = static_cast<size_t>(file_size);
-    }
+  // fetches are page-cache copies instead of syscalls. On mapping failure
+  // the descriptor stays as the pread fallback path.
+  void* map = mmap(nullptr, static_cast<size_t>(file_size), PROT_READ,
+                   MAP_PRIVATE, file->fd, 0);
+  if (map != MAP_FAILED) {
+    file->map = static_cast<const char*>(map);
+    file->map_size = static_cast<size_t>(file_size);
   }
-#endif
-  return table;
+  return std::unique_ptr<SSTable>(new SSTable(std::move(file), seq, stats));
+}
+
+std::unique_ptr<SSTable> SSTable::NewReader(IoStats* stats) const {
+  std::unique_ptr<SSTable> reader(new SSTable(file_, seq_, stats));
+  reader->tier_ = tier_;
+  return reader;
 }
 
 Result<const std::vector<SSTable::Entry>*> SSTable::GetBlock(size_t b) {
@@ -292,7 +302,8 @@ Result<const std::vector<SSTable::Entry>*> SSTable::LoadBlock(size_t b) {
   for (CachedBlock& cb : cache_) {
     if (cb.last_used < victim->last_used) victim = &cb;
   }
-  const IndexEntry& e = index_[b];
+  const File& file = *file_;
+  const IndexEntry& e = file.index[b];
   victim->index = -1;  // invalid while being overwritten
   victim->entries.resize(e.count);
   // Entry mirrors the on-disk block byte-for-byte, so the block decodes
@@ -300,19 +311,14 @@ Result<const std::vector<SSTable::Entry>*> SSTable::LoadBlock(size_t b) {
   static_assert(sizeof(Entry) == kEntrySize &&
                 std::is_trivially_copyable_v<Entry>);
   const size_t nbytes = e.count * kEntrySize;
-  if (map_ != nullptr) {
-    if (e.offset + nbytes > map_size_) {
-      return Status::IOError("block out of mapped range on " + path_);
+  if (file.map != nullptr) {
+    if (e.offset + nbytes > file.map_size) {
+      return Status::IOError("block out of mapped range on " + file.path);
     }
-    std::memcpy(victim->entries.data(), map_ + e.offset, nbytes);
+    std::memcpy(victim->entries.data(), file.map + e.offset, nbytes);
   } else {
-    if (std::fseek(file_, static_cast<long>(e.offset), SEEK_SET) != 0) {
-      return Status::IOError("block seek failed on " + path_);
-    }
-    if (std::fread(victim->entries.data(), kEntrySize, e.count, file_) !=
-        e.count) {
-      return Status::IOError("block read failed on " + path_);
-    }
+    K2_RETURN_NOT_OK(PreadFully(file.fd, victim->entries.data(), nbytes,
+                                e.offset, file.path, "block"));
   }
   if (stats_ != nullptr) {
     // A fetch of anything but the next contiguous block repositions the
@@ -328,18 +334,19 @@ Result<const std::vector<SSTable::Entry>*> SSTable::LoadBlock(size_t b) {
 }
 
 Result<bool> SSTable::Get(uint64_t key, LsmValue* value, bool use_bloom) {
-  if (num_entries_ == 0 || key < min_key_ || key > max_key_) return false;
+  if (!Overlaps(key, key)) return false;
+  const std::vector<IndexEntry>& index = file_->index;
   // Binary search the resident index for the block whose last_key >= key.
-  size_t lo = 0, hi = index_.size();
+  size_t lo = 0, hi = index.size();
   while (lo < hi) {
     const size_t mid = (lo + hi) / 2;
-    if (index_[mid].last_key < key) {
+    if (index[mid].last_key < key) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  if (lo == index_.size() || index_[lo].first_key > key) return false;
+  if (lo == index.size() || index[lo].first_key > key) return false;
   // The bloom filter gates only the block fetch: when the candidate block
   // is already cached, probing the block directly is cheaper than probing
   // the filter — and the point queries of one GetPoints batch land in the
@@ -350,7 +357,7 @@ Result<bool> SSTable::Get(uint64_t key, LsmValue* value, bool use_bloom) {
     if (stats_ != nullptr) ++stats_->pages_cached;
     entries = &cb->entries;
   } else {
-    if (use_bloom && !bloom_.MayContain(key)) {
+    if (use_bloom && !file_->bloom.MayContain(key)) {
       if (stats_ != nullptr) {
         ++stats_->bloom_negative;
         ChargeTier(&stats_->tier_bloom_skipped);
@@ -381,16 +388,17 @@ Status SSTable::Scan(uint64_t lo, uint64_t hi,
     ChargeTier(&stats_->tier_sstables_touched);
   }
   // First block that can contain lo.
-  size_t b = 0, b_hi = index_.size();
+  const std::vector<IndexEntry>& index = file_->index;
+  size_t b = 0, b_hi = index.size();
   while (b < b_hi) {
     const size_t mid = (b + b_hi) / 2;
-    if (index_[mid].last_key < lo) {
+    if (index[mid].last_key < lo) {
       b = mid + 1;
     } else {
       b_hi = mid;
     }
   }
-  for (; b < index_.size() && index_[b].first_key <= hi; ++b) {
+  for (; b < index.size() && index[b].first_key <= hi; ++b) {
     K2_ASSIGN_OR_RETURN(const std::vector<Entry>* entries, GetBlock(b));
     for (const Entry& entry : *entries) {
       if (entry.key < lo) continue;

@@ -19,7 +19,6 @@
 #define K2_STORAGE_LSM_SSTABLE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -87,14 +86,26 @@ class SSTableBuilder {
 };
 
 /// Read-side handle; index and bloom are resident, blocks are read on demand.
+///
+/// The immutable part of an open table — its mapping (or descriptor), block
+/// index and bloom filter — is shared by every handle NewReader() makes from
+/// it. Each handle keeps only its own block cache, LRU clock and IO sink, so
+/// one handle serves one thread at a time while distinct handles read the
+/// same table concurrently without locks.
 class SSTable {
  public:
+  /// Opens the table, reading only its footer and metadata. `stats` (may be
+  /// null) is the sink for later block reads; Open itself charges nothing.
   static Result<std::unique_ptr<SSTable>> Open(const std::string& path,
                                                uint64_t seq, IoStats* stats);
-  ~SSTable();
 
   SSTable(const SSTable&) = delete;
   SSTable& operator=(const SSTable&) = delete;
+
+  /// Another handle on this table charging `stats`: no IO and no re-parse,
+  /// just an empty block cache over the shared immutable state (which it
+  /// co-owns, so it may outlive this handle). Same seq and tier.
+  std::unique_ptr<SSTable> NewReader(IoStats* stats) const;
 
   /// Point lookup; returns true when found. `use_bloom = false` bypasses the
   /// bloom filter (ablation benchmark).
@@ -104,12 +115,12 @@ class SSTable {
   Status Scan(uint64_t lo, uint64_t hi,
               const std::function<void(uint64_t, const LsmValue&)>& fn);
 
-  uint64_t min_key() const { return min_key_; }
-  uint64_t max_key() const { return max_key_; }
-  uint64_t num_entries() const { return num_entries_; }
+  uint64_t min_key() const { return file_->min_key; }
+  uint64_t max_key() const { return file_->max_key; }
+  uint64_t num_entries() const { return file_->num_entries; }
   /// Monotone creation sequence number: larger = newer data.
   uint64_t seq() const { return seq_; }
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return file_->path; }
   /// LSM tier this table lives in (0 = fresh flush, grows with compaction).
   /// Set by the store right after Open — the file format does not record it;
   /// the MANIFEST does. Drives the per-tier fan-out counters in IoStats.
@@ -117,23 +128,42 @@ class SSTable {
   void set_tier(uint32_t tier) { tier_ = tier; }
   /// Redirects all future IO accounting to `stats` (which must outlive this
   /// table). The store's flush/compaction jobs open freshly built tables
-  /// against a job-local IoStats while the store mutex is dropped, then
-  /// re-point the handle at the store's shared counters once they re-hold
-  /// the lock — Open-time reads must never charge shared stats unlocked.
+  /// without a sink while the store mutex is dropped, then point the handle
+  /// at the store's shared counters once they re-hold the lock.
   void set_io_sink(IoStats* stats) { stats_ = stats; }
   bool Overlaps(uint64_t lo, uint64_t hi) const {
-    return num_entries_ > 0 && lo <= max_key_ && hi >= min_key_;
+    return num_entries() > 0 && lo <= max_key() && hi >= min_key();
   }
 
  private:
-  SSTable() = default;
-
   struct IndexEntry {
     uint64_t first_key;
     uint64_t last_key;
     uint64_t offset;
     uint32_t count;
   };
+
+  /// Immutable state of one open table file, parsed once by Open() and
+  /// shared by all of its handles; the last owner unmaps and closes.
+  struct File {
+    File() = default;
+    ~File();
+    File(const File&) = delete;
+    File& operator=(const File&) = delete;
+
+    std::string path;
+    int fd = -1;                 // blocks are pread from here when unmapped
+    const char* map = nullptr;   // read-only mmap of the whole file
+    size_t map_size = 0;
+    std::vector<IndexEntry> index;
+    BloomFilter bloom;
+    uint64_t num_entries = 0;
+    uint64_t min_key = 0;
+    uint64_t max_key = 0;
+  };
+
+  SSTable(std::shared_ptr<const File> file, uint64_t seq, IoStats* stats)
+      : file_(std::move(file)), seq_(seq), stats_(stats) {}
 
   /// In-memory mirror of one on-disk entry: key + x + y, 24 bytes with no
   /// padding, so whole blocks decode with a single read.
@@ -142,7 +172,7 @@ class SSTable {
     LsmValue value;
   };
 
-  /// Small per-table LRU block cache (the HBase-block-cache analogue of the
+  /// Small per-handle LRU block cache (the HBase-block-cache analogue of the
   /// paper's LSMT engine). One snapshot tick spans a handful of blocks and
   /// the mining loops re-probe the same tick once per candidate, so a few
   /// resident blocks turn almost all of those repeat reads into hits.
@@ -163,25 +193,17 @@ class SSTable {
 
   /// Cache-miss path: copies block `b` out of the read-only mmap of the
   /// immutable table file (no syscalls; the copy also keeps the entry array
-  /// aligned and type-safe), falling back to fseek/fread when the file
-  /// could not be mapped. Evicts the LRU slot.
+  /// aligned and type-safe), falling back to pread on the shared descriptor
+  /// when the file could not be mapped. Evicts the LRU slot.
   Result<const std::vector<Entry>*> LoadBlock(size_t b);
 
   /// FindCached + LoadBlock, with hit/miss accounting.
   Result<const std::vector<Entry>*> GetBlock(size_t b);
 
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  const char* map_ = nullptr;  // read-only mmap of the whole file
-  size_t map_size_ = 0;
-  std::vector<IndexEntry> index_;
-  BloomFilter bloom_;
+  std::shared_ptr<const File> file_;
   CachedBlock cache_[kCachedBlocks];
   uint64_t cache_clock_ = 0;
   int64_t last_fetched_block_ = -2;  // -2: nothing fetched yet
-  uint64_t num_entries_ = 0;
-  uint64_t min_key_ = 0;
-  uint64_t max_key_ = 0;
   uint64_t seq_ = 0;
   uint32_t tier_ = 0;
   IoStats* stats_ = nullptr;

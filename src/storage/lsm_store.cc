@@ -135,8 +135,9 @@ class SortedRun {
   std::vector<std::pair<uint64_t, LsmValue>> rows_;
 };
 
-/// Read-only view over the immutable table files: private SSTable handles
-/// (own mmap, cache, bloom, stats) plus the frozen memtable run.
+/// Read-only view over the immutable table files: per-snapshot SSTable
+/// readers (own block caches and stats over the parent's shared mappings,
+/// indexes and blooms) plus the frozen memtable run.
 class LsmReadSnapshot final : public Store {
  public:
   LsmReadSnapshot(SortedRun memtable, bool use_bloom,
@@ -146,13 +147,9 @@ class LsmReadSnapshot final : public Store {
         timestamps_(std::move(timestamps)),
         num_points_(num_points) {}
 
-  Status AddTable(const std::string& path, uint64_t seq, uint32_t tier) {
-    K2_ASSIGN_OR_RETURN(std::unique_ptr<SSTable> table,
-                        SSTable::Open(path, seq, &io_stats_));
-    table->set_tier(tier);
-    tables_.push_back(std::move(table));
+  void AddTable(const SSTable& table) {
+    tables_.push_back(table.NewReader(&io_stats_));
     flat_.push_back(tables_.back().get());
-    return Status::OK();
   }
 
   std::string name() const override { return "lsmt"; }
@@ -544,12 +541,12 @@ Status LsmStore::FlushFrontLocked() {
   });
   if (s.ok()) s = builder.Finish();
   std::unique_ptr<SSTable> table;
-  // Open against a job-local IoStats: io_stats_ is shared with foreground
-  // reads that charge it under mu_, and the lock is dropped here. The handle
-  // is re-pointed at io_stats_ once the lock is re-held, below.
-  IoStats open_io;
+  // Open without an IoStats sink: io_stats_ is shared with foreground reads
+  // (and with unlocked io_stats() readers on the writer thread), and the
+  // lock is dropped here. Open itself charges nothing; the handle is
+  // pointed at io_stats_ once the lock is re-held, below.
   if (s.ok()) {
-    auto opened = SSTable::Open(path, table_seq, &open_io);
+    auto opened = SSTable::Open(path, table_seq, /*stats=*/nullptr);
     if (opened.ok()) {
       table = opened.MoveValue();
     } else {
@@ -558,7 +555,6 @@ Status LsmStore::FlushFrontLocked() {
   }
   mu_.Lock();
   if (!s.ok()) return s;
-  io_stats_.Accumulate(open_io);
   table->set_io_sink(&io_stats_);
 
   if (tiers_.empty()) tiers_.emplace_back();
@@ -599,7 +595,6 @@ Status LsmStore::CompactLocked() {
     // merge: materialize (key, seq, value), keep the newest version of each
     // key. Table sizes at our scales fit comfortably in memory.
     IoStats merge_io;
-    IoStats open_io;  // Open-time reads of the merged table (query-path IO)
     struct Row {
       uint64_t key;
       uint64_t seq;
@@ -637,9 +632,9 @@ Status LsmStore::CompactLocked() {
       }
       if (s.ok()) s = builder.Finish();
       if (s.ok()) {
-        // Same unlocked-Open rule as the flush job: charge a local IoStats,
-        // fold into the shared counters under the lock below.
-        auto opened = SSTable::Open(out_path, out_seq, &open_io);
+        // Same unlocked-Open rule as the flush job: no sink until the
+        // handle is installed under the lock below.
+        auto opened = SSTable::Open(out_path, out_seq, /*stats=*/nullptr);
         if (opened.ok()) {
           merged = opened.MoveValue();
         } else {
@@ -650,7 +645,6 @@ Status LsmStore::CompactLocked() {
     mu_.Lock();
     bg_io_.Accumulate(merge_io);
     if (!s.ok()) return s;
-    io_stats_.Accumulate(open_io);
     merged->set_io_sink(&io_stats_);
 
     std::vector<std::unique_ptr<SSTable>> graveyard;
@@ -840,13 +834,10 @@ Result<std::unique_ptr<Store>> LsmStore::CreateReadSnapshot() {
       [&](uint64_t key, const LsmValue& value) { run.Add(key, value); });
   auto snapshot = std::make_unique<LsmReadSnapshot>(
       std::move(run), options_.use_bloom, tick_cache_, num_points_);
-  // Open a private handle per immutable table, preserving newest-first
-  // order; re-reading each table's resident index and bloom is the
-  // per-snapshot setup cost, charged to the snapshot's io_stats().
-  for (SSTable* table : flat_newest_first_) {
-    K2_RETURN_NOT_OK(
-        snapshot->AddTable(table->path(), table->seq(), table->tier()));
-  }
+  // One reader per immutable table, newest first. Readers share the
+  // parent's mapping, block index and bloom filter (no IO, no re-parse)
+  // and own only a block cache, so snapshot setup costs no table IO.
+  for (const SSTable* table : flat_newest_first_) snapshot->AddTable(*table);
   return std::unique_ptr<Store>(std::move(snapshot));
 }
 

@@ -102,10 +102,11 @@ class LsmStore final : public Store {
     return num_points_;
   }
 
-  /// Native snapshot: drains background work, then opens a private SSTable
-  /// handle (own mmap, block cache, bloom, IO accounting) per immutable
-  /// table file and freezes the memtable into a sorted run, so concurrent
-  /// readers share nothing mutable.
+  /// Native snapshot: drains background work, then makes one SSTable
+  /// reader per immutable table — sharing the table's mapping, block index
+  /// and bloom filter, owning its block cache and IO accounting — and
+  /// freezes the memtable into a sorted run, so concurrent readers share
+  /// nothing mutable.
   Result<std::unique_ptr<Store>> CreateReadSnapshot() override
       K2_EXCLUDES(mu_);
 
@@ -180,9 +181,9 @@ class LsmStore final : public Store {
   Status init_status_;  ///< Written once in the constructor, then read-only.
 
   /// One lock guards every piece of shared LSM state below. Foreground
-  /// reads hold it across the whole read (the store contract already
-  /// serializes readers externally; this lock only fences the background
-  /// thread), the worker holds it only while installing results.
+  /// reads hold it across the whole read (under the store contract one
+  /// handle serves one reader at a time; this lock only fences the
+  /// background thread), the worker holds it only while installing results.
   mutable Mutex mu_;
   CondVar work_cv_;   ///< Signals the worker: work or stop.
   CondVar drain_cv_;  ///< Signals waiters: job finished.

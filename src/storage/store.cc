@@ -104,60 +104,9 @@ Status Store::Append(Timestamp t, const std::vector<SnapshotPoint>& points) {
   return Status::NotImplemented("Append is not supported by " + name());
 }
 
-namespace {
-
-/// CreateReadSnapshot fallback: a read-only delegate that serializes every
-/// access through the parent's fallback mutex. Correct for any engine;
-/// concurrent readers make no progress against each other, which is exactly
-/// why the built-in engines override the hook with native handles. IO is
-/// counted by the parent (inside the locked delegate call); this wrapper's
-/// own io_stats() stay zero so callers never double-count.
-class SerializedSnapshotStore final : public Store {
- public:
-  SerializedSnapshotStore(Store* parent, Mutex* mu)
-      : parent_(parent), mu_(mu) {}
-
-  std::string name() const override { return parent_->name(); }
-
-  Status BulkLoad(const Dataset&) override { return ReadOnly(); }
-  Status Append(Timestamp, const std::vector<SnapshotPoint>&) override {
-    return ReadOnly();
-  }
-
-  Status ScanTimestamp(Timestamp t, std::vector<SnapshotPoint>* out) override {
-    MutexLock lock(*mu_);
-    return parent_->ScanTimestamp(t, out);
-  }
-
-  Status GetPoints(Timestamp t, const ObjectSet& objects,
-                   std::vector<SnapshotPoint>* out) override {
-    MutexLock lock(*mu_);
-    return parent_->GetPoints(t, objects, out);
-  }
-
-  // Metadata accessors are const on the parent and no writer may be active
-  // while snapshots exist (the snapshot contract), so no lock is needed.
-  TimeRange time_range() const override { return parent_->time_range(); }
-  const std::vector<Timestamp>& timestamps() const override {
-    return parent_->timestamps();
-  }
-  uint64_t num_points() const override { return parent_->num_points(); }
-
- private:
-  Status ReadOnly() const {
-    return Status::Invalid("read snapshot of " + parent_->name() +
-                           " is read-only");
-  }
-
-  Store* parent_;
-  Mutex* mu_;
-};
-
-}  // namespace
-
 Result<std::unique_ptr<Store>> Store::CreateReadSnapshot() {
-  return std::unique_ptr<Store>(
-      new SerializedSnapshotStore(this, &fallback_snapshot_mu_));
+  return Status::Invalid("the " + name() +
+                         " store does not support read snapshots");
 }
 
 Status Store::CheckAppend(Timestamp t,

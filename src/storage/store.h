@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/object_set.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -64,15 +63,15 @@ double PruningRatio(const IoStats& io, uint64_t total_points);
 
 /// Abstract trajectory store keyed by the composite clustered key (t, oid).
 ///
-/// Thread-safety contract: stores are single-writer, and reads are NOT
-/// internally synchronized — concurrent readers (the parallel mining
-/// pipeline) must serialize every access through one external mutex (see
-/// `store_mu` in cluster/store_clustering.h). In return, no const accessor
-/// (`time_range`, `timestamps`, `num_points`) mutates internal state, so
-/// const snapshots of the metadata may be taken without the store lock as
-/// long as no writer is active. Writers (`BulkLoad`, `Append`) must have
-/// exclusive access — "single-writer" means one *external* writer thread;
-/// the contract says nothing about what the engine does internally.
+/// Thread-safety contract: stores are single-writer, and one store handle
+/// serves one thread at a time — reads are not internally synchronized.
+/// Concurrent readers each read through their own `CreateReadSnapshot`
+/// handle; no external mutex is involved. No const accessor (`time_range`,
+/// `timestamps`, `num_points`) mutates internal state, so const snapshots
+/// of the metadata may be taken from any thread as long as no writer is
+/// active. Writers (`BulkLoad`, `Append`) must have exclusive access —
+/// "single-writer" means one *external* writer thread; the contract says
+/// nothing about what the engine does internally.
 ///
 /// Engines MAY run internal background threads (the LSM store's
 /// flush/compaction worker) as long as that is invisible under this
@@ -86,13 +85,6 @@ double PruningRatio(const IoStats& io, uint64_t total_points);
 /// acquisition order, and the invariants the clang thread-safety analyzer
 /// cannot see (this contract's unlocked const-read path among them) — is
 /// tabulated in docs/ARCHITECTURE.md, section "Lock discipline".
-///
-/// For lock-free concurrent reads, `CreateReadSnapshot` hands out
-/// independent read-only handles (one per reader thread) instead of sharing
-/// the store under a mutex — the access path the partitioned miner uses to
-/// keep shards from serializing on one store. Snapshot creation drains any
-/// internal background work first, so a snapshot is a stable point-in-time
-/// view.
 class Store {
  public:
   virtual ~Store() = default;
@@ -134,8 +126,8 @@ class Store {
   virtual uint64_t num_points() const = 0;
 
   /// Creates an independent read-only view of the store's current content
-  /// for one concurrent reader thread (the partitioned miner opens one per
-  /// shard slot). Contract:
+  /// for one concurrent reader thread (the miners open one per pool slot,
+  /// see core/snapshot_slots.h). Contract:
   ///
   ///  * the snapshot borrows the parent: it must not outlive the parent
   ///    store, and the parent must not be mutated (BulkLoad/Append/Put)
@@ -143,16 +135,14 @@ class Store {
   ///  * one snapshot serves one thread at a time; distinct snapshots may
   ///    read concurrently with each other without any external lock;
   ///  * writes through a snapshot fail with kInvalid;
-  ///  * IO is accounted once: engines with a native snapshot (all four
-  ///    built-ins) count reads in the snapshot's own io_stats(); the
-  ///    base-class fallback delegates under an internal parent-wide mutex
-  ///    and counts in the parent's io_stats(). Callers fold parent delta
-  ///    plus every snapshot's stats to get the total.
+  ///  * a snapshot counts its reads in its own io_stats(), never in the
+  ///    parent's, so callers fold the parent's delta plus every snapshot's
+  ///    to get the total.
   ///
-  /// The base implementation is the serialized fallback — correct for any
-  /// engine, concurrent for none. Engines override it with handles that
-  /// own their read path (file descriptors, caches, scratch), which is what
-  /// makes shards scale.
+  /// Snapshot creation drains any internal background work first, so a
+  /// snapshot is a stable point-in-time view. All four built-in engines
+  /// implement it with handles that own their read path (file descriptors,
+  /// caches, scratch); the base implementation fails with kInvalid.
   virtual Result<std::unique_ptr<Store>> CreateReadSnapshot();
 
   IoStats& io_stats() { return io_stats_; }
@@ -165,13 +155,6 @@ class Store {
                      const std::vector<SnapshotPoint>& points) const;
 
   IoStats io_stats_;
-
- private:
-  /// Serializes every fallback snapshot of this store (see
-  /// CreateReadSnapshot); engines with native snapshots never touch it.
-  /// Guards no fields directly: it fences the parent's whole read path
-  /// (ScanTimestamp/GetPoints) for the serialized-snapshot delegates.
-  Mutex fallback_snapshot_mu_;
 };
 
 /// Factory helpers used by benches and examples; `dir` is a scratch

@@ -9,6 +9,7 @@
 #include "core/k2hop.h"
 #include "gen/synthetic.h"
 #include "storage/memory_store.h"
+#include "storage/store.h"
 #include "tests/test_util.h"
 
 namespace k2 {
@@ -18,6 +19,7 @@ using ::k2::testing::C;
 using ::k2::testing::kGone;
 using ::k2::testing::MakeMemStore;
 using ::k2::testing::MakeTracks;
+using ::k2::testing::ScratchDir;
 
 // ---------------------------------------------------------------------------
 // BenchmarkPoints (Lemma 3 coverage)
@@ -438,6 +440,58 @@ TEST(K2HopTest, ResultsAreIdenticalForEveryThreadCount) {
     }
   }
 }
+
+// Every phase reads through per-slot store snapshots when num_threads > 1.
+// On every engine, the convoys, the Table-5 IO counters and the validation
+// counters must equal the sequential run's. Run under TSan in CI.
+class K2HopEveryStoreTest : public ::testing::TestWithParam<StoreKind> {};
+
+TEST_P(K2HopEveryStoreTest, ConvoysAndCountersIdenticalForEveryThreadCount) {
+  RandomWalkSpec spec;
+  spec.num_objects = 24;
+  spec.num_ticks = 40;
+  spec.area = 24.0;
+  spec.step = 3.0;
+  spec.seed = 19;
+  auto created = CreateStore(GetParam(), ScratchDir("threads"));
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<Store> store = created.MoveValue();
+  ASSERT_TRUE(store->BulkLoad(GenerateRandomWalk(spec)).ok());
+  const MiningParams params{3, 6, 7.0};
+
+  K2HopOptions options;
+  options.num_threads = 1;
+  K2HopStats want;
+  auto sequential = MineK2Hop(store.get(), params, options, &want);
+  ASSERT_TRUE(sequential.ok());
+  ASSERT_FALSE(sequential.value().empty()) << "weak test input";
+  ASSERT_GT(want.validation.split_rounds, 0u) << "weak test input";
+
+  for (int threads : {2, 8}) {
+    options.num_threads = threads;
+    K2HopStats got;
+    auto parallel = MineK2Hop(store.get(), params, options, &got);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(parallel.value(), sequential.value());
+    EXPECT_EQ(got.io.snapshot_scans, want.io.snapshot_scans);
+    EXPECT_EQ(got.io.scanned_points, want.io.scanned_points);
+    EXPECT_EQ(got.io.point_queries, want.io.point_queries);
+    EXPECT_EQ(got.io.point_hits, want.io.point_hits);
+    EXPECT_EQ(got.validation.candidates_in, want.validation.candidates_in);
+    EXPECT_EQ(got.validation.fc_accepted, want.validation.fc_accepted);
+    EXPECT_EQ(got.validation.split_rounds, want.validation.split_rounds);
+    EXPECT_EQ(got.validation.reclusterings, want.validation.reclusterings);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryStore, K2HopEveryStoreTest,
+                         ::testing::Values(StoreKind::kMemory, StoreKind::kFile,
+                                           StoreKind::kBPlusTree,
+                                           StoreKind::kLsm),
+                         [](const ::testing::TestParamInfo<StoreKind>& info) {
+                           return StoreKindName(info.param);
+                         });
 
 }  // namespace
 }  // namespace k2

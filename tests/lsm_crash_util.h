@@ -27,13 +27,9 @@ namespace k2::testing {
 /// fdatasyncs per tick and per flush, and the simulated crash is a
 /// truncate-to-synced-size — real disk durability adds nothing but latency.
 inline std::string CrashScratchDir(const std::string& tag) {
-  namespace fs = std::filesystem;
   std::error_code ec;
-  if (fs::is_directory("/dev/shm", ec)) {
-    const fs::path dir = fs::path("/dev/shm") / ("k2hop_crash_" + tag);
-    fs::remove_all(dir, ec);
-    fs::create_directories(dir, ec);
-    if (!ec) return dir.string();
+  if (std::filesystem::is_directory("/dev/shm", ec)) {
+    return FreshTestDir("/dev/shm", "crash_" + tag);
   }
   return ScratchDir("crash_" + tag);
 }

@@ -229,8 +229,8 @@ TEST(LsmStoreTest, CompactionMergesTiers) {
 // state held across the unlocked window, so the moment Open (or anything
 // reached from it) charges the sink, it races every foreground scan
 // charging the same struct under mu_. The fix opens each freshly built
-// table against a job-local IoStats and only accumulates + re-points the
-// sink (SSTable::set_io_sink) after re-taking mu_. This test keeps the
+// table without a sink and only points it at io_stats() (SSTable::
+// set_io_sink) after re-taking mu_. This test keeps the
 // interleaving hot — a tiny memtable keeps the worker opening tables while
 // a dedicated reader charges io_stats() nonstop — so TSan fires if the
 // unlocked window ever touches the shared counters again.

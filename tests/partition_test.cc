@@ -268,6 +268,13 @@ TEST(PartitionTest, StatsAreFilled) {
   EXPECT_GT(stats.total_points, 0u);
   EXPECT_GT(stats.io.points_read(), 0u);  // all mining IO is visible
   EXPECT_GT(stats.phases.Get("shards"), 0.0);
+
+  // Validation dedupes pieces across candidates exactly as batch does.
+  K2HopStats batch;
+  ASSERT_TRUE(MineK2Hop(store.get(), params, {}, &batch).ok());
+  EXPECT_EQ(stats.validation.candidates_in, batch.validation.candidates_in);
+  EXPECT_EQ(stats.validation.split_rounds, batch.validation.split_rounds);
+  EXPECT_EQ(stats.validation.reclusterings, batch.validation.reclusterings);
 }
 
 TEST(PartitionTest, InvalidParamsRejected) {

@@ -451,6 +451,36 @@ TEST_P(StoreConformanceTest, ConcurrentSnapshotsReadConsistently) {
   }
 }
 
+TEST(StoreTest, CreateReadSnapshotWithoutAnEngineSnapshotIsInvalid) {
+  // Concurrent readers need a handle each; an engine that cannot make one
+  // says so instead of handing out a shared, lock-serialized view.
+  class NoSnapshotStore final : public Store {
+   public:
+    std::string name() const override { return "bare"; }
+    Status BulkLoad(const Dataset&) override { return Status::OK(); }
+    Status ScanTimestamp(Timestamp, std::vector<SnapshotPoint>*) override {
+      return Status::OK();
+    }
+    Status GetPoints(Timestamp, const ObjectSet&,
+                     std::vector<SnapshotPoint>*) override {
+      return Status::OK();
+    }
+    TimeRange time_range() const override { return {0, -1}; }
+    const std::vector<Timestamp>& timestamps() const override {
+      return timestamps_;
+    }
+    uint64_t num_points() const override { return 0; }
+
+   private:
+    std::vector<Timestamp> timestamps_;
+  };
+  NoSnapshotStore store;
+  auto snapshot = store.CreateReadSnapshot();
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), StatusCode::kInvalid);
+  EXPECT_NE(snapshot.status().message().find("bare"), std::string::npos);
+}
+
 TEST(FileStoreTest, FirstAppendTruncatesAStaleFile) {
   // A leftover data file from a crashed earlier run must not shift the
   // extent directory off its physical offsets.

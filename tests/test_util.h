@@ -3,6 +3,9 @@
 #ifndef K2_TESTS_TEST_UTIL_H_
 #define K2_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -59,13 +62,43 @@ inline std::string Str(const std::vector<Convoy>& convoys) {
 
 #define EXPECT_SAME_CONVOYS(a, b) EXPECT_EQ(::k2::testing::Str(a), ::k2::testing::Str(b))
 
-/// Fresh scratch directory under the build tree for disk-backed stores.
+/// Fresh, empty directory `<base>/k2hop_test_<pid>/<suite>.<test>.<tag>`
+/// for the running test. ctest runs every case in its own process, and
+/// concurrently under -j: the test name and the pid keep those processes
+/// from sharing, or wiping, each other's files. Every per-process root is
+/// removed when the process exits.
+inline std::string FreshTestDir(const std::filesystem::path& base,
+                                const std::string& tag) {
+  namespace fs = std::filesystem;
+  struct Roots {
+    std::vector<fs::path> paths;
+    ~Roots() {
+      std::error_code ec;
+      for (const fs::path& root : paths) fs::remove_all(root, ec);
+    }
+  };
+  static Roots roots;
+  const fs::path root = base / ("k2hop_test_" + std::to_string(::getpid()));
+  if (std::find(roots.paths.begin(), roots.paths.end(), root) ==
+      roots.paths.end()) {
+    roots.paths.push_back(root);
+  }
+  std::string name = tag;
+  if (const ::testing::TestInfo* info =
+          ::testing::UnitTest::GetInstance()->current_test_info()) {
+    name = std::string(info->test_suite_name()) + "." + info->name() + "." +
+           tag;
+  }
+  std::replace(name.begin(), name.end(), '/', '_');  // parameterized names
+  const fs::path dir = root / name;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir.string();
+}
+
+/// Fresh scratch directory for disk-backed stores (see FreshTestDir).
 inline std::string ScratchDir(const std::string& tag) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / ("k2hop_test_" + tag)).string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
+  return FreshTestDir(std::filesystem::temp_directory_path(), tag);
 }
 
 /// Loads `dataset` into a MemoryStore.
