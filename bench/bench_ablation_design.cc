@@ -1,4 +1,4 @@
-// Ablations of the design choices DESIGN.md calls out:
+// Ablations of three design choices of k/2-hop and its store:
 //   1. HWMT probe order: binary-subdivision (farthest-first) vs naive
 //      left-to-right — the farthest-first order kills coincidental
 //      togetherness earlier (Sec. 4.3).

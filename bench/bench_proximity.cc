@@ -13,7 +13,7 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "core/online.h"
-#include "core/partition.h"
+#include "core/k2hop.h"
 #include "gen/proximity_gen.h"
 #include "model/proximity.h"
 #include "storage/lsm_store.h"
@@ -83,10 +83,13 @@ int main(int argc, char** argv) {
     table.AddRow({StoreKindName(kind), "k2hop-prox", Fmt(batch_seconds),
                   std::to_string(batch.value().size())});
 
-    PartitionedK2HopStats part_stats;
+    // Fixed shard and thread counts keep the row independent of the host:
+    // each shard boundary re-clusters one benchmark, and the default thread
+    // count would run this small store sequentially.
+    K2HopStats part_stats;
     Stopwatch part_sw;
-    auto partitioned =
-        MinePartitionedK2Hop(store.get(), params, {}, &part_stats);
+    auto partitioned = MineK2Hop(
+        store.get(), params, {.num_threads = 4, .num_shards = 4}, &part_stats);
     const double part_seconds = part_sw.ElapsedSeconds();
     K2_CHECK(partitioned.ok());
     K2_CHECK(partitioned.value() == batch_convoys);

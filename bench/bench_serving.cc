@@ -1,6 +1,6 @@
 // Serving benchmark: builds a ConvoyCatalog from each of the three miner
 // sources (batch MineK2Hop, streaming OnlineK2HopMiner via the on_closed
-// hook, time-sharded PartitionedK2HopMiner), equality-checks that the
+// hook, time-sharded MineK2Hop), equality-checks that the
 // catalogs answer a probe set identically, and measures query throughput
 // (queries/sec) per query type — single-reader and with every hardware
 // thread hammering the same catalog through pinned snapshots, the
@@ -15,7 +15,6 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/online.h"
-#include "core/partition.h"
 #include "serve/catalog.h"
 #include "serve/query.h"
 #include "storage/memory_store.h"
@@ -162,12 +161,11 @@ int main(int argc, char** argv) {
     src.name = "partitioned";
     src.store = part_store.get();
     src.catalog = &part_catalog;
-    PartitionedK2HopOptions options;
+    K2HopOptions options;
     options.num_shards = 4;
     Stopwatch sw;
-    PartitionedK2HopStats mine_stats;
-    auto mined =
-        MinePartitionedK2Hop(part_store.get(), params, options, &mine_stats);
+    K2HopStats mine_stats;
+    auto mined = MineK2Hop(part_store.get(), params, options, &mine_stats);
     K2_CHECK(mined.ok());
     const IoStats before_ingest = part_store->io_stats();
     K2_CHECK_OK(part_catalog.AddConvoys(mined.value(), part_store.get()));

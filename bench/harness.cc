@@ -205,7 +205,7 @@ const Dataset& Trucks() {
         std::max(20, static_cast<int>(276 * ScaleFactor()));
     params.ticks = 1320;
     // Slow urban speeds so delivery round trips span a few hundred ticks,
-    // like the paper's 30 s sampled truck-days (DESIGN.md substitutions).
+    // like the paper's 30 s sampled truck-days that this fleet stands in for.
     params.grid.side_speed = 18.0;
     params.grid.main_speed = 30.0;
     params.grid.highway_speed = 45.0;

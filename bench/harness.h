@@ -1,6 +1,7 @@
 // Shared infrastructure for the paper-reproduction benchmarks: the three
-// standard workloads (DESIGN.md substitution table), store construction,
-// timed mining runs, and paper-style table printing.
+// standard workloads (generated stand-ins for the paper's Trucks, T-Drive
+// and Brinkhoff datasets, routed over a synthetic road network), store
+// construction, timed mining runs, and paper-style table printing.
 //
 // Every bench binary prints the rows/series of one table or figure of the
 // paper. Dataset sizes default to laptop scale; set K2_BENCH_SCALE to grow

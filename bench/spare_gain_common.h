@@ -1,6 +1,6 @@
 // Shared driver for Figs. 7d/7e/7f: k/2-hop (sequential, k2-RDBMS) gain over
 // SPARE running with a sweep of worker counts on all three workloads.
-// Workers emulate cluster cores with threads (DESIGN.md substitutions); on a
+// Threads of this process stand in for the paper's Spark cluster cores; on a
 // machine with fewer physical cores than workers the curve flattens rather
 // than falls, which the output banner calls out.
 #ifndef K2_BENCH_SPARE_GAIN_COMMON_H_

@@ -10,6 +10,10 @@
    must resolve to a file that exists in the repo (external http(s) links
    and pure #anchors are skipped).
 
+3. Cited documents: every `*.md` name cited in a file under src/, bench/,
+   tests/ or scripts/ must resolve at the repo root, under docs/, or next
+   to the citing file, so comments never point at a document that is gone.
+
 Exits non-zero with one line per violation.
 """
 
@@ -84,14 +88,41 @@ def check_links() -> list[str]:
     return problems
 
 
+MD_NAME_RE = re.compile(r"[\w./-]*\w\.md\b")
+CITING_DIRS = ("src", "bench", "tests", "scripts")
+
+
+def check_cited_docs() -> list[str]:
+    problems = []
+    for top in CITING_DIRS:
+        for path in sorted((ROOT / top).rglob("*")):
+            if not path.is_file():
+                continue
+            try:
+                text = path.read_text()
+            except UnicodeDecodeError:
+                continue  # binary fixture
+            bases = (ROOT, ROOT / "docs", path.parent)
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for name in MD_NAME_RE.findall(line):
+                    if not any((base / name).is_file() for base in bases):
+                        problems.append(
+                            f"{path.relative_to(ROOT)}:{lineno}: cites "
+                            f"{name}, which resolves neither at the repo "
+                            f"root, under docs/, nor next to the file"
+                        )
+    return problems
+
+
 def main() -> int:
-    problems = check_protocol_doc() + check_links()
+    problems = check_protocol_doc() + check_links() + check_cited_docs()
     for p in problems:
         print(p, file=sys.stderr)
     if problems:
         print(f"check_docs: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    print("check_docs: protocol spec covers every enumerator; all links ok")
+    print("check_docs: protocol spec covers every enumerator; all links "
+          "and cited documents ok")
     return 0
 
 

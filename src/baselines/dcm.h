@@ -2,8 +2,8 @@
 // is split into contiguous partitions; each partition is mined independently
 // (CMC-style sweep, keeping pieces that touch partition borders), and the
 // per-partition results are folded left-to-right with the DCM merge — the
-// same merge k/2-hop reuses for its spanning convoys (Sec. 4.4). Workers
-// emulate cluster nodes with threads (DESIGN.md substitution table).
+// same merge k/2-hop reuses for its spanning convoys (Sec. 4.4). Threads of
+// one process stand in for the cluster nodes.
 #ifndef K2_BASELINES_DCM_H_
 #define K2_BASELINES_DCM_H_
 

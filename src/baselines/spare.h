@@ -6,7 +6,7 @@
 //      preprocessing and the paper shows dominates);
 //   2. star partitioning of the co-clustering graph + apriori enumeration
 //      within each star.
-// Workers emulate Spark executors with threads (DESIGN.md substitutions).
+// Threads of one process stand in for Spark executors.
 #ifndef K2_BASELINES_SPARE_H_
 #define K2_BASELINES_SPARE_H_
 

@@ -1,8 +1,8 @@
 #include "baselines/validation.h"
 
 #include <deque>
+#include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "baselines/sweep.h"
 #include "cluster/store_clustering.h"
@@ -31,14 +31,6 @@ std::vector<Timestamp> BinarySubdivisionOrder(TimeRange range) {
 }
 
 namespace {
-
-uint64_t ConvoyKey(const Convoy& v) {
-  uint64_t h = v.objects.Hash();
-  h ^= (static_cast<uint64_t>(static_cast<uint32_t>(v.start)) << 32) |
-       static_cast<uint32_t>(v.end);
-  h *= 0x9E3779B97F4A7C15ULL;
-  return h;
-}
 
 /// Per-candidate context: re-clusterings of DB[t]|O, probed lazily and
 /// cached so the fallback sweep reuses what the fast path computed.
@@ -117,7 +109,7 @@ Result<std::vector<Convoy>> ValidateInRounds(
   ValidationStats* s = stats != nullptr ? stats : &local_stats;
   s->candidates_in = candidates.size();
   MaximalConvoySet accepted;
-  std::unordered_set<uint64_t> seen;
+  std::set<Convoy> seen;
   std::vector<Convoy> work = std::move(candidates);
   std::vector<Convoy> round;
   std::vector<FcCheck> checks;
@@ -128,7 +120,7 @@ Result<std::vector<Convoy>> ValidateInRounds(
           v.length() < params.k) {
         continue;
       }
-      if (seen.insert(ConvoyKey(v)).second) round.push_back(std::move(v));
+      if (seen.insert(v).second) round.push_back(std::move(v));
     }
     work.clear();
     checks.assign(round.size(), FcCheck());

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
 
-#include "common/check.h"
 #include "core/snapshot_slots.h"
 
 namespace k2 {
@@ -17,7 +17,8 @@ std::string K2HopStats::DebugString() const {
      << ", windows=" << hop_windows << " (mined " << hop_windows_mined << ")"
      << ", candidate_clusters=" << candidate_clusters
      << ", spanning=" << spanning_convoys << ", merged=" << merged_convoys
-     << ", prevalidation=" << prevalidation_convoys
+     << ", prevalidation=" << prevalidation_convoys << ", shards=" << shards
+     << " (seams crossed " << seams_crossed << ")"
      << ", points_processed=" << points_processed() << "/" << total_points
      << " (pruned " << pruning_ratio() * 100.0 << "%)}";
   return os.str();
@@ -31,6 +32,28 @@ std::vector<Timestamp> BenchmarkPoints(TimeRange range, int k) {
     points.push_back(b);
   }
   return points;
+}
+
+std::vector<ShardPlan> PlanShards(const std::vector<Timestamp>& benchmarks,
+                                  int num_shards) {
+  std::vector<ShardPlan> plan;
+  if (benchmarks.size() < 2) return plan;
+  const size_t windows = benchmarks.size() - 1;
+  const size_t shards =
+      std::min(windows, static_cast<size_t>(std::max(num_shards, 1)));
+  const size_t base = windows / shards;
+  const size_t remainder = windows % shards;
+  size_t next = 0;
+  for (size_t s = 0; s < shards; ++s) {
+    ShardPlan p;
+    p.first_window = next;
+    p.num_windows = base + (s < remainder ? 1 : 0);
+    next += p.num_windows;
+    p.ticks = TimeRange{benchmarks[p.first_window],
+                        benchmarks[p.first_window + p.num_windows]};
+    plan.push_back(p);
+  }
+  return plan;
 }
 
 std::vector<ObjectSet> CandidateClusters(const std::vector<ObjectSet>& left,
@@ -250,23 +273,23 @@ Result<std::vector<Convoy>> ExtendLeft(Store* store, const MiningParams& params,
   return slots.Extend(params, convoys, dataset_start, -1);
 }
 
-// k2-lint: allow(validate-mining-params): internal pipeline stage — the
-// public entries (MineK2Hop, MinePartitionedK2Hop) validate before
-// dispatching here, and the DCHECK below restates the contract.
+namespace {
+
+/// Steps 1–3 — benchmark clustering, candidate clusters, HWMT — over one
+/// shard's slice of the benchmark grid. Fills `spanning->at(w)` with the
+/// spanning convoys of the window [benchmarks[w], benchmarks[w+1]] and adds
+/// the phase times and window counters to `s`. Benchmark points and
+/// windows fan out over `slots`; results are gathered by index, so the
+/// output is identical for every slot count.
+// k2-lint: allow(validate-mining-params): a pipeline stage, not an entry:
+// MineK2Hop, its only caller, validates the params first.
 Status MineHopWindows(SnapshotSlots* slots, const MiningParams& params,
                       std::span<const Timestamp> benchmarks,
                       const K2HopOptions& options,
                       std::vector<std::vector<ObjectSet>>* spanning,
-                      HopWindowPipelineStats* stats) {
-  // Entry-point validation (ValidateMiningParams) happened in the caller;
-  // shard drivers reaching this directly must uphold the same contract.
-  K2_DCHECK(params.m >= 2 && params.k >= 2);
-  HopWindowPipelineStats local_stats;
-  HopWindowPipelineStats* s = stats != nullptr ? stats : &local_stats;
-
+                      K2HopStats* s) {
   // Step 1: cluster the benchmark points, concurrently across points.
   Stopwatch sw;
-  s->benchmark_points = benchmarks.size();
   std::vector<std::vector<ObjectSet>> benchmark_clusters(benchmarks.size());
   K2_RETURN_NOT_OK(slots->ForEach(
       benchmarks.size(), [&](SnapshotSlots::Slot& slot, size_t i) -> Status {
@@ -279,9 +302,8 @@ Status MineHopWindows(SnapshotSlots* slots, const MiningParams& params,
 
   // Step 2: candidate clusters per hop-window.
   sw.Restart();
-  const size_t num_windows =
-      benchmarks.empty() ? 0 : benchmarks.size() - 1;
-  s->hop_windows = num_windows;
+  const size_t num_windows = benchmarks.size() - 1;
+  s->hop_windows += num_windows;
   std::vector<std::vector<ObjectSet>> candidates(num_windows);
   for (size_t w = 0; w < num_windows; ++w) {
     if (options.candidate_pruning) {
@@ -316,12 +338,15 @@ Status MineHopWindows(SnapshotSlots* slots, const MiningParams& params,
   return Status::OK();
 }
 
+}  // namespace
+
 Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
                                       const K2HopOptions& options,
                                       K2HopStats* stats) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
   K2HopStats local;
   K2HopStats* s = stats != nullptr ? stats : &local;
+  *s = K2HopStats();
   s->total_points = store->num_points();
 
   const TimeRange range = store->time_range();
@@ -341,25 +366,47 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
   if (options.num_threads <= 0 && store->num_points() < 65536) threads = 1;
   SnapshotSlots slots(store, threads);
 
-  // Steps 1–3: the per-window pipeline over the full benchmark grid.
+  // Steps 1–4, shard by shard. A range of at least k ticks holds at least
+  // two benchmarks, so the plan has at least one shard.
   const std::vector<Timestamp> benchmarks = BenchmarkPoints(range, params.k);
+  const std::vector<ShardPlan> plan =
+      PlanShards(benchmarks, options.num_shards);
+  s->benchmark_points = benchmarks.size();
+  s->shards = plan.size();
+  SpanningConvoyMerger merger(params.m);
+  std::vector<Convoy> died;
   std::vector<std::vector<ObjectSet>> spanning;
-  HopWindowPipelineStats hw;
-  K2_RETURN_NOT_OK(
-      MineHopWindows(&slots, params, benchmarks, options, &spanning, &hw));
-  s->benchmark_points = hw.benchmark_points;
-  s->hop_windows = hw.hop_windows;
-  s->hop_windows_mined = hw.hop_windows_mined;
-  s->candidate_clusters = hw.candidate_clusters;
-  s->spanning_convoys = hw.spanning_convoys;
-  for (const auto& [name, seconds] : hw.phases.phases()) {
-    s->phases.Add(name, seconds);
+  for (size_t i = 0; i < plan.size(); ++i) {
+    const std::span<const Timestamp> shard(
+        benchmarks.data() + plan[i].first_window, plan[i].num_benchmarks());
+    K2_RETURN_NOT_OK(
+        MineHopWindows(&slots, params, shard, options, &spanning, s));
+
+    // Step 4 for the shard's windows, and the seam stitch of DCM's
+    // partition-and-merge: the fold carries the convoys spanning the
+    // shard's left seam into its windows. With nothing carried, the shard's
+    // fold starts empty, as if the shard had been mined on its own, and is
+    // adopted as it is; otherwise the carried state replays through the
+    // shard's windows. Shards run in turn, so both are the same fold.
+    Stopwatch sw;
+    if (merger.active_size() == 0) {
+      ++s->adopted_folds;
+    } else {
+      ++s->stitch_replays;
+    }
+    for (size_t w = 0; w < spanning.size(); ++w) {
+      merger.AddWindow(shard[w], spanning[w], &died);
+    }
+    if (i + 1 < plan.size() && merger.active_size() > 0) ++s->seams_crossed;
+    s->phases.Add("merge", sw.ElapsedSeconds());
   }
 
-  // Step 4: merge into maximal spanning convoys.
+  // Close the fold: the maximal spanning convoys.
   Stopwatch sw;
-  std::vector<Convoy> merged =
-      MergeSpanningConvoys(spanning, benchmarks, params.m);
+  merger.Finish(benchmarks.back(), &died);
+  MaximalConvoySet maximal;
+  for (Convoy& v : died) maximal.Insert(std::move(v));
+  std::vector<Convoy> merged = maximal.TakeSorted();
   s->merged_convoys = merged.size();
   s->phases.Add("merge", sw.ElapsedSeconds());
 

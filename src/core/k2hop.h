@@ -4,10 +4,17 @@
 // cluster sets), HWMT verification inside hop-windows, DCM merge across
 // windows, right/left extension to exact lifespans, and recursive FC
 // validation.
+//
+// MineK2Hop is the one batch miner. With K2HopOptions::num_shards > 1 it
+// mines the timeline as contiguous time shards of hop-windows, the
+// partition-and-merge design of the authors' DCM follow-up: each shard's
+// benchmark clustering, candidate clusters and HWMT read only the shard's
+// tick slice plus the boundary benchmarks it shares with its neighbours,
+// and the spanning-convoy fold is stitched across the seams. The output is
+// identical for every shard and thread count.
 #ifndef K2_CORE_K2HOP_H_
 #define K2_CORE_K2HOP_H_
 
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -21,8 +28,6 @@
 #include "storage/store.h"
 
 namespace k2 {
-
-class SnapshotSlots;
 
 struct K2HopOptions {
   /// HWMT probes hop-window ticks in binary-subdivision (farthest-first)
@@ -46,20 +51,28 @@ struct K2HopOptions {
   /// identical for every thread count: per-item outputs are gathered by
   /// index and folded in order (see core/snapshot_slots.h).
   int num_threads = 0;
+  /// Time shards of the benchmark grid (see PlanShards), mined in turn on
+  /// the same runners; values below 1 mean 1. Convoys are identical for
+  /// every count; each extra shard re-clusters one boundary benchmark.
+  int num_shards = 1;
 };
 
 struct K2HopStats {
   /// Wall time per phase, in the paper's Fig. 8i vocabulary: "benchmark",
   /// "candidates", "HWMT", "merge", "extend-right", "extend-left",
-  /// "validation".
+  /// "validation", each summed over the shards.
   PhaseTimer phases;
-  size_t benchmark_points = 0;
+  size_t benchmark_points = 0;  ///< the grid; a shard boundary counts once
   size_t hop_windows = 0;
   size_t hop_windows_mined = 0;  ///< windows with a non-empty candidate set
   size_t candidate_clusters = 0;
   size_t spanning_convoys = 0;   ///< 1st-order spanning convoys (all windows)
   size_t merged_convoys = 0;     ///< maximal spanning convoys after merge
   size_t prevalidation_convoys = 0;  ///< Fig. 8j series
+  size_t shards = 0;          ///< time shards mined (see PlanShards)
+  size_t seams_crossed = 0;   ///< shard seams some spanning convoy crosses
+  size_t stitch_replays = 0;  ///< shards whose fold continued carried state
+  size_t adopted_folds = 0;   ///< shards whose fold started empty
   ValidationStats validation;
   IoStats io;               ///< store IO consumed by the run
   uint64_t total_points = 0;  ///< rows in the store
@@ -72,7 +85,7 @@ struct K2HopStats {
 };
 
 /// Mines all maximal fully connected (m,eps)-convoys with lifespan >= k
-/// (Algorithm 1). `stats` may be null.
+/// (Algorithm 1). `stats` may be null; it is reset first.
 Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
                                       const K2HopOptions& options = {},
                                       K2HopStats* stats = nullptr);
@@ -91,32 +104,26 @@ std::vector<ObjectSet> CandidateClusters(const std::vector<ObjectSet>& left,
                                          const std::vector<ObjectSet>& right,
                                          int m);
 
-/// Counters of one MineHopWindows run (a subset of K2HopStats, so callers
-/// can fold several runs — one per shard — into their own totals).
-struct HopWindowPipelineStats {
-  PhaseTimer phases;  ///< "benchmark", "candidates", "HWMT"
-  size_t benchmark_points = 0;
-  size_t hop_windows = 0;
-  size_t hop_windows_mined = 0;
-  size_t candidate_clusters = 0;
-  size_t spanning_convoys = 0;
+/// One time shard: a contiguous run of hop-windows of the benchmark grid.
+struct ShardPlan {
+  size_t first_window = 0;  ///< index into the global window sequence
+  size_t num_windows = 0;
+  /// Tick range the shard reads for its windows:
+  /// [benchmarks[first_window], benchmarks[first_window + num_windows]].
+  /// Adjacent shards share the boundary benchmark tick — each clusters it
+  /// itself, which is the ⌊k/2⌋-aligned overlap margin that makes a shard
+  /// self-contained.
+  TimeRange ticks;
+
+  size_t num_benchmarks() const { return num_windows + 1; }
 };
 
-/// Steps 1–3 of the k/2-hop pipeline — benchmark-point clustering,
-/// candidate clusters, HWMT — over an injected benchmark sub-sequence:
-/// `benchmarks` may be any contiguous slice of the global ⌊k/2⌋ grid, which
-/// is how the partitioned miner runs the same pipeline per time shard.
-/// Fills `spanning->at(w)` with the spanning convoys of the window
-/// [benchmarks[w], benchmarks[w+1]] for w in [0, benchmarks.size() - 1).
-///
-/// Benchmark clustering and window verification fan out over `slots`;
-/// results are gathered by index, so the output is identical for every
-/// slot count. `stats` may be null.
-Status MineHopWindows(SnapshotSlots* slots, const MiningParams& params,
-                      std::span<const Timestamp> benchmarks,
-                      const K2HopOptions& options,
-                      std::vector<std::vector<ObjectSet>>* spanning,
-                      HopWindowPipelineStats* stats = nullptr);
+/// Splits the `benchmarks.size() - 1` hop-windows into at most `num_shards`
+/// contiguous shards with near-equal window counts (earlier shards take the
+/// remainder). Fewer shards come back when there are fewer windows than
+/// requested; an empty plan when there is no window at all.
+std::vector<ShardPlan> PlanShards(const std::vector<Timestamp>& benchmarks,
+                                  int num_shards);
 
 /// HWMT (Algorithm 2): verifies candidates at every tick strictly inside
 /// (b_left, b_right); when `verify_right_benchmark`, b_right is probed too
@@ -162,15 +169,8 @@ class SpanningConvoyMerger {
   /// benchmark point `last_benchmark`, to `*died`.
   void Finish(Timestamp last_benchmark, std::vector<Convoy>* died);
 
+  /// Convoys still spanning the last folded window's right benchmark.
   size_t active_size() const { return active_.size(); }
-
-  /// State transfer for the partitioned seam stitch: a shard's local fold
-  /// ends with an active map describing every convoy still spanning its
-  /// right boundary; when nothing crossed into the shard, that map IS the
-  /// global fold state at the seam and the stitcher adopts it wholesale
-  /// instead of replaying the shard's windows.
-  StartMap TakeActive() { return std::move(active_); }
-  void SetActive(StartMap active) { active_ = std::move(active); }
 
  private:
   int m_;

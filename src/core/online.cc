@@ -145,9 +145,7 @@ Status OnlineK2HopMiner::CloseWindow(Timestamp b_left, Timestamp b_right,
   std::vector<ObjectSet> candidates;
   {
     Stopwatch sw;
-    candidates = options_.candidate_pruning
-                     ? CandidateClusters(left, right, params_.m)
-                     : left;  // ablation: feed benchmark clusters directly
+    candidates = CandidateClusters(left, right, params_.m);
     stats_.phases.Add("candidates", sw.ElapsedSeconds());
   }
   stats_.candidate_clusters += candidates.size();
@@ -155,10 +153,9 @@ Status OnlineK2HopMiner::CloseWindow(Timestamp b_left, Timestamp b_right,
   if (!candidates.empty()) {
     ++stats_.hop_windows_mined;
     K2_RETURN_NOT_OK(Mined("HWMT", [&]() -> Status {
-      auto result = HwmtSpanning(
-          store_, params_, b_left, b_right, candidates,
-          options_.hwmt_binary_order,
-          /*verify_right_benchmark=*/!options_.candidate_pruning, &scratch_);
+      auto result = HwmtSpanning(store_, params_, b_left, b_right, candidates,
+                                 /*binary_order=*/true,
+                                 /*verify_right_benchmark=*/false, &scratch_);
       K2_RETURN_NOT_OK(result.status());
       spanning = result.MoveValue();
       return Status::OK();
@@ -206,14 +203,10 @@ Status OnlineK2HopMiner::OnRightResult(Convoy r) {
   if (!right_seen_.insert(r).second) return Status::OK();
   // During Finalize the eager channel stays quiet: everything left is
   // either an open convoy or resolved by the barriers right after.
-  if (!options_.eager || finalizing_) return Status::OK();
+  if (finalizing_) return Status::OK();
   K2_ASSIGN_OR_RETURN(const std::vector<Convoy>* lefts, LeftPieces(r));
   for (const Convoy& f : *lefts) {
     if (f.length() < params_.k) continue;
-    if (!options_.validate) {
-      Emit(f);
-      continue;
-    }
     K2_ASSIGN_OR_RETURN(const std::vector<Convoy>* pieces, ValidatedPieces(f));
     for (const Convoy& p : *pieces) Emit(p);
   }
@@ -322,21 +315,13 @@ Result<std::vector<Convoy>> OnlineK2HopMiner::Finalize() {
     if (!lp.ok()) return fail(lp.status());
     for (const Convoy& f : *lp.value()) lset.Insert(f);
   }
-  std::vector<Convoy> merged = FilterMinLength(lset.TakeSorted(), params_.k);
-
-  std::vector<Convoy> result;
-  if (!options_.validate) {
-    result = std::move(merged);
-  } else {
-    MaximalConvoySet out;
-    for (const Convoy& f : merged) {
-      auto vp = ValidatedPieces(f);
-      if (!vp.ok()) return fail(vp.status());
-      for (const Convoy& p : *vp.value()) out.Insert(p);
-    }
-    result = out.TakeSorted();
+  MaximalConvoySet out;
+  for (const Convoy& f : FilterMinLength(lset.TakeSorted(), params_.k)) {
+    auto vp = ValidatedPieces(f);
+    if (!vp.ok()) return fail(vp.status());
+    for (const Convoy& p : *vp.value()) out.Insert(p);
   }
-  final_result_ = std::move(result);
+  final_result_ = out.TakeSorted();
   return *final_result_;
 }
 

@@ -21,8 +21,13 @@
 // convoys) and then replays the batch pipeline's global maximality barriers
 // over the accumulated per-convoy results — reusing everything computed
 // eagerly — so the returned convoy set is IDENTICAL to running batch
-// MineK2Hop over the fully loaded store with the same parameters (asserted
-// by the streaming differential tests).
+// MineK2Hop over the fully loaded store with the same parameters and
+// default options (asserted by the streaming differential tests). The
+// batch ablation switches (K2HopOptions) have no online counterpart.
+//
+// OnlineK2HopStats is its own type rather than K2HopStats: it adds the
+// ingest side (ticks, points, per-tick latency, ingest vs. mining IO) and
+// the eager channel's walk and convoy counts.
 #ifndef K2_CORE_ONLINE_H_
 #define K2_CORE_ONLINE_H_
 
@@ -39,20 +44,10 @@
 namespace k2 {
 
 struct OnlineK2HopOptions {
-  /// Same ablation switches as K2HopOptions; keep them equal to the batch
-  /// run being compared against.
-  bool hwmt_binary_order = true;
-  bool candidate_pruning = true;
-  bool validate = true;
-  /// Compute left-extension + FC validation eagerly whenever a right walk
-  /// completes, emitting closed convoys before Finalize(). With false, all
-  /// extension/validation work beyond the right walks is deferred to
-  /// Finalize() — the result is identical either way.
-  bool eager = true;
-  /// Invoked once per closed convoy as it is discovered (only when `eager`).
-  /// Closed convoys are final in all but one rare case: a convoy whose
-  /// lifespan ends later may subsume an earlier emission; Finalize()
-  /// resolves such dominance, so its result is the authoritative set.
+  /// Invoked once per closed convoy as it is discovered. Closed convoys are
+  /// final in all but one rare case: a convoy whose lifespan ends later may
+  /// subsume an earlier emission; Finalize() resolves such dominance, so
+  /// its result is the authoritative set.
   std::function<void(const Convoy&)> on_closed;
 };
 
@@ -132,8 +127,9 @@ class OnlineK2HopMiner {
                      const std::vector<ObjectSet>& left,
                      const std::vector<ObjectSet>& right);
   Status AdvanceWalks(Timestamp upto);
-  /// Registers a completed right-extension result; when `eager`, computes
-  /// its left pieces and validated convoys and emits them as closed.
+  /// Registers a completed right-extension result; outside Finalize(),
+  /// computes its left pieces and validated convoys and emits them as
+  /// closed.
   Status OnRightResult(Convoy r);
   void Emit(const Convoy& closed);
   /// Cached per-convoy tails of the pipeline (deterministic given the data

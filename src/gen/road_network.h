@@ -1,8 +1,8 @@
 // Synthetic road network shared by the Brinkhoff-style, Trucks-like and
 // T-Drive-like generators: a jittered grid with street classes (side street,
 // main road, highway), per-class speeds, and an A* shortest-time router.
-// This substitutes the Brinkhoff generator's real map input (DESIGN.md,
-// substitution table).
+// It stands in for the real city map the original Brinkhoff generator
+// takes as input.
 #ifndef K2_GEN_ROAD_NETWORK_H_
 #define K2_GEN_ROAD_NETWORK_H_
 

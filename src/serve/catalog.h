@@ -24,8 +24,8 @@
 // bit and trips TSan; the explicit cell is genuinely reader-lock-free and
 // exactly models the happens-before the CI TSan gate verifies.)
 //
-// The catalog is miner-agnostic: bulk-fed from batch MineK2Hop /
-// PartitionedK2HopMiner output, or incrementally from OnlineK2HopMiner via
+// The catalog is miner-agnostic: bulk-fed from batch MineK2Hop output
+// (sharded or not), or incrementally from OnlineK2HopMiner via
 // the OnClosedHook adapter (with ReplaceAll as the reconcile step after
 // Finalize()). Catalogs fed the same convoys from any source answer every
 // query identically (asserted by tests/serve_differential_test.cc).

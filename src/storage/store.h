@@ -57,8 +57,8 @@ struct IoStats {
 };
 
 /// Fraction of `total_points` never materialized by `io` — the paper's
-/// Table-5 pruning %. Shared by every miner's stats type so batch, online,
-/// and partitioned pruning numbers stay defined identically.
+/// Table-5 pruning %. Shared by every miner's stats type so batch and
+/// online pruning numbers stay defined identically.
 double PruningRatio(const IoStats& io, uint64_t total_points);
 
 /// Abstract trajectory store keyed by the composite clustered key (t, oid).

@@ -21,7 +21,6 @@
 #include "cluster/store_clustering.h"
 #include "core/k2hop.h"
 #include "core/online.h"
-#include "core/partition.h"
 #include "gen/proximity_gen.h"
 #include "gen/synthetic.h"
 #include "model/proximity.h"
@@ -233,9 +232,9 @@ TEST_P(ProximityDifferentialTest, BatchOnlinePartitionedAreByteIdentical) {
 
   // Partitioned, a few shard counts.
   for (const int shards : {2, 3, 5}) {
-    PartitionedK2HopOptions options;
+    K2HopOptions options;
     options.num_shards = shards;
-    auto partitioned = MinePartitionedK2Hop(mem_store.get(), params, options);
+    auto partitioned = MineK2Hop(mem_store.get(), params, options);
     ASSERT_TRUE(partitioned.ok()) << partitioned.status().ToString();
     EXPECT_EQ(partitioned.value(), batch.value())
         << "partitioned P=" << shards;

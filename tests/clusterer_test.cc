@@ -20,7 +20,6 @@
 #include "common/rng.h"
 #include "core/k2hop.h"
 #include "core/online.h"
-#include "core/partition.h"
 #include "gen/synthetic.h"
 #include "model/proximity.h"
 #include "tests/test_util.h"
@@ -318,8 +317,8 @@ TEST(ValidateMiningParamsTest, RejectedAtEveryMinerEntryPoint) {
   EXPECT_EQ(MineCmc(store.get(), bad).status().code(), StatusCode::kInvalid);
   EXPECT_EQ(MinePccd(store.get(), bad).status().code(), StatusCode::kInvalid);
 
-  PartitionedK2HopMiner partitioned(store.get(), bad);
-  EXPECT_EQ(partitioned.Mine().status().code(), StatusCode::kInvalid);
+  EXPECT_EQ(MineK2Hop(store.get(), bad, {.num_shards = 3}).status().code(),
+            StatusCode::kInvalid);
 
   MemoryStore empty;
   OnlineK2HopMiner online(&empty, bad);

@@ -441,9 +441,10 @@ TEST(K2HopTest, ResultsAreIdenticalForEveryThreadCount) {
   }
 }
 
-// Every phase reads through per-slot store snapshots when num_threads > 1.
-// On every engine, the convoys, the Table-5 IO counters and the validation
-// counters must equal the sequential run's. Run under TSan in CI.
+// Every phase reads through per-slot store snapshots when num_threads > 1,
+// and shards share those slots. On every engine and for one and three
+// shards, the convoys, the Table-5 IO counters, the validation counters and
+// the seam counters must equal the sequential run's. Run under TSan in CI.
 class K2HopEveryStoreTest : public ::testing::TestWithParam<StoreKind> {};
 
 TEST_P(K2HopEveryStoreTest, ConvoysAndCountersIdenticalForEveryThreadCount) {
@@ -459,29 +460,37 @@ TEST_P(K2HopEveryStoreTest, ConvoysAndCountersIdenticalForEveryThreadCount) {
   ASSERT_TRUE(store->BulkLoad(GenerateRandomWalk(spec)).ok());
   const MiningParams params{3, 6, 7.0};
 
-  K2HopOptions options;
-  options.num_threads = 1;
-  K2HopStats want;
-  auto sequential = MineK2Hop(store.get(), params, options, &want);
-  ASSERT_TRUE(sequential.ok());
-  ASSERT_FALSE(sequential.value().empty()) << "weak test input";
-  ASSERT_GT(want.validation.split_rounds, 0u) << "weak test input";
+  for (int shards : {1, 3}) {
+    K2HopOptions options;
+    options.num_threads = 1;
+    options.num_shards = shards;
+    K2HopStats want;
+    auto sequential = MineK2Hop(store.get(), params, options, &want);
+    ASSERT_TRUE(sequential.ok());
+    ASSERT_FALSE(sequential.value().empty()) << "weak test input";
+    ASSERT_GT(want.validation.split_rounds, 0u) << "weak test input";
+    ASSERT_EQ(want.shards, static_cast<size_t>(shards));
 
-  for (int threads : {2, 8}) {
-    options.num_threads = threads;
-    K2HopStats got;
-    auto parallel = MineK2Hop(store.get(), params, options, &got);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(parallel.value(), sequential.value());
-    EXPECT_EQ(got.io.snapshot_scans, want.io.snapshot_scans);
-    EXPECT_EQ(got.io.scanned_points, want.io.scanned_points);
-    EXPECT_EQ(got.io.point_queries, want.io.point_queries);
-    EXPECT_EQ(got.io.point_hits, want.io.point_hits);
-    EXPECT_EQ(got.validation.candidates_in, want.validation.candidates_in);
-    EXPECT_EQ(got.validation.fc_accepted, want.validation.fc_accepted);
-    EXPECT_EQ(got.validation.split_rounds, want.validation.split_rounds);
-    EXPECT_EQ(got.validation.reclusterings, want.validation.reclusterings);
+    for (int threads : {2, 8}) {
+      options.num_threads = threads;
+      K2HopStats got;
+      auto parallel = MineK2Hop(store.get(), params, options, &got);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_EQ(parallel.value(), sequential.value());
+      EXPECT_EQ(got.io.snapshot_scans, want.io.snapshot_scans);
+      EXPECT_EQ(got.io.scanned_points, want.io.scanned_points);
+      EXPECT_EQ(got.io.point_queries, want.io.point_queries);
+      EXPECT_EQ(got.io.point_hits, want.io.point_hits);
+      EXPECT_EQ(got.validation.candidates_in, want.validation.candidates_in);
+      EXPECT_EQ(got.validation.fc_accepted, want.validation.fc_accepted);
+      EXPECT_EQ(got.validation.split_rounds, want.validation.split_rounds);
+      EXPECT_EQ(got.validation.reclusterings, want.validation.reclusterings);
+      EXPECT_EQ(got.seams_crossed, want.seams_crossed);
+      EXPECT_EQ(got.stitch_replays, want.stitch_replays);
+      EXPECT_EQ(got.adopted_folds, want.adopted_folds);
+    }
   }
 }
 

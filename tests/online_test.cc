@@ -31,10 +31,9 @@ Status Stream(const Dataset& data, OnlineK2HopMiner* miner) {
   return Status::OK();
 }
 
-std::vector<Convoy> BatchMine(const Dataset& data, const MiningParams& params,
-                              const K2HopOptions& options = {}) {
+std::vector<Convoy> BatchMine(const Dataset& data, const MiningParams& params) {
   auto store = MakeMemStore(data);
-  auto result = MineK2Hop(store.get(), params, options);
+  auto result = MineK2Hop(store.get(), params);
   K2_CHECK(result.ok());
   return result.MoveValue();
 }
@@ -269,72 +268,6 @@ TEST(OnlineK2HopTest, MatchesBatchOnLsmStoreWithIngestFlushes) {
   auto streamed = miner.Finalize();
   ASSERT_TRUE(streamed.ok());
   EXPECT_EQ(Str(streamed.value()), Str(BatchMine(data, params)));
-}
-
-TEST(OnlineK2HopTest, EagerOffMatchesEagerOn) {
-  RandomWalkSpec spec;
-  spec.num_objects = 10;
-  spec.num_ticks = 20;
-  spec.area = 40.0;
-  spec.step = 5.0;
-  spec.seed = 77;
-  const Dataset data = GenerateRandomWalk(spec);
-  const MiningParams params{2, 4, 8.0};
-
-  std::vector<Convoy> results[2];
-  for (bool eager : {false, true}) {
-    MemoryStore store;
-    OnlineK2HopOptions options;
-    options.eager = eager;
-    OnlineK2HopMiner miner(&store, params, options);
-    ASSERT_TRUE(Stream(data, &miner).ok());
-    auto result = miner.Finalize();
-    ASSERT_TRUE(result.ok());
-    results[eager ? 1 : 0] = result.MoveValue();
-    if (!eager) {
-      EXPECT_TRUE(miner.closed_convoys().empty());
-    }
-  }
-  EXPECT_EQ(results[0], results[1]);
-}
-
-TEST(OnlineK2HopTest, AblationOptionsMatchBatch) {
-  RandomWalkSpec spec;
-  spec.num_objects = 9;
-  spec.num_ticks = 18;
-  spec.area = 45.0;
-  spec.step = 5.5;
-  spec.seed = 402;
-  const Dataset data = GenerateRandomWalk(spec);
-  const MiningParams params{2, 4, 9.0};
-
-  struct Case {
-    bool hwmt_binary_order;
-    bool candidate_pruning;
-    bool validate;
-  };
-  for (const Case& c : {Case{false, true, true}, Case{true, false, true},
-                        Case{true, true, false}}) {
-    K2HopOptions batch_options;
-    batch_options.hwmt_binary_order = c.hwmt_binary_order;
-    batch_options.candidate_pruning = c.candidate_pruning;
-    batch_options.validate = c.validate;
-
-    OnlineK2HopOptions online_options;
-    online_options.hwmt_binary_order = c.hwmt_binary_order;
-    online_options.candidate_pruning = c.candidate_pruning;
-    online_options.validate = c.validate;
-
-    MemoryStore store;
-    OnlineK2HopMiner miner(&store, params, online_options);
-    ASSERT_TRUE(Stream(data, &miner).ok());
-    auto streamed = miner.Finalize();
-    ASSERT_TRUE(streamed.ok());
-    EXPECT_EQ(Str(streamed.value()),
-              Str(BatchMine(data, params, batch_options)))
-        << "binary=" << c.hwmt_binary_order
-        << " pruning=" << c.candidate_pruning << " validate=" << c.validate;
-  }
 }
 
 // ---------------------------------------------------------------------------

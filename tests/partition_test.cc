@@ -1,12 +1,13 @@
-// Unit tests for the partitioned miner: shard planning over the benchmark
-// grid, seam edge cases for the stitcher (convoys spanning a boundary,
-// convoys shorter than the overlap margin, empty shards, more shards than
-// ticks), and exact equality with batch MineK2Hop in every configuration.
+// Unit tests for time-sharded mining (MineK2Hop with num_shards > 1): shard
+// planning over the benchmark grid, seam edge cases for the stitch
+// (convoys spanning a boundary, convoys shorter than the overlap margin,
+// empty shards, more shards than ticks), and exact equality with the
+// one-shard run in every configuration.
 #include <memory>
 
 #include <gtest/gtest.h>
 
-#include "core/partition.h"
+#include "core/k2hop.h"
 #include "gen/synthetic.h"
 #include "tests/test_util.h"
 
@@ -26,15 +27,14 @@ std::vector<Convoy> BatchMine(Store* store, const MiningParams& params) {
 
 /// Mines `store` partitioned with the given shard count and asserts exact
 /// (byte-identical) equality with batch; returns the stats for inspection.
-PartitionedK2HopStats ExpectMatchesBatch(Store* store,
-                                         const MiningParams& params,
-                                         int num_shards, int num_threads = 1) {
+K2HopStats ExpectMatchesBatch(Store* store, const MiningParams& params,
+                              int num_shards, int num_threads = 1) {
   const std::vector<Convoy> expected = BatchMine(store, params);
-  PartitionedK2HopOptions options;
+  K2HopOptions options;
   options.num_shards = num_shards;
   options.num_threads = num_threads;
-  PartitionedK2HopStats stats;
-  auto mined = MinePartitionedK2Hop(store, params, options, &stats);
+  K2HopStats stats;
+  auto mined = MineK2Hop(store, params, options, &stats);
   EXPECT_TRUE(mined.ok()) << mined.status().ToString();
   EXPECT_EQ(mined.value(), expected)
       << "shards=" << num_shards << " threads=" << num_threads
@@ -92,37 +92,6 @@ TEST(PlanShardsTest, DegenerateGrids) {
 }
 
 // ---------------------------------------------------------------------------
-// Merger state transfer
-// ---------------------------------------------------------------------------
-
-TEST(SpanningConvoyMergerTest, ActiveStateRoundTripsAcrossInstances) {
-  // Fold two windows in one merger vs. folding the first, moving the state
-  // into a second merger, and folding the rest there: identical deaths.
-  const std::vector<ObjectSet> w0 = {ObjectSet::Of({1, 2, 3})};
-  const std::vector<ObjectSet> w1 = {ObjectSet::Of({1, 2})};
-  const std::vector<ObjectSet> w2 = {ObjectSet::Of({9, 10})};
-
-  std::vector<Convoy> expected;
-  SpanningConvoyMerger whole(2);
-  whole.AddWindow(0, w0, &expected);
-  whole.AddWindow(5, w1, &expected);
-  whole.AddWindow(10, w2, &expected);
-  whole.Finish(15, &expected);
-
-  std::vector<Convoy> stitched;
-  SpanningConvoyMerger left(2);
-  left.AddWindow(0, w0, &stitched);
-  SpanningConvoyMerger right(2);
-  right.SetActive(left.TakeActive());
-  EXPECT_EQ(left.active_size(), 0u);
-  right.AddWindow(5, w1, &stitched);
-  right.AddWindow(10, w2, &stitched);
-  right.Finish(15, &stitched);
-
-  EXPECT_EQ(Str(stitched), Str(expected));
-}
-
-// ---------------------------------------------------------------------------
 // Seam edge cases
 // ---------------------------------------------------------------------------
 
@@ -140,14 +109,14 @@ TEST(PartitionSeamTest, ConvoyExactlySpanningAShardBoundary) {
   auto store = MakeMemStore(MakeTracks(tracks));
   const MiningParams params{2, 8, 2.0};
 
-  const PartitionedK2HopStats stats =
+  const K2HopStats stats =
       ExpectMatchesBatch(store.get(), params, /*num_shards=*/2);
   EXPECT_EQ(stats.shards, 2u);
   EXPECT_EQ(stats.seams_crossed, 1u);   // the convoy spans the seam
   EXPECT_EQ(stats.stitch_replays, 1u);  // shard 2 had to be replayed
 
-  auto mined = MinePartitionedK2Hop(store.get(), params,
-                                    {.num_shards = 2, .num_threads = 1});
+  auto mined = MineK2Hop(store.get(), params,
+                         {.num_threads = 1, .num_shards = 2});
   ASSERT_TRUE(mined.ok());
   ASSERT_EQ(mined.value().size(), 1u);
   EXPECT_EQ(mined.value()[0], C({0, 1}, 0, 19));
@@ -167,10 +136,10 @@ TEST(PartitionSeamTest, ConvoyShorterThanTheOverlapMargin) {
   auto store = MakeMemStore(MakeTracks(tracks));
   const MiningParams params{2, 8, 2.0};
 
-  const PartitionedK2HopStats stats =
+  const K2HopStats stats =
       ExpectMatchesBatch(store.get(), params, /*num_shards=*/2);
   EXPECT_EQ(stats.shards, 2u);
-  auto mined = MinePartitionedK2Hop(store.get(), params, {.num_shards = 2});
+  auto mined = MineK2Hop(store.get(), params, {.num_shards = 2});
   ASSERT_TRUE(mined.ok());
   EXPECT_TRUE(mined.value().empty()) << Str(mined.value());
 }
@@ -189,7 +158,7 @@ TEST(PartitionSeamTest, EmptyShardWithNoBenchmarkPoints) {
   const MiningParams params{2, 6, 2.0};
 
   ExpectMatchesBatch(store.get(), params, /*num_shards=*/3);
-  auto mined = MinePartitionedK2Hop(store.get(), params, {.num_shards = 3});
+  auto mined = MineK2Hop(store.get(), params, {.num_shards = 3});
   ASSERT_TRUE(mined.ok());
   // Both sides of the gap survive as separate convoys.
   EXPECT_EQ(mined.value(), (std::vector<Convoy>{C({0, 1}, 0, 11),
@@ -209,7 +178,7 @@ TEST(PartitionSeamTest, ShardCountLargerThanTickCount) {
   auto store = MakeMemStore(MakeTracks(tracks));
   const MiningParams params{2, 4, 2.0};
 
-  const PartitionedK2HopStats stats =
+  const K2HopStats stats =
       ExpectMatchesBatch(store.get(), params, /*num_shards=*/64);
   EXPECT_EQ(stats.shards, stats.hop_windows);
   EXPECT_GT(stats.shards, 1u);
@@ -249,25 +218,17 @@ TEST(PartitionTest, StatsAreFilled) {
   auto store = MakeMemStore(GenerateRandomWalk(spec));
   const MiningParams params{2, 6, 6.0};
 
-  PartitionedK2HopStats stats;
-  auto mined = MinePartitionedK2Hop(store.get(), params,
-                                    {.num_shards = 3, .num_threads = 2},
-                                    &stats);
+  K2HopStats stats;
+  auto mined = MineK2Hop(store.get(), params,
+                         {.num_threads = 2, .num_shards = 3}, &stats);
   ASSERT_TRUE(mined.ok());
   EXPECT_EQ(stats.shards, 3u);
-  EXPECT_EQ(stats.seams, 2u);
-  EXPECT_EQ(stats.shard_runs.size(), 3u);
+  EXPECT_LE(stats.seams_crossed, 2u);
   EXPECT_EQ(stats.adopted_folds + stats.stitch_replays, 3u);
+  EXPECT_EQ(stats.stitch_replays, stats.seams_crossed);
   EXPECT_EQ(stats.hop_windows, stats.benchmark_points - 1);
-  size_t shard_windows = 0;
-  for (const ShardRunStats& run : stats.shard_runs) {
-    shard_windows += run.pipeline.hop_windows;
-    EXPECT_FALSE(run.ticks.empty());
-  }
-  EXPECT_EQ(shard_windows, stats.hop_windows);
   EXPECT_GT(stats.total_points, 0u);
   EXPECT_GT(stats.io.points_read(), 0u);  // all mining IO is visible
-  EXPECT_GT(stats.phases.Get("shards"), 0.0);
 
   // Validation dedupes pieces across candidates exactly as batch does.
   K2HopStats batch;
@@ -279,13 +240,13 @@ TEST(PartitionTest, StatsAreFilled) {
 
 TEST(PartitionTest, InvalidParamsRejected) {
   auto store = MakeMemStore(MakeTracks({{0.0, 1.0}}));
-  EXPECT_FALSE(MinePartitionedK2Hop(store.get(), {1, 2, 1.0}).ok());
-  EXPECT_FALSE(MinePartitionedK2Hop(store.get(), {2, 2, -1.0}).ok());
+  EXPECT_FALSE(MineK2Hop(store.get(), {1, 2, 1.0}, {.num_shards = 3}).ok());
+  EXPECT_FALSE(MineK2Hop(store.get(), {2, 2, -1.0}, {.num_shards = 3}).ok());
 }
 
 TEST(PartitionTest, ShortDatasetYieldsNothing) {
   auto store = MakeMemStore(MakeTracks({{0.0, 1.0}, {0.5, 1.5}}));
-  auto mined = MinePartitionedK2Hop(store.get(), {2, 5, 2.0});
+  auto mined = MineK2Hop(store.get(), {2, 5, 2.0}, {.num_shards = 3});
   ASSERT_TRUE(mined.ok());
   EXPECT_TRUE(mined.value().empty());
 }

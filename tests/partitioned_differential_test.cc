@@ -1,5 +1,5 @@
-// Partitioned-vs-batch differential: mining a store through
-// PartitionedK2HopMiner must produce a convoy set IDENTICAL (same vector,
+// Partitioned-vs-batch differential: mining a store in time shards
+// (MineK2Hop with num_shards) must produce a convoy set IDENTICAL (same vector,
 // canonical order) to batch MineK2Hop with the same parameters — for every
 // storage engine, every shard count in {1, 2, 3, 7} plus a prime count vs.
 // k, on adversarial dense random walks, gapped tick streams, and Brinkhoff
@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/gold.h"
-#include "core/partition.h"
+#include "core/k2hop.h"
 #include "gen/brinkhoff.h"
 #include "gen/synthetic.h"
 #include "tests/test_util.h"
@@ -44,10 +44,10 @@ void ExpectPartitionedMatchesBatch(const Dataset& data,
   ASSERT_TRUE(store->BulkLoad(data).ok());
 
   for (int shards : shard_counts) {
-    PartitionedK2HopOptions options;
+    K2HopOptions options;
     options.num_shards = shards;
     options.num_threads = shards > 1 ? 3 : 1;  // exercise the pool path
-    auto mined = MinePartitionedK2Hop(store.get(), params, options);
+    auto mined = MineK2Hop(store.get(), params, options);
     ASSERT_TRUE(mined.ok()) << mined.status().ToString();
     // Byte-exact: both sides are in canonical sorted order.
     EXPECT_EQ(mined.value(), expected)
@@ -120,10 +120,10 @@ TEST_P(PartitionedDifferentialTest, MatchesGoldFullyConnected) {
   const Dataset data = MakeData();
   const MiningParams params = Params();
   auto store = MakeMemStore(data);
-  PartitionedK2HopOptions options;
+  K2HopOptions options;
   options.num_shards = 5;
   options.num_threads = 2;
-  auto mined = MinePartitionedK2Hop(store.get(), params, options);
+  auto mined = MineK2Hop(store.get(), params, options);
   ASSERT_TRUE(mined.ok());
   EXPECT_SAME_CONVOYS(mined.value(), GoldFullyConnectedConvoys(data, params));
 }

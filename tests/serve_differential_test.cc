@@ -1,6 +1,6 @@
 // Serving differential: a ConvoyCatalog fed from batch MineK2Hop, from
 // OnlineK2HopMiner (incrementally via on_closed + ReplaceAll after
-// Finalize), and from PartitionedK2HopMiner must answer EVERY query
+// Finalize), and from time-sharded MineK2Hop must answer EVERY query
 // identically — ByObject over all object ids, ByTimeWindow over a sweep of
 // windows, ByRegion over a grid of rects, TopK under both metrics, and
 // random conjunctions. This is the serving-layer analogue of the miner
@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "core/k2hop.h"
 #include "core/online.h"
-#include "core/partition.h"
 #include "gen/brinkhoff.h"
 #include "gen/synthetic.h"
 #include "serve/catalog.h"
@@ -72,10 +71,10 @@ FedCatalog FeedFromPartitioned(const Dataset& data,
   FedCatalog fed;
   fed.source = "partitioned";
   fed.store = MakeMemStore(data);
-  PartitionedK2HopOptions options;
+  K2HopOptions options;
   options.num_shards = 3;
   options.num_threads = 2;
-  auto mined = MinePartitionedK2Hop(fed.store.get(), params, options);
+  auto mined = MineK2Hop(fed.store.get(), params, options);
   K2_CHECK(mined.ok());
   fed.catalog = std::make_unique<ConvoyCatalog>();
   K2_CHECK_OK(fed.catalog->AddConvoys(mined.value(), fed.store.get()));
@@ -320,7 +319,7 @@ TEST(ServeDifferentialTest, CoarseFootprintStrideStaysIdentical) {
     FedCatalog f;
     f.source = "partitioned-coarse";
     f.store = MakeMemStore(data);
-    auto mined = MinePartitionedK2Hop(f.store.get(), params, {});
+    auto mined = MineK2Hop(f.store.get(), params, {.num_shards = 4});
     K2_CHECK(mined.ok());
     f.catalog = std::make_unique<ConvoyCatalog>(coarse);
     K2_CHECK_OK(f.catalog->AddConvoys(mined.value(), f.store.get()));

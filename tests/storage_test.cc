@@ -410,8 +410,8 @@ TEST_P(StoreConformanceTest, ReadSnapshotIsReadOnlyAndIsolatesIo) {
 
 TEST_P(StoreConformanceTest, ConcurrentSnapshotsReadConsistently) {
   // Each snapshot is single-threaded, but distinct snapshots must be able
-  // to read concurrently without external locks (the partitioned miner's
-  // access pattern). Run under TSan in CI.
+  // to read concurrently without external locks (the access pattern of
+  // MineK2Hop's per-slot snapshots). Run under TSan in CI.
   RandomWalkSpec spec;
   spec.num_objects = 12;
   spec.num_ticks = 20;

@@ -172,5 +172,25 @@ TEST(ValidationTest, DuplicateCandidatesProcessedOnce) {
   EXPECT_EQ(stats.fc_accepted, 1u);
 }
 
+TEST(ValidationTest, DistinctCandidatesWithEqualHashesAreBothChecked) {
+  // XOR-ing the object-set hash with the packed lifespan maps these two
+  // distinct convoys to one 64-bit value; deduplication must compare the
+  // convoys themselves.
+  const std::vector<Convoy> candidates = {C({1, 2}, 568245412, 1420895620),
+                                          C({1, 9}, 0, 1023)};
+  size_t checked = 0;
+  auto out = ValidateInRounds(
+      candidates, {2, 2, 1.0}, /*recursive=*/true, nullptr,
+      [&](const std::vector<Convoy>& round,
+          std::vector<FcCheck>* checks) -> Status {
+        checked += round.size();
+        for (FcCheck& check : *checks) check.fully_connected = true;
+        return Status::OK();
+      });
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(checked, 2u);
+  EXPECT_EQ(out.value(), (std::vector<Convoy>{candidates[1], candidates[0]}));
+}
+
 }  // namespace
 }  // namespace k2
