@@ -14,9 +14,15 @@
    tests/ or scripts/ must resolve at the repo root, under docs/, or next
    to the citing file, so comments never point at a document that is gone.
 
+4. Durability table: every number in the table of docs/OPERATIONS.md §3
+   must equal the append_ms_p50 / _p99 / _p999 of the matching
+   bench_streaming record in BENCH_k2hop.json, at the table's printed
+   precision, so the table cannot drift from the committed ledger.
+
 Exits non-zero with one line per violation.
 """
 
+import json
 import pathlib
 import re
 import sys
@@ -114,15 +120,65 @@ def check_cited_docs() -> list[str]:
     return problems
 
 
+OPERATIONS_DOC = ROOT / "docs" / "OPERATIONS.md"
+LEDGER = ROOT / "BENCH_k2hop.json"
+# Row label in the durability table -> (store, miner) of its record.
+DURABILITY_ROWS = {
+    "`memory`": ("memory", "k2hop-online"),
+    "`lsmt` deferred WAL sync": ("lsmt", "k2hop-online"),
+    "`lsmt` per-tick `fdatasync`": ("lsmt", "k2hop-online-durable"),
+    "`lsmt` foreground compaction": ("lsmt", "k2hop-online-fg"),
+}
+DURABILITY_FIELDS = ("append_ms_p50", "append_ms_p99", "append_ms_p999")
+
+
+def check_durability_table() -> list[str]:
+    problems = []
+    records = {
+        (r.get("store"), r.get("miner")): r
+        for r in json.loads(LEDGER.read_text())["records"]
+        if r.get("bench") == "bench_streaming"
+    }
+    text = OPERATIONS_DOC.read_text()
+    start = text.find("\n## 3.")
+    section = text[start:text.find("\n## ", start + 1)]
+    seen = set()
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        label = cells[0]
+        if label not in DURABILITY_ROWS or len(cells) < 4:
+            continue
+        seen.add(label)
+        store, miner = DURABILITY_ROWS[label]
+        record = records.get((store, miner))
+        if record is None:
+            problems.append(f"BENCH_k2hop.json: no bench_streaming record "
+                            f"for {store} {miner} (OPERATIONS §3 {label})")
+            continue
+        for cell, field in zip(cells[1:4], DURABILITY_FIELDS):
+            decimals = len(cell.partition(".")[2])
+            want = f"{record[field]:.{decimals}f}"
+            if cell != want:
+                problems.append(
+                    f"docs/OPERATIONS.md §3: {label} {field} reads {cell}, "
+                    f"but BENCH_k2hop.json has {record[field]} ({want})")
+    for label in DURABILITY_ROWS:
+        if label not in seen:
+            problems.append(f"docs/OPERATIONS.md §3: durability table has "
+                            f"no {label} row")
+    return problems
+
+
 def main() -> int:
-    problems = check_protocol_doc() + check_links() + check_cited_docs()
+    problems = (check_protocol_doc() + check_links() + check_cited_docs() +
+                check_durability_table())
     for p in problems:
         print(p, file=sys.stderr)
     if problems:
         print(f"check_docs: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    print("check_docs: protocol spec covers every enumerator; all links "
-          "and cited documents ok")
+    print("check_docs: protocol spec covers every enumerator; all links, "
+          "cited documents and the durability table ok")
     return 0
 
 

@@ -7,7 +7,10 @@ would otherwise have to re-check by hand on every PR:
 
   validate-mining-params      every public miner entry point (a free
                               function named Mine*) calls
-                              ValidateMiningParams before touching data
+                              ValidateMiningParams before touching data,
+                              and one that takes a Store* also returns
+                              that store's status() — a store whose
+                              recovery failed must not mine as empty
   no-atomic-shared-ptr        std::atomic<std::shared_ptr<...>> is banned
                               (libstdc++ implements it with a spinlock;
                               the serving layer's SnapshotCell exists
@@ -60,6 +63,7 @@ ALLOW_SPAN = 3
 MINER_DEF_RE = re.compile(
     r"^(?:Result<[^;{}]*>|Status)\s+(Mine[A-Z]\w*)\s*\(", re.MULTILINE
 )
+STORE_PARAM_RE = re.compile(r"\bStore\s*\*\s*(\w+)")
 ATOMIC_SHARED_RE = re.compile(r"std::atomic\s*<\s*std::shared_ptr")
 RAW_IO_RE = re.compile(r"(?:\bfopen\s*\(|::open\s*\(|\bcreat\s*\()")
 HWC_RE = re.compile(r"hardware_concurrency")
@@ -196,18 +200,26 @@ def check_validate_mining_params(sf, findings):
     for m in MINER_DEF_RE.finditer(sf.code):
         name = m.group(1)
         lineno = sf.line_of_offset(m.start())
-        body, _ = function_body(sf.code, sf.code.index("(", m.start()))
+        open_paren = sf.code.index("(", m.start())
+        body, end = function_body(sf.code, open_paren)
         if body is None:
             continue  # declaration
-        if "ValidateMiningParams" in body:
-            continue
         if sf.allowed("validate-mining-params", lineno):
             continue
-        findings.append(Finding(
-            sf.rel, lineno, "validate-mining-params",
-            f"public miner entry {name}() never calls "
-            "ValidateMiningParams; validate first or add a justified "
-            "k2-lint allowance"))
+        if "ValidateMiningParams" not in body:
+            findings.append(Finding(
+                sf.rel, lineno, "validate-mining-params",
+                f"public miner entry {name}() never calls "
+                "ValidateMiningParams; validate first or add a justified "
+                "k2-lint allowance"))
+        signature = sf.code[open_paren:end - len(body) + 1]
+        for store in STORE_PARAM_RE.findall(signature):
+            if not re.search(r"\b" + store + r"->status\(\)", body):
+                findings.append(Finding(
+                    sf.rel, lineno, "validate-mining-params",
+                    f"public miner entry {name}() never checks "
+                    f"{store}->status(); a store whose recovery failed "
+                    "would mine as empty"))
 
 
 def check_atomic_shared_ptr(sf, findings):

@@ -48,7 +48,30 @@ class ValidateMiningParamsTest(unittest.TestCase):
                 "Result<std::vector<Convoy>> MineFoo(Store* s,\n"
                 "                                    const MiningParams& p) {\n"
                 "  K2_RETURN_NOT_OK(ValidateMiningParams(p));\n"
+                "  K2_RETURN_NOT_OK(s->status());\n"
                 "  return Convoys(s);\n"
+                "}\n")})
+        self.assertEqual(findings, [])
+
+    def test_entry_without_store_check_fails(self):
+        findings = run_on({
+            "src/core/m.cc": (
+                "Result<std::vector<Convoy>> MineFoo(Store* store,\n"
+                "                                    const MiningParams& p) {\n"
+                "  K2_RETURN_NOT_OK(ValidateMiningParams(p));\n"
+                "  // store->status() is not checked here\n"
+                "  return Convoys(store);\n"
+                "}\n")})
+        self.assertEqual(rules(findings), ["validate-mining-params"])
+        self.assertIn("store->status()", findings[0].message)
+
+    def test_entry_without_store_needs_no_store_check(self):
+        findings = run_on({
+            "src/core/m.cc": (
+                "Result<std::vector<Convoy>> MineFoo(const Dataset& d,\n"
+                "                                    const MiningParams& p) {\n"
+                "  K2_RETURN_NOT_OK(ValidateMiningParams(p));\n"
+                "  return Convoys(d);\n"
                 "}\n")})
         self.assertEqual(findings, [])
 

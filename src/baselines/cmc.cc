@@ -15,6 +15,7 @@ ClustersAtFn StoreClustersFn(Store* store, const MiningParams& params) {
 
 Result<std::vector<Convoy>> MineCmc(Store* store, const MiningParams& params) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
+  K2_RETURN_NOT_OK(store->status());
   const TimeRange range = store->time_range();
   auto clusters_at = StoreClustersFn(store, params);
 
@@ -75,6 +76,7 @@ Result<std::vector<Convoy>> MineCmc(Store* store, const MiningParams& params) {
 Result<std::vector<Convoy>> MinePccd(Store* store,
                                      const MiningParams& params) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
+  K2_RETURN_NOT_OK(store->status());
   SweepOptions options;
   options.min_length = params.k;
   return MaximalConvoySweep(StoreClustersFn(store, params),

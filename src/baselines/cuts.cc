@@ -73,6 +73,7 @@ Result<std::vector<Convoy>> MineCuts(Store* store, const MiningParams& params,
                                      const CutsOptions& options,
                                      CutsStats* stats) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
+  K2_RETURN_NOT_OK(store->status());
   CutsStats local;
   CutsStats* s = stats != nullptr ? stats : &local;
   const int lambda = options.lambda > 0 ? options.lambda : params.k;

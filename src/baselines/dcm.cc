@@ -61,6 +61,7 @@ Result<std::vector<Convoy>> MineDcm(Store* store, const MiningParams& params,
                                     const DcmOptions& options,
                                     DcmStats* stats) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
+  K2_RETURN_NOT_OK(store->status());
   DcmStats local;
   DcmStats* s = stats != nullptr ? stats : &local;
 

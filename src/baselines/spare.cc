@@ -103,6 +103,7 @@ Result<std::vector<Convoy>> MineSpare(Store* store, const MiningParams& params,
                                       const SpareOptions& options,
                                       SpareStats* stats) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
+  K2_RETURN_NOT_OK(store->status());
   SpareStats local;
   SpareStats* s = stats != nullptr ? stats : &local;
   const int workers = std::max(1, options.num_workers);

@@ -18,7 +18,6 @@ void GridIndex::Build(std::span<const SnapshotPoint> points,
   xs_.resize(n);
   ys_.resize(n);
   cell_of_.resize(n);
-  num_occupied_cells_ = 0;
   if (n == 0) {
     nx_ = ny_ = 0;
     cell_starts_.assign(1, 0);
@@ -69,7 +68,6 @@ void GridIndex::Build(std::span<const SnapshotPoint> points,
     const uint32_t count = cell_starts_[c];
     cell_starts_[c] = running;
     running += count;
-    if (count > 0) ++num_occupied_cells_;
   }
   cell_starts_[num_cells] = running;
   // Scatter advances cell_starts_[c] to the cell's end; the backward shift
@@ -137,39 +135,6 @@ void GridIndex::NeighborsBatch(std::span<const uint32_t> queries, double eps,
   for (const uint32_t q : queries) {
     NeighborsOf(px_[q], py_[q], eps, flat);
     offsets->push_back(static_cast<uint32_t>(flat->size()));
-  }
-}
-
-void GridIndex::Region(const Rect& rect, std::vector<uint32_t>* out) const {
-  if (px_.empty() || rect.empty()) return;
-  // Cell ranges in floating point first, like NeighborsOf: a far-away rect
-  // must not overflow the int64 cast.
-  const double fx0 = std::floor((rect.min_x - min_x_) * inv_cell_);
-  const double fx1 = std::floor((rect.max_x - min_x_) * inv_cell_);
-  const double fy0 = std::floor((rect.min_y - min_y_) * inv_cell_);
-  const double fy1 = std::floor((rect.max_y - min_y_) * inv_cell_);
-  if (fx1 < 0.0 || fy1 < 0.0 || fx0 >= static_cast<double>(nx_) ||
-      fy0 >= static_cast<double>(ny_)) {
-    return;
-  }
-  // Clamp in floating point BEFORE the integer cast: a gigantic rect must
-  // not overflow the int64 conversion.
-  const double last_x = static_cast<double>(nx_ - 1);
-  const double last_y = static_cast<double>(ny_ - 1);
-  const int64_t x0 = static_cast<int64_t>(std::clamp(fx0, 0.0, last_x));
-  const int64_t x1 = static_cast<int64_t>(std::clamp(fx1, 0.0, last_x));
-  const int64_t y0 = static_cast<int64_t>(std::clamp(fy0, 0.0, last_y));
-  const int64_t y1 = static_cast<int64_t>(std::clamp(fy1, 0.0, last_y));
-
-  for (int64_t ry = y0; ry <= y1; ++ry) {
-    // The row's covered cells are adjacent in the row-major layout: one
-    // contiguous segment of the CSR arrays per row.
-    const size_t base = static_cast<size_t>(ry * nx_);
-    const uint32_t lo = cell_starts_[base + static_cast<size_t>(x0)];
-    const uint32_t hi = cell_starts_[base + static_cast<size_t>(x1) + 1];
-    for (uint32_t j = lo; j < hi; ++j) {
-      if (rect.Contains(xs_[j], ys_[j])) out->push_back(point_ids_[j]);
-    }
   }
 }
 

@@ -6,9 +6,9 @@
 // Layout: flat sorted CSR over the snapshot's bounding box. Points are
 // counting-sorted into cells (`cell_starts_` / `point_ids_`), cells are
 // row-major with x as the minor dimension, and coordinates are kept as
-// structure-of-arrays (`xs_` / `ys_`) in CSR order. A region query scans
-// three contiguous row segments — no hashing, no per-cell vectors, and the
-// inner distance loop vectorizes.
+// structure-of-arrays (`xs_` / `ys_`) in CSR order. A neighborhood query
+// scans three contiguous row segments — no hashing, no per-cell vectors, and
+// the inner distance loop vectorizes.
 #ifndef K2_CLUSTER_GRID_INDEX_H_
 #define K2_CLUSTER_GRID_INDEX_H_
 
@@ -46,7 +46,7 @@ class GridIndex {
   /// query scans only the 3x3 cell block around the point, so a larger eps
   /// silently drops neighbors beyond that block. Enforced with a debug
   /// CHECK (K2_DCHECK) here and in NeighborsOf; release builds trust the
-  /// caller. Use Region() for radius-independent rectangle queries.
+  /// caller.
   void Neighbors(size_t i, double eps, std::vector<uint32_t>* out) const {
     NeighborsOf(px_[i], py_[i], eps, out);
   }
@@ -68,16 +68,7 @@ class GridIndex {
                       std::vector<uint32_t>* flat,
                       std::vector<uint32_t>* offsets) const;
 
-  /// Appends to `out` the indices of all points inside `rect` (inclusive
-  /// bounds), in CSR scan order (row-major by cell, snapshot order within a
-  /// cell). Exact for any cell size — the rect test is applied per point —
-  /// so the eps the grid was built for does not constrain region queries
-  /// (the serving layer's footprint index relies on this).
-  void Region(const Rect& rect, std::vector<uint32_t>* out) const;
-
   size_t num_points() const { return px_.size(); }
-  /// Number of non-empty cells.
-  size_t num_cells() const { return num_occupied_cells_; }
 
  private:
   int64_t CellX(double x) const {
@@ -94,7 +85,6 @@ class GridIndex {
   double inv_cell_ = 0.0;
   double requested_cell_ = 0.0;
   int64_t nx_ = 0, ny_ = 0;
-  size_t num_occupied_cells_ = 0;
 
   // CSR: points of cell c occupy [cell_starts_[c], cell_starts_[c + 1]) of
   // point_ids_ / xs_ / ys_. point_ids_ holds the original point indices;

@@ -344,6 +344,7 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
                                       const K2HopOptions& options,
                                       K2HopStats* stats) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
+  K2_RETURN_NOT_OK(store->status());
   K2HopStats local;
   K2HopStats* s = stats != nullptr ? stats : &local;
   *s = K2HopStats();

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -39,7 +40,8 @@ std::vector<std::string> SplitComma(const std::string& line) {
 /// acceptance of trailing junk ("5abc" used to parse as 5, and a malformed
 /// field threw std::invalid_argument through the whole process). A leading
 /// '+' is still accepted for compatibility (std::sto* allowed it;
-/// from_chars alone does not).
+/// from_chars alone does not). The value must be finite: from_chars also
+/// parses "inf" and "nan", which no store accepts as a coordinate.
 template <typename T>
 bool ParseField(const std::string& field, T* out) {
   const char* begin = field.data();
@@ -50,14 +52,14 @@ bool ParseField(const std::string& field, T* out) {
   }
   if (begin == end) return false;
   const auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr == end;
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
 }
 
 Status RowParseError(const std::string& path, size_t line_no,
                      const char* column, const std::string& field) {
   return Status::Invalid(path + ":" + std::to_string(line_no) + ": column '" +
                          column + "': cannot parse '" + field +
-                         "' as a number");
+                         "' as a finite number");
 }
 
 }  // namespace
@@ -176,7 +178,13 @@ Result<Dataset> ReadBinary(const std::string& path) {
   std::fclose(in);
   DatasetBuilder builder;
   builder.Reserve(records.size());
-  for (const PointRecord& rec : records) builder.Add(rec);
+  for (const PointRecord& rec : records) {
+    if (!std::isfinite(rec.x) || !std::isfinite(rec.y)) {
+      return Status::Invalid(path + ": non-finite coordinate in record " +
+                             std::to_string(&rec - records.data()));
+    }
+    builder.Add(rec);
+  }
   return builder.Build();
 }
 

@@ -15,7 +15,8 @@ namespace k2 {
 Status WriteCsv(const Dataset& dataset, const std::string& path);
 
 /// Reads a CSV produced by WriteCsv (or any file with a t,oid,x,y header in
-/// any column order). Rows that fail to parse yield an error.
+/// any column order). Rows that fail to parse or hold a non-finite
+/// coordinate yield an error; so do such records in ReadBinary.
 Result<Dataset> ReadCsv(const std::string& path);
 
 /// Binary round-trip: a small header plus packed PointRecords.

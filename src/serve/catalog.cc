@@ -95,13 +95,31 @@ void CatalogSnapshot::ReportOverlaps(size_t node, size_t lo, size_t hi,
 void CatalogSnapshot::ByRegion(const Rect& region,
                                std::vector<ConvoyId>* out) const {
   out->clear();
-  if (fp_convoy_.empty() || region.empty()) return;
-  std::vector<uint32_t> hits;
-  grid_.Region(region, &hits);
-  out->reserve(hits.size());
-  for (uint32_t p : hits) out->push_back(fp_convoy_[p]);
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
+  if (region.empty()) return;
+  for (ConvoyId id = 0; id < boxes_.size(); ++id) {
+    if (InRegion(id, region)) out->push_back(id);
+  }
+}
+
+bool CatalogSnapshot::InRegion(ConvoyId id, const Rect& region) const {
+  // A box disjoint from the rect (or empty) is a miss, one inside it a hit;
+  // a straddling box looks for a point inside among those from min x on.
+  const Rect& box = boxes_[id];
+  if (box.empty() || box.max_x < region.min_x || box.min_x > region.max_x ||
+      box.max_y < region.min_y || box.min_y > region.max_y) {
+    return false;
+  }
+  if (region.Contains(box.min_x, box.min_y) &&
+      region.Contains(box.max_x, box.max_y)) {
+    return true;
+  }
+  const std::vector<FootprintPoint>& points = footprints_[id]->points;
+  auto it = std::ranges::lower_bound(points, region.min_x, {},
+                                     &FootprintPoint::x);
+  for (; it != points.end() && it->x <= region.max_x; ++it) {
+    if (region.Contains(it->x, it->y)) return true;
+  }
+  return false;
 }
 
 bool CatalogSnapshot::RankBefore(ConvoyRank rank, ConvoyId a,
@@ -142,9 +160,8 @@ Status ConvoyCatalog::AddConvoy(const Convoy& convoy, Store* store) {
 }
 
 Status ConvoyCatalog::AddLocked(const Convoy& convoy, Store* store) {
-  if (entries_.find(convoy) != entries_.end()) return Status::OK();
-  std::vector<FootprintPoint> footprint;
-  K2_RETURN_NOT_OK(ComputeFootprint(convoy, store, &footprint));
+  if (entries_.contains(convoy)) return Status::OK();
+  K2_ASSIGN_OR_RETURN(auto footprint, BuildFootprint(convoy, store));
   entries_.emplace(convoy, std::move(footprint));
   return Status::OK();
 }
@@ -152,32 +169,36 @@ Status ConvoyCatalog::AddLocked(const Convoy& convoy, Store* store) {
 Status ConvoyCatalog::ReplaceAll(std::span<const Convoy> convoys,
                                  Store* store) {
   MutexLock lock(writer_mu_);
-  // Build the replacement aside (copying reusable footprints) so an error
+  // Build the replacement aside (sharing known footprints) so an error
   // mid-way leaves the current content untouched.
-  std::map<Convoy, std::vector<FootprintPoint>> next;
+  std::map<Convoy, std::shared_ptr<const Footprint>> next;
   for (const Convoy& convoy : convoys) {
-    if (next.find(convoy) != next.end()) continue;
+    if (next.contains(convoy)) continue;
     const auto it = entries_.find(convoy);
     if (it != entries_.end()) {
       next.emplace(convoy, it->second);
       continue;
     }
-    std::vector<FootprintPoint> footprint;
-    K2_RETURN_NOT_OK(ComputeFootprint(convoy, store, &footprint));
+    K2_ASSIGN_OR_RETURN(auto footprint, BuildFootprint(convoy, store));
     next.emplace(convoy, std::move(footprint));
   }
   entries_ = std::move(next);
   return Status::OK();
 }
 
-Status ConvoyCatalog::ComputeFootprint(const Convoy& convoy, Store* store,
-                                       std::vector<FootprintPoint>* out) const {
+Result<std::shared_ptr<const Footprint>> ConvoyCatalog::BuildFootprint(
+    const Convoy& convoy, Store* store) const {
   const int64_t stride = std::max(1, options_.footprint_stride);
+  auto footprint = std::make_shared<Footprint>();
+  std::vector<FootprintPoint>& points = footprint->points;
   std::vector<SnapshotPoint> buf;
   Timestamp t = convoy.start;
   while (true) {
     K2_RETURN_NOT_OK(store->GetPoints(t, convoy.objects, &buf));
-    for (const SnapshotPoint& p : buf) out->push_back({p.x, p.y});
+    // A NaN coordinate is inside no rect and would break the sort below.
+    for (const SnapshotPoint& p : buf) {
+      if (!std::isnan(p.x) && !std::isnan(p.y)) points.push_back({p.x, p.y});
+    }
     if (t >= convoy.end) break;
     // Always land on the final tick (arithmetic in 64 bits: the clamp must
     // not overflow for lifespans near the Timestamp range edge).
@@ -185,7 +206,13 @@ Status ConvoyCatalog::ComputeFootprint(const Convoy& convoy, Store* store,
             ? convoy.end
             : static_cast<Timestamp>(t + stride);
   }
-  return Status::OK();
+  std::ranges::sort(points, {}, &FootprintPoint::x);
+  if (!points.empty()) {
+    const auto [lo, hi] =
+        std::ranges::minmax_element(points, {}, &FootprintPoint::y);
+    footprint->box = {points.front().x, lo->y, points.back().x, hi->y};
+  }
+  return std::shared_ptr<const Footprint>(std::move(footprint));
 }
 
 std::shared_ptr<const CatalogSnapshot> ConvoyCatalog::Publish() {
@@ -200,15 +227,13 @@ std::shared_ptr<const CatalogSnapshot> ConvoyCatalog::PublishLocked() {
   snap->convoys_.reserve(n);
 
   std::vector<std::pair<ObjectId, ConvoyId>> postings;
-  std::vector<SnapshotPoint> fp_points;
   for (const auto& [convoy, footprint] : entries_) {  // canonical order
     const ConvoyId id = static_cast<ConvoyId>(snap->convoys_.size());
     for (ObjectId oid : convoy.objects) postings.emplace_back(oid, id);
-    for (const FootprintPoint& p : footprint) {
-      fp_points.push_back({0, p.x, p.y});
-      snap->fp_convoy_.push_back(id);
-    }
     snap->convoys_.push_back(convoy);
+    snap->footprints_.push_back(footprint);
+    snap->boxes_.push_back(footprint->box);
+    snap->footprint_points_ += footprint->points.size();
   }
 
   // Interval index: max-end segment tree over the start-sorted convoys.
@@ -237,29 +262,6 @@ std::shared_ptr<const CatalogSnapshot> ConvoyCatalog::PublishLocked() {
   }
   snap->obj_starts_.push_back(
       static_cast<uint32_t>(snap->obj_postings_.size()));
-
-  // Spatial footprint grid. Default cell side targets about one footprint
-  // point per cell; GridIndex::Build grows it further if the bounding box
-  // would shatter (degenerate: all points coincident -> side 1).
-  if (!fp_points.empty()) {
-    double cell = options_.grid_cell_size;
-    if (cell <= 0.0) {
-      double min_x = fp_points[0].x, max_x = fp_points[0].x;
-      double min_y = fp_points[0].y, max_y = fp_points[0].y;
-      for (const SnapshotPoint& p : fp_points) {
-        min_x = std::min(min_x, p.x);
-        max_x = std::max(max_x, p.x);
-        min_y = std::min(min_y, p.y);
-        max_y = std::max(max_y, p.y);
-      }
-      const double area = (max_x - min_x) * (max_y - min_y);
-      cell = area > 0.0
-                 ? std::sqrt(area / static_cast<double>(fp_points.size()))
-                 : std::max(max_x - min_x, max_y - min_y);
-      if (cell <= 0.0) cell = 1.0;
-    }
-    snap->grid_.Build(fp_points, cell);
-  }
 
   // Rank orders: metric descending, ties by ascending id.
   snap->by_length_.resize(n);

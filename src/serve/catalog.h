@@ -1,12 +1,12 @@
 // Serving layer: ConvoyCatalog materializes mined convoys behind three
 // read-optimized indexes — an interval index over lifespans (max-end
 // segment tree over the canonical start-sorted order), an inverted
-// object-id → convoy index (CSR postings), and a spatial footprint grid
-// (the flat CSR GridIndex from cluster/, fed with member positions sampled
-// over each convoy's lifespan) — so the questions users ask of mined
-// convoys (Jeung et al.: which convoys contain object o? overlap window
-// [a,b]? pass through region R?) are index lookups instead of rescans of a
-// flat result vector.
+// object-id → convoy index (CSR postings), and per-convoy spatial
+// footprints (member positions sampled over each convoy's lifespan, sorted
+// by x, with their bounding box; built once per convoy and shared by every
+// epoch) — so the questions users ask of mined convoys (Jeung et al.: which
+// convoys contain object o? overlap window [a,b]? pass through region R?)
+// are index lookups instead of rescans of a flat result vector.
 //
 // Concurrency model (epoch/RCU, left-right flavour): the write side
 // (AddConvoys / ReplaceAll / Publish, single writer, internally serialized)
@@ -41,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/grid_index.h"
 #include "common/convoy.h"
 #include "common/mutex.h"
 #include "common/status.h"
@@ -68,15 +67,20 @@ struct FootprintPoint {
   double y = 0.0;
 };
 
+/// One convoy's spatial footprint, built once when the convoy enters the
+/// catalog and shared, immutable, by the writer state and every snapshot.
+struct Footprint {
+  /// Sampled member positions, sorted by x.
+  std::vector<FootprintPoint> points;
+  /// Bounding box of `points`; an empty Rect when there are none.
+  Rect box;
+};
+
 struct CatalogOptions {
   /// Tick stride of footprint sampling: a convoy's footprint is its member
   /// positions at ticks start, start+stride, start+2*stride, ... plus
   /// always the final tick. 1 = every tick of the lifespan.
   int footprint_stride = 1;
-  /// Requested cell side of the footprint grid; 0 = derived from the
-  /// footprint bounding box so the grid has about one point per cell (the
-  /// GridIndex auto-grow bounds memory either way).
-  double grid_cell_size = 0.0;
 };
 
 /// An immutable, fully indexed view of the catalog at one publish epoch.
@@ -94,7 +98,7 @@ class CatalogSnapshot {
   const std::vector<Convoy>& convoys() const { return convoys_; }
   const Convoy& convoy(ConvoyId id) const { return convoys_[id]; }
   /// Total sampled footprint points behind the spatial index.
-  size_t footprint_points() const { return fp_convoy_.size(); }
+  size_t footprint_points() const { return footprint_points_; }
 
   /// Convoys whose object set contains `oid`.
   void ByObject(ObjectId oid, std::vector<ConvoyId>* out) const;
@@ -102,6 +106,9 @@ class CatalogSnapshot {
   void ByTimeWindow(TimeRange window, std::vector<ConvoyId>* out) const;
   /// Convoys with at least one sampled footprint point inside `region`.
   void ByRegion(const Rect& region, std::vector<ConvoyId>* out) const;
+  /// The per-convoy test behind ByRegion: true when a sampled footprint
+  /// point of `id` lies inside `region` (inclusive, as Rect::Contains).
+  bool InRegion(ConvoyId id, const Rect& region) const;
 
   /// All ids ranked by `rank`: metric descending, ties by ascending id.
   const std::vector<ConvoyId>& Ranked(ConvoyRank rank) const {
@@ -135,10 +142,11 @@ class CatalogSnapshot {
   std::vector<uint32_t> obj_starts_;
   std::vector<ConvoyId> obj_postings_;
 
-  // Spatial footprint grid: grid_ indexes the concatenated footprint
-  // points; fp_convoy_[p] is the convoy that owns point p.
-  GridIndex grid_;
-  std::vector<ConvoyId> fp_convoy_;
+  // Footprints shared with the writer state and other epochs; boxes_[id]
+  // copies footprints_[id]->box into the flat array ByRegion scans.
+  std::vector<std::shared_ptr<const Footprint>> footprints_;
+  std::vector<Rect> boxes_;
+  size_t footprint_points_ = 0;
 
   std::vector<ConvoyId> by_length_;
   std::vector<ConvoyId> by_size_;
@@ -201,7 +209,7 @@ class ConvoyCatalog {
  public:
   explicit ConvoyCatalog(CatalogOptions options = {});
 
-  /// Adds convoys to the writer state, computing each NEW convoy's spatial
+  /// Adds convoys to the writer state, building each NEW convoy's spatial
   /// footprint from `store` (GetPoints reads of the member objects over the
   /// sampled lifespan ticks); re-adding a known convoy is a no-op. Not
   /// visible to readers until Publish().
@@ -213,13 +221,14 @@ class ConvoyCatalog {
   /// Replaces the entire content with `convoys` — the reconcile step after
   /// OnlineK2HopMiner::Finalize(), whose authoritative result may drop an
   /// eagerly emitted convoy that ended up dominated. Footprints of convoys
-  /// already in the catalog are reused, not recomputed. On error the
+  /// already in the catalog are shared, not rebuilt. On error the
   /// catalog is unchanged. Publish() afterwards to expose the new content.
   Status ReplaceAll(std::span<const Convoy> convoys, Store* store)
       K2_EXCLUDES(writer_mu_);
 
   /// Builds a snapshot of the current writer state and atomically swaps it
-  /// in as the new epoch; returns the published snapshot.
+  /// in as the new epoch; returns the published snapshot. O(convoys): no
+  /// footprint point is copied.
   std::shared_ptr<const CatalogSnapshot> Publish() K2_EXCLUDES(writer_mu_);
 
   /// The latest published snapshot (never null: epoch 0 is an empty
@@ -242,10 +251,9 @@ class ConvoyCatalog {
   /// every `publish_every` ingests. Errors are sticky in hook_status().
   /// The returned callable borrows this catalog and `store`.
   ///
-  /// Each publish rebuilds the full snapshot — O(catalog) in convoys and
-  /// footprint points — so publish_every=1 ("live" dashboards) makes a
-  /// long stream's total ingest cost quadratic in catalog size; raise
-  /// publish_every (or publish on a timer) for heavy streams.
+  /// A convoy's footprint is read once, at ingest, and a publish is
+  /// O(convoys) (see Publish()); raise publish_every (or publish on a
+  /// timer) only for catalogs of very many convoys.
   std::function<void(const Convoy&)> OnClosedHook(Store* store,
                                                   size_t publish_every = 1);
 
@@ -254,14 +262,14 @@ class ConvoyCatalog {
       K2_REQUIRES(writer_mu_);
   std::shared_ptr<const CatalogSnapshot> PublishLocked()
       K2_REQUIRES(writer_mu_);
-  Status ComputeFootprint(const Convoy& convoy, Store* store,
-                          std::vector<FootprintPoint>* out) const;
+  Result<std::shared_ptr<const Footprint>> BuildFootprint(
+      const Convoy& convoy, Store* store) const;
 
   CatalogOptions options_;
   mutable Mutex writer_mu_;
-  /// Master state: convoy -> sampled footprint, in canonical order (which
+  /// Master state: convoy -> shared footprint, in canonical order (which
   /// is what makes snapshot ids deterministic).
-  std::map<Convoy, std::vector<FootprintPoint>> entries_
+  std::map<Convoy, std::shared_ptr<const Footprint>> entries_
       K2_GUARDED_BY(writer_mu_);
   uint64_t epoch_ K2_GUARDED_BY(writer_mu_) = 0;
   Status hook_status_ K2_GUARDED_BY(writer_mu_) = Status::OK();

@@ -35,6 +35,11 @@ int EnvInt(const char* name, int fallback) {
   return std::atoi(v);
 }
 
+/// How long a worker polls epoll before it sleeps: waking a thread whose
+/// (virtual) CPU went idle takes tens to hundreds of microseconds, more on
+/// a loaded host, and a pipelining client's next batch usually comes sooner.
+constexpr double kBusyPollSeconds = 200e-6;
+
 /// One client connection, owned by exactly one worker for its whole life.
 struct Connection {
   explicit Connection(int fd_in, size_t max_payload)
@@ -282,8 +287,7 @@ struct K2Server::Impl {
     }
   }
 
-  /// Handles every complete frame currently buffered. Returns false when
-  /// the connection entered a fatal state (kError already queued).
+  /// Handles every complete frame currently buffered, up to a fatal error.
   void ProcessFrames(Connection* conn) {
     Frame frame;
     while (!conn->close_after_flush) {
@@ -361,7 +365,10 @@ struct K2Server::Impl {
     struct epoll_event events[64];
     bool stop = false;
     while (!stop) {
-      const int n = ::epoll_wait(ep, events, 64, -1);
+      int n = ::epoll_wait(ep, events, 64, 0);
+      for (Stopwatch sw; n == 0 && sw.ElapsedSeconds() < kBusyPollSeconds;)
+        n = ::epoll_wait(ep, events, 64, 0);
+      if (n == 0) n = ::epoll_wait(ep, events, 64, -1);
       if (n < 0) {
         if (errno == EINTR) continue;
         break;

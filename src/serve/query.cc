@@ -29,9 +29,9 @@ void ConvoyQueryEngine::FindIds(const CatalogSnapshot& snap,
     }
     return;
   }
-  // Evaluate each populated predicate through its index and intersect the
-  // ascending id lists, cheapest index first (postings are pre-materialized,
-  // the interval cut is O(log n + k), the grid scan touches cells).
+  // Intersect the ascending id lists of the object and window indexes
+  // (postings are pre-materialized, the interval cut is O(log n + k)); the
+  // region test filters those ids, or scans every convoy when alone.
   bool seeded = false;
   std::vector<ConvoyId> ids;
   if (query.object.has_value()) {
@@ -46,8 +46,10 @@ void ConvoyQueryEngine::FindIds(const CatalogSnapshot& snap,
     if (out->empty()) return;
   }
   if (query.region.has_value()) {
-    snap.ByRegion(*query.region, seeded ? &ids : out);
-    if (seeded) IntersectInto(out, ids);
+    if (!seeded) return snap.ByRegion(*query.region, out);
+    std::erase_if(*out, [&](ConvoyId id) {
+      return !snap.InRegion(id, *query.region);
+    });
   }
 }
 

@@ -73,7 +73,7 @@ class LsmStore final : public Store {
 
   /// Opens (or creates) the store in `dir`, recovering MANIFEST + WAL state
   /// left by a previous process. A recovery failure is sticky: every
-  /// subsequent operation returns it (see init_status()).
+  /// subsequent operation returns it (see status()).
   explicit LsmStore(std::string dir, Options options = {});
   ~LsmStore() override;
 
@@ -119,7 +119,7 @@ class LsmStore final : public Store {
   Status Flush() K2_EXCLUDES(mu_);
 
   /// First error of recovery-on-open, sticky across all operations.
-  const Status& init_status() const { return init_status_; }
+  Status status() const override { return init_status_; }
   /// First unrecovered write-path error (WAL, flush, compaction, MANIFEST),
   /// sticky: later writes fail with it, reads keep working.
   Status write_error() const K2_EXCLUDES(mu_);

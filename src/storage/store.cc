@@ -1,5 +1,6 @@
 #include "storage/store.h"
 
+#include <cmath>
 #include <filesystem>
 #include <sstream>
 
@@ -116,10 +117,14 @@ Status Store::CheckAppend(Timestamp t,
                            " is not past the stored range end " +
                            std::to_string(time_range().end));
   }
-  for (size_t i = 1; i < points.size(); ++i) {
-    if (points[i].oid <= points[i - 1].oid) {
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (i > 0 && points[i].oid <= points[i - 1].oid) {
       return Status::Invalid(
           "Append points must be sorted by oid and duplicate-free");
+    }
+    if (!std::isfinite(points[i].x) || !std::isfinite(points[i].y)) {
+      return Status::Invalid("Append oid " + std::to_string(points[i].oid) +
+                             " has a non-finite coordinate");
     }
   }
   return Status::OK();

@@ -100,10 +100,10 @@ class Store {
 
   /// Appends one complete tick of data: all points of tick `t`, which must
   /// be strictly greater than every tick already stored (movement data
-  /// arrives in time order). `points` must be sorted by oid and
-  /// duplicate-free; an empty `points` is a no-op. Unlike BulkLoad, Append
-  /// does NOT reset io_stats(): ingestion cost is part of the streaming
-  /// workload and stays observable.
+  /// arrives in time order). `points` must be sorted by oid, duplicate-free
+  /// and finite (else kInvalid, store unchanged); an empty `points` is a
+  /// no-op. Unlike BulkLoad, Append does NOT reset io_stats(): ingestion
+  /// cost is part of the streaming workload and stays observable.
   virtual Status Append(Timestamp t, const std::vector<SnapshotPoint>& points);
 
   /// Fetches all points at tick `t` into `*out` (cleared first), in oid
@@ -124,6 +124,10 @@ class Store {
 
   /// Total number of stored rows.
   virtual uint64_t num_points() const = 0;
+
+  /// OK, or the sticky error of a store whose open failed. Such a store
+  /// reports no data, so every miner entry returns this error first.
+  virtual Status status() const { return Status::OK(); }
 
   /// Creates an independent read-only view of the store's current content
   /// for one concurrent reader thread (the miners open one per pool slot,
@@ -150,7 +154,7 @@ class Store {
 
  protected:
   /// Shared Append precondition check: `t` past the stored range, `points`
-  /// sorted by oid and duplicate-free.
+  /// sorted by oid and duplicate-free, every coordinate finite.
   Status CheckAppend(Timestamp t,
                      const std::vector<SnapshotPoint>& points) const;
 

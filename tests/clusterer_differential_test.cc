@@ -207,7 +207,7 @@ TEST_P(ProximityDifferentialTest, BatchOnlinePartitionedAreByteIdentical) {
     LsmStoreOptions options;
     auto lsm = std::make_unique<LsmStore>(
         ScratchDir("prox_diff_" + tag) + "/lsmt", options);
-    ASSERT_TRUE(lsm->init_status().ok());
+    ASSERT_TRUE(lsm->status().ok());
     ASSERT_TRUE(lsm->BulkLoad(presence).ok());
     auto lsm_batch = MineK2Hop(lsm.get(), params);
     ASSERT_TRUE(lsm_batch.ok()) << lsm_batch.status().ToString();

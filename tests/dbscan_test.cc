@@ -110,67 +110,6 @@ TEST(GridIndexTest, RandomizedMatchesBruteForce) {
   }
 }
 
-std::vector<uint32_t> BruteForceRegion(const std::vector<SnapshotPoint>& pts,
-                                       const Rect& rect) {
-  std::vector<uint32_t> out;
-  for (size_t j = 0; j < pts.size(); ++j) {
-    if (rect.Contains(pts[j].x, pts[j].y)) {
-      out.push_back(static_cast<uint32_t>(j));
-    }
-  }
-  return out;
-}
-
-TEST(GridIndexTest, RegionBoundsAreInclusive) {
-  const auto pts = Points1D({0.0, 1.0, 2.0, 3.0});
-  GridIndex index(pts, 1.0);
-  std::vector<uint32_t> out;
-  index.Region(Rect{1.0, 0.0, 2.0, 0.0}, &out);
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, (std::vector<uint32_t>{1, 2}));
-}
-
-TEST(GridIndexTest, RegionFarOutsideBoundingBoxIsEmpty) {
-  const auto pts = Points1D({0.0, 1.0});
-  GridIndex index(pts, 1.0);
-  std::vector<uint32_t> out;
-  index.Region(Rect{1e12, 1e12, 2e12, 2e12}, &out);
-  EXPECT_TRUE(out.empty());
-  index.Region(Rect{-2e12, -2e12, -1e12, -1e12}, &out);
-  EXPECT_TRUE(out.empty());
-  index.Region(Rect{}, &out);  // default rect is empty
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(GridIndexTest, RandomizedRegionMatchesBruteForce) {
-  GridIndex reused;
-  for (uint64_t seed = 100; seed <= 115; ++seed) {
-    Rng rng(seed);
-    const size_t n = 1 + rng.NextInt(250);
-    const double spread = rng.Uniform(1.0, 2000.0);
-    std::vector<SnapshotPoint> pts;
-    for (size_t i = 0; i < n; ++i) {
-      pts.push_back(SnapshotPoint{static_cast<ObjectId>(i),
-                                  rng.Uniform(-spread, spread),
-                                  rng.Uniform(-spread, spread)});
-    }
-    // The cell size the grid was built for must not matter for Region.
-    reused.Build(pts, rng.Uniform(0.001, spread));
-    for (int q = 0; q < 25; ++q) {
-      const double x0 = rng.Uniform(-2 * spread, 2 * spread);
-      const double y0 = rng.Uniform(-2 * spread, 2 * spread);
-      const Rect rect{x0, y0, x0 + rng.Uniform(0.0, 2 * spread),
-                      y0 + rng.Uniform(0.0, 2 * spread)};
-      std::vector<uint32_t> got;
-      reused.Region(rect, &got);
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, BruteForceRegion(pts, rect))
-          << "seed=" << seed << " rect=[" << rect.min_x << "," << rect.min_y
-          << "," << rect.max_x << "," << rect.max_y << "]";
-    }
-  }
-}
-
 TEST(GridIndexTest, TinyEpsOnWideSpreadStaysLinear) {
   // 100 points spread over kilometres with eps in millimetres: the cell cap
   // must keep the grid small instead of allocating a bounding-box grid with

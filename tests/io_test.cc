@@ -1,4 +1,5 @@
 // CSV / binary dataset interchange tests.
+#include <cmath>
 #include <fstream>
 
 #include <gtest/gtest.h>
@@ -186,6 +187,24 @@ TEST(CsvTest, NegativeObjectIdIsError) {
       << ds.status().message();
 }
 
+TEST(CsvTest, NonFiniteCoordinateIsError) {
+  // std::from_chars parses "inf" and "nan"; no store accepts them.
+  const std::string path = ScratchDir("csv_nonfinite") + "/data.csv";
+  for (const char* row : {"2,7,inf,4.0", "2,7,3.0,nan", "2,7,-inf,4.0"}) {
+    {
+      std::ofstream out(path);
+      out << "t,oid,x,y\n1,2,3.0,4.0\n" << row << "\n";
+    }
+    auto ds = ReadCsv(path);
+    ASSERT_FALSE(ds.ok()) << row;
+    EXPECT_EQ(ds.status().code(), StatusCode::kInvalid);
+    EXPECT_NE(ds.status().message().find(":3"), std::string::npos)
+        << ds.status().message();
+    EXPECT_NE(ds.status().message().find("finite number"), std::string::npos)
+        << ds.status().message();
+  }
+}
+
 TEST(CsvTest, MissingFileIsIOError) {
   auto ds = ReadCsv("/nonexistent/nowhere.csv");
   ASSERT_FALSE(ds.ok());
@@ -211,6 +230,17 @@ TEST(BinaryTest, EmptyDatasetRoundTrip) {
   auto back = ReadBinary(path);
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back.value().empty());
+}
+
+TEST(BinaryTest, RejectsNonFiniteCoordinate) {
+  const std::string path = ScratchDir("bin_nonfinite") + "/data.bin";
+  const Dataset ds = MakeDataset({{0, 1, 1.0, 2.0}, {1, 1, 1.0, std::nan("")}});
+  ASSERT_TRUE(WriteBinary(ds, path).ok());
+  auto back = ReadBinary(path);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalid);
+  EXPECT_NE(back.status().message().find("record 1"), std::string::npos)
+      << back.status().message();
 }
 
 TEST(BinaryTest, RejectsForeignFile) {

@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/cmc.h"
 #include "common/crc32c.h"
 #include "common/env.h"
 #include "common/rng.h"
+#include "core/k2hop.h"
 #include "gen/synthetic.h"
 #include "storage/key.h"
 #include "storage/lsm/manifest.h"
@@ -475,14 +477,13 @@ TEST(LsmStoreCrashTest, SyncedTicksSurvivePowerCut) {
   FaultInjectionEnv env;
   {
     LsmStore store(dir, SweepStoreOptions(&env));
-    ASSERT_TRUE(store.init_status().ok());
+    ASSERT_TRUE(store.status().ok());
     const std::vector<Timestamp> durable = StreamTicks(&store, fix.data);
     ASSERT_EQ(durable.size(), fix.data.timestamps().size());
     env.CrashNow();  // power cut with the store still open
   }
   LsmStore recovered(dir, SweepStoreOptions(nullptr));
-  ASSERT_TRUE(recovered.init_status().ok())
-      << recovered.init_status().ToString();
+  ASSERT_TRUE(recovered.status().ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered.timestamps(), fix.data.timestamps());
   std::vector<SnapshotPoint> points;
   for (Timestamp t : fix.data.timestamps()) {
@@ -498,7 +499,7 @@ TEST(LsmStoreCrashTest, UnsyncedPutIsLostSyncedAppendIsNot) {
     LsmStoreOptions options = SweepStoreOptions(&env);
     options.memtable_limit = 1 << 20;  // no flush: durability via WAL only
     LsmStore store(dir, options);
-    ASSERT_TRUE(store.init_status().ok());
+    ASSERT_TRUE(store.status().ok());
     for (Timestamp t = 0; t < 5; ++t) {
       ASSERT_TRUE(store.Append(t, {{0, 1.0 * t, 2.0}, {1, 3.0, 4.0}}).ok());
     }
@@ -507,9 +508,35 @@ TEST(LsmStoreCrashTest, UnsyncedPutIsLostSyncedAppendIsNot) {
     env.CrashNow();
   }
   LsmStore recovered(dir, SweepStoreOptions(nullptr));
-  ASSERT_TRUE(recovered.init_status().ok());
+  ASSERT_TRUE(recovered.status().ok());
   EXPECT_EQ(recovered.timestamps(),
             (std::vector<Timestamp>{0, 1, 2, 3, 4}));
+}
+
+TEST(LsmStoreCrashTest, FailedRecoveryIsAMiningError) {
+  // A store whose recovery failed reports no data; mining it must return
+  // the recovery error, not an empty convoy set.
+  const CrashFixture fix = WalkFixture();
+  const std::string dir = CrashScratchDir("store_bad_manifest");
+  {
+    LsmStore store(dir, SweepStoreOptions(nullptr));
+    ASSERT_TRUE(store.BulkLoad(fix.data).ok());
+    auto convoys = MineK2Hop(&store, fix.params);
+    ASSERT_TRUE(convoys.ok()) << convoys.status().ToString();
+    ASSERT_FALSE(convoys.value().empty());
+  }
+  std::string bytes = ReadAll(dir + "/MANIFEST");
+  bytes[bytes.find("sstable")] ^= 0x01;
+  WriteAll(dir + "/MANIFEST", bytes);
+
+  LsmStore broken(dir, SweepStoreOptions(nullptr));
+  ASSERT_FALSE(broken.status().ok());
+  auto k2hop = MineK2Hop(&broken, fix.params);
+  ASSERT_FALSE(k2hop.ok());
+  EXPECT_EQ(k2hop.status().ToString(), broken.status().ToString());
+  auto cmc = MineCmc(&broken, fix.params);
+  ASSERT_FALSE(cmc.ok());
+  EXPECT_EQ(cmc.status().ToString(), broken.status().ToString());
 }
 
 TEST(LsmStoreCrashTest, ReopenAfterCleanRunRecoversEverything) {
@@ -517,7 +544,7 @@ TEST(LsmStoreCrashTest, ReopenAfterCleanRunRecoversEverything) {
   const std::string dir = CrashScratchDir("store_reopen");
   {
     LsmStore store(dir, SweepStoreOptions(nullptr));
-    ASSERT_TRUE(store.init_status().ok());
+    ASSERT_TRUE(store.status().ok());
     StreamTicks(&store, fix.data);
     // Destructor closes the WAL without flushing the memtable.
   }
@@ -527,8 +554,7 @@ TEST(LsmStoreCrashTest, ReopenAfterCleanRunRecoversEverything) {
   WriteAll(dir + "/wal_997.log", "garbage");
 
   LsmStore recovered(dir, SweepStoreOptions(nullptr));
-  ASSERT_TRUE(recovered.init_status().ok())
-      << recovered.init_status().ToString();
+  ASSERT_TRUE(recovered.status().ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered.timestamps(), fix.data.timestamps());
   EXPECT_FALSE(Env::Default()->FileExists(dir + "/sstable_999.sst"));
   EXPECT_FALSE(Env::Default()->FileExists(dir + "/sstable_998.sst.tmp"));
@@ -550,7 +576,7 @@ TEST(LsmStoreCrashTest, WriteErrorIsStickyAndBulkLoadResets) {
   options.background_compaction = true;
   options.max_pending_memtables = 1;
   LsmStore store(dir, options);
-  ASSERT_TRUE(store.init_status().ok());
+  ASSERT_TRUE(store.status().ok());
 
   // Fail one op somewhere inside the flush/compaction machinery.
   env.ArmFault(FaultMode::kFailOp, env.op_count() + 40);

@@ -74,7 +74,7 @@ inline uint64_t CountCleanOps(const CrashFixture& fix, const std::string& tag,
   options.background_compaction = background;
   {
     LsmStore store(CrashScratchDir(tag + "_count"), options);
-    EXPECT_TRUE(store.init_status().ok()) << store.init_status().ToString();
+    EXPECT_TRUE(store.status().ok()) << store.status().ToString();
     StreamTicks(&store, fix.data);
   }
   return env.op_count();
@@ -105,7 +105,7 @@ inline void RunCrashIteration(const CrashFixture& fix,
     LsmStoreOptions options = SweepStoreOptions(&env);
     options.background_compaction = background;
     LsmStore store(dir, options);
-    if (store.init_status().ok()) {
+    if (store.status().ok()) {
       durable = StreamTicks(&store, fix.data);
     }
   }
@@ -115,8 +115,7 @@ inline void RunCrashIteration(const CrashFixture& fix,
   LsmStoreOptions reopen = SweepStoreOptions(nullptr);
   reopen.wal_sync_every_append = false;  // re-ingest needs speed, not durability
   LsmStore recovered(dir, reopen);
-  ASSERT_TRUE(recovered.init_status().ok())
-      << recovered.init_status().ToString();
+  ASSERT_TRUE(recovered.status().ok()) << recovered.status().ToString();
 
   const std::vector<Timestamp>& all_ticks = fix.data.timestamps();
   const std::vector<Timestamp> got = recovered.timestamps();

@@ -342,7 +342,7 @@ TEST(LsmStoreTest, WalSegmentRotationBySizeAndMultiSegmentReplay) {
   options.wal.segment_bytes = 256;  // a handful of ticks per segment
   {
     LsmStore store(dir, options);
-    ASSERT_TRUE(store.init_status().ok());
+    ASSERT_TRUE(store.status().ok());
     EXPECT_EQ(store.active_wal_segments(), 1u);
     for (Timestamp t = 0; t < 40; ++t) {
       std::vector<SnapshotPoint> points;
@@ -361,7 +361,7 @@ TEST(LsmStoreTest, WalSegmentRotationBySizeAndMultiSegmentReplay) {
     // Second reopen proves orphan deletion spared the live rotated
     // segments the first recovery re-adopted.
     LsmStore store(dir, options);
-    ASSERT_TRUE(store.init_status().ok()) << store.init_status().ToString();
+    ASSERT_TRUE(store.status().ok()) << store.status().ToString();
     EXPECT_EQ(store.num_points(), 160u) << "reopen " << reopen;
     std::vector<SnapshotPoint> out;
     for (Timestamp t = 0; t < 40; ++t) {

@@ -10,7 +10,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -507,6 +509,32 @@ TEST(K2ServerTest, RejectedTickKeepsConnectionUsable) {
   EXPECT_TRUE(client->Ping().ok());
   const std::vector<SnapshotPoint> next_tick = {{1, 1.0, 0.0}};
   EXPECT_TRUE(client->Ingest(11, next_tick).ok());
+  EXPECT_TRUE(server.value()->serving_status().ok());
+}
+
+TEST(K2ServerTest, NonFiniteCoordinateIsRejected) {
+  auto server = K2Server::Start(TestServerOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = MustConnect(*server.value());
+  ASSERT_NE(client, nullptr);
+  // Enough points for DBSCAN's grid path, which a non-finite coordinate
+  // used to crash.
+  std::vector<SnapshotPoint> tick;
+  for (ObjectId oid = 0; oid < 40; ++oid) tick.push_back({oid, oid * 5.0, 0.0});
+  std::vector<SnapshotPoint> with_inf = tick;
+  with_inf[7].x = std::numeric_limits<double>::infinity();
+  std::vector<SnapshotPoint> with_nan = tick;
+  with_nan[11].y = std::nan("");
+  for (const auto& bad : {with_inf, with_nan}) {
+    auto rejected = client->Ingest(1, bad);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_NE(rejected.status().ToString().find("IngestRejected"),
+              std::string::npos)
+        << rejected.status().ToString();
+  }
+  auto ack = client->Ingest(1, tick);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack.value().frontier, 1);
   EXPECT_TRUE(server.value()->serving_status().ok());
 }
 

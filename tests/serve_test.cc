@@ -1,14 +1,19 @@
 // Unit tests for the serving layer: ConvoyCatalog index correctness
-// (interval, inverted object, spatial footprint), the typed query API and
-// its conjunctions, RCU snapshot semantics (readers keep their epoch while
+// (interval, inverted object, spatial footprint — the last also against a
+// brute-force region oracle), the typed query API and its conjunctions,
+// RCU snapshot semantics (readers keep their epoch while
 // the writer publishes new ones), the OnlineK2HopMiner on_closed adapter,
 // and concurrent readers hammering the catalog during ingest (run under
 // TSan in CI).
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/k2hop.h"
 #include "core/online.h"
 #include "serve/catalog.h"
@@ -101,6 +106,201 @@ TEST_F(ServeFixture, ByRegionFindsConvoysPassingThrough) {
   EXPECT_EQ(engine.ByRegion(Rect{-10.0, -1.0, 60.0, 101.0}),
             (std::vector<Convoy>{a_, b_}));
   EXPECT_TRUE(engine.ByRegion(Rect{-500.0, -500.0, -400.0, -400.0}).empty());
+  // Infinite bounds are ordinary bounds; a NaN bound, which a wire query
+  // can carry, contains no point (as with Rect::Contains).
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(engine.ByRegion(Rect{-inf, -inf, inf, inf}),
+            (std::vector<Convoy>{a_, b_, c_}));
+  EXPECT_TRUE(engine.ByRegion(Rect{std::nan(""), -inf, inf, inf}).empty());
+  EXPECT_TRUE(engine.ByRegion(Rect{-inf, -inf, inf, std::nan("")}).empty());
+}
+
+// Region oracle: every answer is checked against a brute-force scan that
+// re-reads each convoy's sampled footprint points from the store and tests
+// them with Rect::Contains. Positions are integers on a small board, so
+// rect edges land exactly on points.
+class RegionOracle {
+ public:
+  RegionOracle(const CatalogSnapshot& snap, Store* store, int stride) {
+    std::vector<SnapshotPoint> buf;
+    for (const Convoy& c : snap.convoys()) {
+      std::vector<Timestamp> ticks;
+      for (Timestamp t = c.start; t < c.end; t += stride) ticks.push_back(t);
+      ticks.push_back(c.end);
+      std::vector<FootprintPoint>& fp = footprints_.emplace_back();
+      for (Timestamp t : ticks) {
+        K2_CHECK_OK(store->GetPoints(t, c.objects, &buf));
+        for (const SnapshotPoint& p : buf) fp.push_back({p.x, p.y});
+      }
+    }
+  }
+
+  const std::vector<FootprintPoint>& footprint(ConvoyId id) const {
+    return footprints_[id];
+  }
+
+  bool Hits(ConvoyId id, const Rect& rect) const {
+    for (const FootprintPoint& p : footprints_[id]) {
+      if (rect.Contains(p.x, p.y)) return true;
+    }
+    return false;
+  }
+
+ private:
+  std::vector<std::vector<FootprintPoint>> footprints_;
+};
+
+TEST(ServeRegionOracleTest, RegionAnswersMatchBruteForce) {
+  constexpr int kObjects = 24, kTicks = 30, kBoard = 40, kConvoys = 12;
+  Rng rng(20261017);
+  for (int round = 0; round < 40; ++round) {
+    const int stride = 1 + round % 3;
+    // Integer random walks; an object skips a tick now and then, so some
+    // footprint reads find fewer members than the convoy has.
+    std::vector<std::tuple<Timestamp, ObjectId, double, double>> rows;
+    for (ObjectId oid = 0; oid < kObjects; ++oid) {
+      int64_t x = rng.UniformInt(0, kBoard), y = rng.UniformInt(0, kBoard);
+      for (Timestamp t = 0; t < kTicks; ++t) {
+        x = std::clamp<int64_t>(x + rng.UniformInt(-2, 2), 0, kBoard);
+        y = std::clamp<int64_t>(y + rng.UniformInt(-2, 2), 0, kBoard);
+        if (!rng.Bernoulli(0.1)) {
+          rows.push_back({t, oid, static_cast<double>(x),
+                          static_cast<double>(y)});
+        }
+      }
+    }
+    auto store = MakeMemStore(MakeDataset(rows));
+    std::vector<Convoy> convoys;
+    for (int i = 0; i < kConvoys; ++i) {
+      std::vector<ObjectId> ids;
+      const int64_t size = rng.UniformInt(2, 4);
+      while (static_cast<int64_t>(ids.size()) < size) {
+        // Object kObjects never appears in the store: its convoys can have
+        // an empty footprint.
+        const ObjectId oid =
+            static_cast<ObjectId>(rng.UniformInt(0, kObjects));
+        if (std::find(ids.begin(), ids.end(), oid) == ids.end()) {
+          ids.push_back(oid);
+        }
+      }
+      const Timestamp start =
+          static_cast<Timestamp>(rng.UniformInt(0, kTicks - 1));
+      const Timestamp end = static_cast<Timestamp>(
+          rng.UniformInt(start, std::min(start + 10, kTicks - 1)));
+      convoys.emplace_back(ObjectSet(ids), start, end);
+    }
+    CatalogOptions options;
+    options.footprint_stride = stride;
+    ConvoyCatalog catalog(options);
+    ASSERT_TRUE(catalog.AddConvoys(convoys, store.get()).ok());
+    const auto snap = catalog.Publish();
+    const RegionOracle oracle(*snap, store.get(), stride);
+
+    for (int r = 0; r < 400; ++r) {
+      const ConvoyId some =
+          static_cast<ConvoyId>(rng.NextInt(snap->size()));
+      const std::vector<FootprintPoint>& fp = oracle.footprint(some);
+      Rect box;
+      for (size_t i = 0; i < fp.size(); ++i) {
+        box = i == 0 ? Rect{fp[i].x, fp[i].y, fp[i].x, fp[i].y}
+                     : Rect{std::min(box.min_x, fp[i].x),
+                            std::min(box.min_y, fp[i].y),
+                            std::max(box.max_x, fp[i].x),
+                            std::max(box.max_y, fp[i].y)};
+      }
+      const double x0 = static_cast<double>(rng.UniformInt(-2, kBoard + 2));
+      const double y0 = static_cast<double>(rng.UniformInt(-2, kBoard + 2));
+      Rect rect;
+      switch (r % 6) {
+        case 0:  // integer corners, edges on points
+          rect = {x0, y0, x0 + static_cast<double>(rng.UniformInt(0, 12)),
+                  y0 + static_cast<double>(rng.UniformInt(0, 12))};
+          break;
+        case 1:  // zero width, zero height, or a single point
+          rect = {x0, y0, x0, y0};
+          if (rng.Bernoulli(0.5)) {
+            rect.max_x += static_cast<double>(rng.UniformInt(0, 8));
+          } else {
+            rect.max_y += static_cast<double>(rng.UniformInt(0, 8));
+          }
+          break;
+        case 2:  // empty: max < min on one axis
+          rect = {x0, y0, x0 + 5.0, y0 + 5.0};
+          if (rng.Bernoulli(0.5)) {
+            rect.max_x = x0 - 1.0;
+          } else {
+            rect.max_y = y0 - 1.0;
+          }
+          break;
+        case 3: {
+          // Inside the box of `some`: a point, or a fractional rect that
+          // holds no point at all (positions are integers).
+          if (fp.empty()) {
+            rect = {x0, y0, x0, y0};
+            break;
+          }
+          const double px = static_cast<double>(rng.UniformInt(
+              static_cast<int64_t>(box.min_x),
+              static_cast<int64_t>(box.max_x)));
+          const double py = static_cast<double>(rng.UniformInt(
+              static_cast<int64_t>(box.min_y),
+              static_cast<int64_t>(box.max_y)));
+          rect = px < box.max_x && py < box.max_y && rng.Bernoulli(0.5)
+                     ? Rect{px + 0.25, py + 0.25, px + 0.75, py + 0.75}
+                     : Rect{px, py, px, py};
+          break;
+        }
+        case 4:  // contains the whole box of `some`
+          rect = fp.empty() ? Rect{-1.0, -1.0, kBoard + 1.0, kBoard + 1.0}
+                            : Rect{box.min_x - rng.UniformInt(0, 2),
+                                   box.min_y - rng.UniformInt(0, 2),
+                                   box.max_x + rng.UniformInt(0, 2),
+                                   box.max_y + rng.UniformInt(0, 2)};
+          break;
+        default:  // wide, possibly off the board
+          rect = {x0 - 20.0, y0 - 20.0,
+                  x0 + static_cast<double>(rng.UniformInt(0, 40)),
+                  y0 + static_cast<double>(rng.UniformInt(0, 40))};
+          break;
+      }
+
+      std::vector<ConvoyId> hits;
+      for (ConvoyId id = 0; id < snap->size(); ++id) {
+        if (oracle.Hits(id, rect)) hits.push_back(id);
+      }
+      std::vector<ConvoyId> got;
+      snap->ByRegion(rect, &got);
+      ASSERT_EQ(got, hits) << "round " << round << " rect " << r;
+
+      ConvoyQuery by_object;
+      by_object.object = static_cast<ObjectId>(rng.UniformInt(0, kObjects));
+      by_object.region = rect;
+      std::vector<ConvoyId> want;
+      for (ConvoyId id : hits) {
+        if (snap->convoy(id).objects.Contains(*by_object.object)) {
+          want.push_back(id);
+        }
+      }
+      ConvoyQueryEngine::FindIds(*snap, by_object, &got);
+      ASSERT_EQ(got, want) << "round " << round << " rect " << r;
+
+      ConvoyQuery by_window;
+      const Timestamp a = static_cast<Timestamp>(rng.UniformInt(0, kTicks));
+      by_window.time_window =
+          TimeRange{a, static_cast<Timestamp>(a + rng.UniformInt(0, 8))};
+      by_window.region = rect;
+      want.clear();
+      for (ConvoyId id : hits) {
+        const Convoy& c = snap->convoy(id);
+        if (c.start <= by_window.time_window->end &&
+            c.end >= by_window.time_window->start) {
+          want.push_back(id);
+        }
+      }
+      ConvoyQueryEngine::FindIds(*snap, by_window, &got);
+      ASSERT_EQ(got, want) << "round " << round << " rect " << r;
+    }
+  }
 }
 
 TEST_F(ServeFixture, TopKRanksAndTruncates) {

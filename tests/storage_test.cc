@@ -1,5 +1,7 @@
 // Parameterized conformance tests: every storage engine must behave exactly
 // like the in-memory oracle for scans and point reads, and must account IO.
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -303,6 +305,13 @@ TEST_P(StoreConformanceTest, AppendValidatesItsPreconditions) {
   EXPECT_EQ(store->Append(6, {{3, 1.0, 0.0}, {2, 1.0, 0.0}}).code(),
             StatusCode::kInvalid);
   EXPECT_EQ(store->Append(6, {{2, 1.0, 0.0}, {2, 2.0, 0.0}}).code(),
+            StatusCode::kInvalid);
+  // Non-finite coordinates.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(store->Append(6, {{2, inf, 0.0}}).code(), StatusCode::kInvalid);
+  EXPECT_EQ(store->Append(6, {{2, 1.0, std::nan("")}}).code(),
+            StatusCode::kInvalid);
+  EXPECT_EQ(store->Append(6, {{2, 1.0, 0.0}, {3, -inf, 0.0}}).code(),
             StatusCode::kInvalid);
   // Empty appends are no-ops.
   ASSERT_TRUE(store->Append(7, {}).ok());
