@@ -55,6 +55,9 @@ struct MineOutcome {
   std::string note;       ///< e.g. "mem-budget" for a modelled OOM
 };
 
+/// Mines with MineK2Hop. Its --json record adds the Fig. 8i phase times
+/// (benchmark_ms, candidates_ms, hwmt_ms, merge_ms, extend_right_ms,
+/// extend_left_ms, validation_ms) and validation_reclusterings.
 MineOutcome RunK2(Store* store, const MiningParams& params,
                   K2HopStats* stats = nullptr,
                   const K2HopOptions& options = {});

@@ -1,8 +1,8 @@
 #include "baselines/validation.h"
 
+#include <algorithm>
 #include <deque>
 #include <set>
-#include <unordered_map>
 
 #include "baselines/sweep.h"
 #include "cluster/store_clustering.h"
@@ -32,22 +32,41 @@ std::vector<Timestamp> BinarySubdivisionOrder(TimeRange range) {
 
 namespace {
 
-/// Per-candidate context: re-clusterings of DB[t]|O, probed lazily and
-/// cached so the fallback sweep reuses what the fast path computed.
+/// Per-candidate context: which ticks of the lifespan are known to cluster
+/// DB[t]|O to exactly {O} — proven on entry, or probed so by the fast path
+/// — and the one probe that failed, so the fallback sweep re-clusters only
+/// the ticks nothing has answered yet.
 class RestrictionProber {
  public:
   RestrictionProber(Store* store, const Convoy& candidate,
-                    const MiningParams& params, SnapshotScratch* scratch)
+                    const MiningParams& params, SnapshotScratch* scratch,
+                    std::span<const TimeRange> proven)
       : store_(store),
         candidate_(candidate),
         params_(params),
-        scratch_(scratch) {}
+        scratch_(scratch),
+        life_(candidate.lifespan()),
+        whole_at_(static_cast<size_t>(life_.length()), 0) {
+    for (const TimeRange& r : proven) {
+      for (Timestamp t = std::max(r.start, life_.start);
+           t <= std::min(r.end, life_.end); ++t) {
+        whole_at_[t - life_.start] = 1;
+        ++proven_ticks_;
+      }
+    }
+  }
 
   /// True when DB[t]|O clusters to exactly {O} for every t (FC property).
   Result<bool> IsFullyConnected() {
-    for (Timestamp t : BinarySubdivisionOrder(candidate_.lifespan())) {
-      K2_ASSIGN_OR_RETURN(const std::vector<ObjectSet>* cs, ClustersAt(t));
-      if (cs->size() != 1 || (*cs)[0] != candidate_.objects) return false;
+    for (Timestamp t : BinarySubdivisionOrder(life_)) {
+      if (whole_at_[t - life_.start]) continue;
+      K2_ASSIGN_OR_RETURN(std::vector<ObjectSet> cs, Probe(t));
+      if (cs.size() != 1 || cs[0] != candidate_.objects) {
+        failed_at_ = t;
+        failed_ = std::move(cs);
+        return false;
+      }
+      whole_at_[t - life_.start] = 1;
     }
     return true;
   }
@@ -58,46 +77,53 @@ class RestrictionProber {
     options.min_length = params_.k;
     return MaximalConvoySweep(
         [this](Timestamp t, std::vector<ObjectSet>* out) -> Status {
-          K2_ASSIGN_OR_RETURN(const std::vector<ObjectSet>* cs, ClustersAt(t));
-          *out = *cs;
+          if (whole_at_[t - life_.start]) {
+            *out = {candidate_.objects};
+          } else if (t == failed_at_) {
+            *out = failed_;
+          } else {
+            K2_ASSIGN_OR_RETURN(*out, Probe(t));
+          }
           return Status::OK();
         },
-        candidate_.lifespan(), params_.m, options);
+        life_, params_.m, options);
   }
 
-  size_t reclusterings() const { return cache_.size(); }
+  size_t reclusterings() const { return reclusterings_; }
+  size_t proven_ticks() const { return proven_ticks_; }
 
  private:
-  Result<const std::vector<ObjectSet>*> ClustersAt(Timestamp t) {
-    auto it = cache_.find(t);
-    if (it == cache_.end()) {
-      K2_ASSIGN_OR_RETURN(
-          std::vector<ObjectSet> cs,
-          ReCluster(store_, t, candidate_.objects, params_, scratch_));
-      it = cache_.emplace(t, std::move(cs)).first;
-    }
-    return &it->second;
+  Result<std::vector<ObjectSet>> Probe(Timestamp t) {
+    ++reclusterings_;
+    return ReCluster(store_, t, candidate_.objects, params_, scratch_);
   }
 
   Store* store_;
   const Convoy& candidate_;
   const MiningParams& params_;
   SnapshotScratch* scratch_;
-  std::unordered_map<Timestamp, std::vector<ObjectSet>> cache_;
+  TimeRange life_;
+  std::vector<char> whole_at_;  ///< per lifespan tick: answered {O}
+  Timestamp failed_at_ = kInvalidTimestamp;
+  std::vector<ObjectSet> failed_;  ///< the fast path's failing answer
+  size_t reclusterings_ = 0;
+  size_t proven_ticks_ = 0;
 };
 
 }  // namespace
 
 Result<FcCheck> CheckFullyConnected(Store* store, const Convoy& candidate,
                                     const MiningParams& params,
-                                    SnapshotScratch* scratch) {
-  RestrictionProber prober(store, candidate, params, scratch);
+                                    SnapshotScratch* scratch,
+                                    std::span<const TimeRange> proven) {
+  RestrictionProber prober(store, candidate, params, scratch, proven);
   FcCheck check;
   K2_ASSIGN_OR_RETURN(check.fully_connected, prober.IsFullyConnected());
   if (!check.fully_connected) {
     K2_ASSIGN_OR_RETURN(check.pieces, prober.SweepRestriction());
   }
   check.reclusterings = prober.reclusterings();
+  check.proven_ticks = prober.proven_ticks();
   return check;
 }
 
@@ -128,6 +154,7 @@ Result<std::vector<Convoy>> ValidateInRounds(
     for (size_t i = 0; i < round.size(); ++i) {
       FcCheck& check = checks[i];
       s->reclusterings += check.reclusterings;
+      s->proven_ticks += check.proven_ticks;
       if (check.fully_connected) {
         ++s->fc_accepted;
         accepted.Insert(std::move(round[i]));

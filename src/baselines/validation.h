@@ -6,10 +6,17 @@
 // the paper's correction of DCVal. `recursive = false` reproduces the
 // original one-pass DCVal (Yoon & Shahabi), which can emit non-FC convoys
 // because split results are not re-validated.
+//
+// A check may be handed the ticks at which the candidate's object set O is
+// already proven connected: ticks where an earlier ReCluster(t, O) returned
+// exactly {O}. It answers those ticks with {O} without a store read; every
+// other tick is re-clustered. Only an exact {O} answer is a proof — a
+// cluster equal to O that came out of re-clustering a superset of O is not.
 #ifndef K2_BASELINES_VALIDATION_H_
 #define K2_BASELINES_VALIDATION_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "cluster/clusterer.h"
@@ -31,6 +38,7 @@ struct ValidationStats {
   size_t fc_accepted = 0;     ///< candidates that passed unchanged
   size_t split_rounds = 0;    ///< fallback sweeps executed
   size_t reclusterings = 0;   ///< restricted DBSCAN runs
+  size_t proven_ticks = 0;    ///< ticks a proof answered without a read
 };
 
 /// Reduces `candidates` to the maximal fully connected convoys they
@@ -45,14 +53,20 @@ struct FcCheck {
   bool fully_connected = false;
   std::vector<Convoy> pieces;
   size_t reclusterings = 0;  ///< restricted DBSCAN runs the check made
+  size_t proven_ticks = 0;   ///< ticks of the lifespan `proven` answered
 };
 
 /// The per-candidate step of ValidateFullyConnected. A deterministic
 /// function of the store's content, so any thread may run it on its own
-/// store handle and scratch.
+/// store handle and scratch. `proven` (sorted, disjoint ranges) lists ticks
+/// at which candidate.objects is proven connected; the answer is the same
+/// with or without them, only the reads differ. Every tick of the lifespan
+/// is probed (the sweep visits all of them when the fast path fails), so
+/// `reclusterings + proven_ticks` is the lifespan's length.
 Result<FcCheck> CheckFullyConnected(Store* store, const Convoy& candidate,
                                     const MiningParams& params,
-                                    SnapshotScratch* scratch);
+                                    SnapshotScratch* scratch,
+                                    std::span<const TimeRange> proven = {});
 
 /// Checks every convoy of one round; `checks` arrives sized to the round.
 /// The convoys of a round are independent of each other.

@@ -105,7 +105,7 @@ Result<std::vector<ObjectSet>> HwmtSpanning(
     Store* store, const MiningParams& params, Timestamp b_left,
     Timestamp b_right, const std::vector<ObjectSet>& candidates,
     bool binary_order, bool verify_right_benchmark,
-    SnapshotScratch* scratch) {
+    SnapshotScratch* scratch, std::vector<ProvenRun>* proven) {
   std::vector<ObjectSet> surviving = candidates;
   if (surviving.empty()) return surviving;
   std::optional<SnapshotScratch> local_scratch;
@@ -125,15 +125,31 @@ Result<std::vector<ObjectSet>> HwmtSpanning(
   }
   if (verify_right_benchmark) order.insert(order.begin(), b_right);
 
+  // whole[i]: surviving[i] is still a whole candidate. Clusters are subsets
+  // of the set re-clustered, so one of equal size is that set itself.
+  std::vector<char> whole(surviving.size(), 1);
   for (Timestamp t : order) {
     std::vector<ObjectSet> next;
-    for (const ObjectSet& candidate : surviving) {
+    std::vector<char> next_whole;
+    for (size_t i = 0; i < surviving.size(); ++i) {
       K2_ASSIGN_OR_RETURN(std::vector<ObjectSet> clusters,
-                          ReCluster(store, t, candidate, params, scratch));
-      for (ObjectSet& c : clusters) next.push_back(std::move(c));
+                          ReCluster(store, t, surviving[i], params, scratch));
+      for (ObjectSet& c : clusters) {
+        next_whole.push_back(whole[i] && c.size() == surviving[i].size());
+        next.push_back(std::move(c));
+      }
     }
     if (next.empty()) return next;  // no spanning convoy in this window
     surviving = std::move(next);
+    whole = std::move(next_whole);
+  }
+  if (proven != nullptr && !order.empty()) {
+    // The probed ticks: the interior, plus b_right when it was verified.
+    const TimeRange probed{b_left + 1,
+                           verify_right_benchmark ? b_right : b_right - 1};
+    for (size_t i = 0; i < surviving.size(); ++i) {
+      if (whole[i]) proven->push_back(ProvenRun{surviving[i], probed});
+    }
   }
   std::sort(surviving.begin(), surviving.end());
   return surviving;
@@ -212,37 +228,62 @@ ConvoyExtensionWalk::ConvoyExtensionWalk(const Convoy& seed, int dir)
     : dir_(dir),
       other_side_(dir > 0 ? seed.start : seed.end),
       next_t_(dir > 0 ? seed.end + 1 : seed.start - 1),
-      frontier_{seed.objects} {}
+      frontier_{Branch{seed.objects}} {}
+
+void ConvoyExtensionWalk::ReportRun(const Branch& branch, Timestamp last,
+                                    std::vector<ProvenRun>* proven) const {
+  if (proven == nullptr || branch.proven_from == kInvalidTimestamp) return;
+  proven->push_back(ProvenRun{
+      branch.objects, dir_ > 0 ? TimeRange{branch.proven_from, last}
+                               : TimeRange{last, branch.proven_from}});
+}
 
 Status ConvoyExtensionWalk::Advance(Store* store, const MiningParams& params,
                                     Timestamp upto,
                                     std::vector<Convoy>* completed,
-                                    SnapshotScratch* scratch) {
+                                    SnapshotScratch* scratch,
+                                    std::vector<ProvenRun>* proven) {
   std::optional<SnapshotScratch> local_scratch;
   if (scratch == nullptr) scratch = &local_scratch.emplace();
   while (!frontier_.empty() && (dir_ > 0 ? next_t_ <= upto : next_t_ >= upto)) {
     const Timestamp t = next_t_;
-    std::vector<ObjectSet> next;
-    for (ObjectSet& set : frontier_) {
+    std::vector<Branch> next;
+    for (Branch& branch : frontier_) {
       K2_ASSIGN_OR_RETURN(std::vector<ObjectSet> clusters,
-                          ReCluster(store, t, set, params, scratch));
+                          ReCluster(store, t, branch.objects, params, scratch));
       bool found_self = false;
       for (ObjectSet& c : clusters) {
-        if (c == set) found_self = true;
-        next.push_back(std::move(c));
+        Branch child{std::move(c)};
+        if (child.objects == branch.objects) {
+          // ReCluster returned exactly {objects}: the run goes on. A
+          // split-born child starts unproven, as only its parent was
+          // re-clustered at t.
+          found_self = true;
+          child.proven_from = branch.proven_from == kInvalidTimestamp
+                                  ? t
+                                  : branch.proven_from;
+        }
+        next.push_back(std::move(child));
       }
       if (!found_self) {
         // The branch could not be extended in its current shape: emit it.
         const Timestamp cur_end = t - dir_;
-        completed->push_back(dir_ > 0
-                                 ? Convoy(std::move(set), other_side_, cur_end)
-                                 : Convoy(std::move(set), cur_end, other_side_));
+        ReportRun(branch, cur_end, proven);
+        completed->push_back(
+            dir_ > 0 ? Convoy(std::move(branch.objects), other_side_, cur_end)
+                     : Convoy(std::move(branch.objects), cur_end, other_side_));
       }
     }
     // All branches of one walk share other_side_, so deduplication is by
     // object set alone.
-    std::sort(next.begin(), next.end());
-    next.erase(std::unique(next.begin(), next.end()), next.end());
+    std::sort(next.begin(), next.end(), [](const Branch& a, const Branch& b) {
+      return a.objects < b.objects;
+    });
+    next.erase(std::unique(next.begin(), next.end(),
+                           [](const Branch& a, const Branch& b) {
+                             return a.objects == b.objects;
+                           }),
+               next.end());
     frontier_ = std::move(next);
     next_t_ += dir_;
   }
@@ -250,10 +291,13 @@ Status ConvoyExtensionWalk::Advance(Store* store, const MiningParams& params,
 }
 
 void ConvoyExtensionWalk::Flush(Timestamp limit,
-                                std::vector<Convoy>* completed) {
-  for (ObjectSet& set : frontier_) {
-    completed->push_back(dir_ > 0 ? Convoy(std::move(set), other_side_, limit)
-                                  : Convoy(std::move(set), limit, other_side_));
+                                std::vector<Convoy>* completed,
+                                std::vector<ProvenRun>* proven) {
+  for (Branch& branch : frontier_) {
+    ReportRun(branch, next_t_ - dir_, proven);
+    completed->push_back(
+        dir_ > 0 ? Convoy(std::move(branch.objects), other_side_, limit)
+                 : Convoy(std::move(branch.objects), limit, other_side_));
   }
   frontier_.clear();
 }
@@ -268,26 +312,27 @@ Result<std::vector<Convoy>> ExtendRight(Store* store,
 
 Result<std::vector<Convoy>> ExtendLeft(Store* store, const MiningParams& params,
                                        const std::vector<Convoy>& convoys,
-                                       Timestamp dataset_start) {
+                                       Timestamp dataset_start,
+                                       ProofBook* book) {
   SnapshotSlots slots(store, 1);
-  return slots.Extend(params, convoys, dataset_start, -1);
+  return slots.Extend(params, convoys, dataset_start, -1, book);
 }
 
 namespace {
 
 /// Steps 1–3 — benchmark clustering, candidate clusters, HWMT — over one
 /// shard's slice of the benchmark grid. Fills `spanning->at(w)` with the
-/// spanning convoys of the window [benchmarks[w], benchmarks[w+1]] and adds
-/// the phase times and window counters to `s`. Benchmark points and
-/// windows fan out over `slots`; results are gathered by index, so the
-/// output is identical for every slot count.
+/// spanning convoys of the window [benchmarks[w], benchmarks[w+1]], adds
+/// HWMT's proofs to `book` and the phase times and window counters to `s`.
+/// Benchmark points and windows fan out over `slots`; results are gathered
+/// by index, so the output is identical for every slot count.
 // k2-lint: allow(validate-mining-params): a pipeline stage, not an entry:
 // MineK2Hop, its only caller, validates the params first.
 Status MineHopWindows(SnapshotSlots* slots, const MiningParams& params,
                       std::span<const Timestamp> benchmarks,
                       const K2HopOptions& options,
                       std::vector<std::vector<ObjectSet>>* spanning,
-                      K2HopStats* s) {
+                      ProofBook* book, K2HopStats* s) {
   // Step 1: cluster the benchmark points, concurrently across points.
   Stopwatch sw;
   std::vector<std::vector<ObjectSet>> benchmark_clusters(benchmarks.size());
@@ -320,6 +365,7 @@ Status MineHopWindows(SnapshotSlots* slots, const MiningParams& params,
   // Step 3: HWMT inside each window, concurrently across windows.
   sw.Restart();
   spanning->assign(num_windows, {});
+  std::vector<std::vector<ProvenRun>> proven(num_windows);
   K2_RETURN_NOT_OK(slots->ForEach(
       num_windows, [&](SnapshotSlots::Slot& slot, size_t w) -> Status {
         if (candidates[w].empty()) return Status::OK();
@@ -328,11 +374,12 @@ Status MineHopWindows(SnapshotSlots* slots, const MiningParams& params,
             HwmtSpanning(slot.store, params, benchmarks[w], benchmarks[w + 1],
                          candidates[w], options.hwmt_binary_order,
                          /*verify_right_benchmark=*/!options.candidate_pruning,
-                         &slot.scratch));
+                         &slot.scratch, &proven[w]));
         return Status::OK();
       }));
   for (size_t w = 0; w < num_windows; ++w) {
     s->spanning_convoys += (*spanning)[w].size();
+    book->Add(proven[w]);
   }
   s->phases.Add("HWMT", sw.ElapsedSeconds());
   return Status::OK();
@@ -377,11 +424,12 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
   SpanningConvoyMerger merger(params.m);
   std::vector<Convoy> died;
   std::vector<std::vector<ObjectSet>> spanning;
+  ProofBook book;  // what HWMT and the walks proved, for validation
   for (size_t i = 0; i < plan.size(); ++i) {
     const std::span<const Timestamp> shard(
         benchmarks.data() + plan[i].first_window, plan[i].num_benchmarks());
     K2_RETURN_NOT_OK(
-        MineHopWindows(&slots, params, shard, options, &spanning, s));
+        MineHopWindows(&slots, params, shard, options, &spanning, &book, s));
 
     // Step 4 for the shard's windows, and the seam stitch of DCM's
     // partition-and-merge: the fold carries the convoys spanning the
@@ -414,10 +462,12 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
   // Step 5: extension to exact lifespans (right first, then left, as in
   // Sec. 4.5); the k filter applies only after the left pass.
   sw.Restart();
-  K2_ASSIGN_OR_RETURN(merged, slots.Extend(params, merged, range.end, +1));
+  K2_ASSIGN_OR_RETURN(merged,
+                      slots.Extend(params, merged, range.end, +1, &book));
   s->phases.Add("extend-right", sw.ElapsedSeconds());
   sw.Restart();
-  K2_ASSIGN_OR_RETURN(merged, slots.Extend(params, merged, range.start, -1));
+  K2_ASSIGN_OR_RETURN(merged,
+                      slots.Extend(params, merged, range.start, -1, &book));
   merged = FilterMinLength(std::move(merged), params.k);
   s->phases.Add("extend-left", sw.ElapsedSeconds());
   s->prevalidation_convoys = merged.size();
@@ -426,8 +476,8 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
   std::vector<Convoy> result;
   if (options.validate) {
     sw.Restart();
-    K2_ASSIGN_OR_RETURN(
-        result, slots.Validate(params, std::move(merged), &s->validation));
+    K2_ASSIGN_OR_RETURN(result, slots.Validate(params, std::move(merged),
+                                               book, &s->validation));
     s->phases.Add("validation", sw.ElapsedSeconds());
   } else {
     result = std::move(merged);

@@ -5,6 +5,15 @@
 // windows, right/left extension to exact lifespans, and recursive FC
 // validation.
 //
+// HWMT and the extension walks re-cluster candidate sets anyway, and every
+// call that returns exactly {S} proves S connected at that tick. They
+// report these proofs as ProvenRuns: HWMT the window interior of each
+// candidate that never split, a walk the contiguous run of ticks on which
+// a branch found itself (never its birth tick: a branch born from a split
+// was only re-clustered as part of its parent there). The run's ProofBook
+// (core/proof_book.h) collects them, and FC validation skips the proven
+// ticks.
+//
 // MineK2Hop is the one batch miner. With K2HopOptions::num_shards > 1 it
 // mines the timeline as contiguous time shards of hop-windows, the
 // partition-and-merge design of the authors' DCM follow-up: each shard's
@@ -25,6 +34,7 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/types.h"
+#include "core/proof_book.h"
 #include "storage/store.h"
 
 namespace k2 {
@@ -77,7 +87,10 @@ struct K2HopStats {
   IoStats io;               ///< store IO consumed by the run
   uint64_t total_points = 0;  ///< rows in the store
 
-  /// The paper's "points processed" (Table 5).
+  /// The paper's "points processed" (Table 5). Validation reads that a
+  /// proof made unnecessary (ValidationStats::proven_ticks) are not
+  /// counted, so this falls below what the paper's accounting, which reads
+  /// every validated tick, would give.
   uint64_t points_processed() const { return io.points_read(); }
   /// Fraction of the dataset never touched (Table 5's pruning %).
   double pruning_ratio() const { return PruningRatio(io, total_points); }
@@ -128,12 +141,15 @@ std::vector<ShardPlan> PlanShards(const std::vector<Timestamp>& benchmarks,
 /// HWMT (Algorithm 2): verifies candidates at every tick strictly inside
 /// (b_left, b_right); when `verify_right_benchmark`, b_right is probed too
 /// (used by the no-pruning ablation). Returns the surviving object sets.
-/// `scratch` (optional) makes repeated calls allocation-free.
+/// `scratch` (optional) makes repeated calls allocation-free. `proven`
+/// (optional) receives one run per candidate that survives whole: it was
+/// re-clustered to exactly itself at every probed tick.
 Result<std::vector<ObjectSet>> HwmtSpanning(
     Store* store, const MiningParams& params, Timestamp b_left,
     Timestamp b_right, const std::vector<ObjectSet>& candidates,
     bool binary_order = true, bool verify_right_benchmark = false,
-    SnapshotScratch* scratch = nullptr);
+    SnapshotScratch* scratch = nullptr,
+    std::vector<ProvenRun>* proven = nullptr);
 
 /// DCM merge (Sec. 4.4): folds per-window spanning convoys left to right
 /// into maximal spanning convoys. `spanning[i]` spans
@@ -186,6 +202,11 @@ class SpanningConvoyMerger {
 /// appended tick). Branches whose objects stop clustering together are
 /// appended to `*completed` as finished convoys; Flush() closes the
 /// surviving branches at the dataset boundary.
+///
+/// When a branch ends (in Advance() or Flush()), the contiguous run of
+/// ticks on which it found itself — ReCluster returned exactly its own
+/// objects — is appended to `*proven` (optional), if it has one. A branch
+/// born from a split at tick t has not found itself at t.
 class ConvoyExtensionWalk {
  public:
   ConvoyExtensionWalk(const Convoy& seed, int dir);
@@ -199,28 +220,44 @@ class ConvoyExtensionWalk {
   /// direction), stopping early once every branch has died.
   Status Advance(Store* store, const MiningParams& params, Timestamp upto,
                  std::vector<Convoy>* completed,
-                 SnapshotScratch* scratch = nullptr);
+                 SnapshotScratch* scratch = nullptr,
+                 std::vector<ProvenRun>* proven = nullptr);
 
   /// Closes every surviving branch at `limit` (the dataset boundary); the
   /// walk is done() afterwards.
-  void Flush(Timestamp limit, std::vector<Convoy>* completed);
+  void Flush(Timestamp limit, std::vector<Convoy>* completed,
+             std::vector<ProvenRun>* proven = nullptr);
 
  private:
+  struct Branch {
+    ObjectSet objects;
+    /// First tick (in walk order) of the branch's current run of
+    /// found-itself ticks; kInvalidTimestamp before the first one.
+    Timestamp proven_from = kInvalidTimestamp;
+  };
+
+  /// Appends the branch's run, which ends at `last`, to `*proven`.
+  void ReportRun(const Branch& branch, Timestamp last,
+                 std::vector<ProvenRun>* proven) const;
+
   int dir_;
   Timestamp other_side_;  ///< fixed boundary on the non-walking side
   Timestamp next_t_;
-  std::vector<ObjectSet> frontier_;  ///< live branches, sorted + unique
+  std::vector<Branch> frontier_;  ///< live branches, sorted by objects
 };
 
 /// Algorithm 3 and its mirror: extends each convoy tick-by-tick until its
 /// objects stop clustering together; splits continue as smaller convoys.
+/// ExtendLeft adds the walks' proofs to `book` (optional), as the online
+/// miner's left walks do.
 Result<std::vector<Convoy>> ExtendRight(Store* store,
                                         const MiningParams& params,
                                         const std::vector<Convoy>& convoys,
                                         Timestamp dataset_end);
 Result<std::vector<Convoy>> ExtendLeft(Store* store, const MiningParams& params,
                                        const std::vector<Convoy>& convoys,
-                                       Timestamp dataset_start);
+                                       Timestamp dataset_start,
+                                       ProofBook* book = nullptr);
 
 }  // namespace k2
 

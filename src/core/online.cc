@@ -4,6 +4,8 @@
 #include <sstream>
 #include <utility>
 
+#include "core/snapshot_slots.h"
+
 namespace k2 {
 
 std::string OnlineK2HopStats::DebugString() const {
@@ -152,14 +154,17 @@ Status OnlineK2HopMiner::CloseWindow(Timestamp b_left, Timestamp b_right,
   std::vector<ObjectSet> spanning;
   if (!candidates.empty()) {
     ++stats_.hop_windows_mined;
+    std::vector<ProvenRun> proven;
     K2_RETURN_NOT_OK(Mined("HWMT", [&]() -> Status {
       auto result = HwmtSpanning(store_, params_, b_left, b_right, candidates,
                                  /*binary_order=*/true,
-                                 /*verify_right_benchmark=*/false, &scratch_);
+                                 /*verify_right_benchmark=*/false, &scratch_,
+                                 &proven);
       K2_RETURN_NOT_OK(result.status());
       spanning = result.MoveValue();
       return Status::OK();
     }));
+    book_.Add(proven);
   }
   stats_.spanning_convoys += spanning.size();
   std::vector<Convoy> died;
@@ -179,11 +184,12 @@ Status OnlineK2HopMiner::CloseWindow(Timestamp b_left, Timestamp b_right,
 Status OnlineK2HopMiner::AdvanceWalks(Timestamp upto) {
   if (walks_.empty()) return Status::OK();
   std::vector<Convoy> completed;
+  std::vector<ProvenRun> proven;
   K2_RETURN_NOT_OK(Mined("extend-right", [&]() -> Status {
     size_t keep = 0;
     for (size_t i = 0; i < walks_.size(); ++i) {
-      K2_RETURN_NOT_OK(
-          walks_[i].Advance(store_, params_, upto, &completed, &scratch_));
+      K2_RETURN_NOT_OK(walks_[i].Advance(store_, params_, upto, &completed,
+                                         &scratch_, &proven));
       if (!walks_[i].done()) {
         if (keep != i) walks_[keep] = std::move(walks_[i]);
         ++keep;
@@ -193,6 +199,7 @@ Status OnlineK2HopMiner::AdvanceWalks(Timestamp upto) {
     return Status::OK();
   }));
   stats_.open_walks_peak = std::max(stats_.open_walks_peak, walks_.size());
+  book_.Add(proven);
   for (Convoy& c : completed) {
     K2_RETURN_NOT_OK(OnRightResult(std::move(c)));
   }
@@ -228,7 +235,7 @@ Result<const std::vector<Convoy>*> OnlineK2HopMiner::LeftPieces(
   // change — compute once, reuse at the Finalize barrier.
   std::vector<Convoy> pieces;
   K2_RETURN_NOT_OK(Mined("extend-left", [&]() -> Status {
-    auto result = ExtendLeft(store_, params_, {r}, start_);
+    auto result = ExtendLeft(store_, params_, {r}, start_, &book_);
     K2_RETURN_NOT_OK(result.status());
     pieces = result.MoveValue();
     return Status::OK();
@@ -244,14 +251,15 @@ Result<const std::vector<Convoy>*> OnlineK2HopMiner::ValidatedPieces(
   std::vector<Convoy> pieces;
   K2_RETURN_NOT_OK(Mined("validation", [&]() -> Status {
     ValidationStats vs;
-    auto result = ValidateFullyConnected(store_, {f}, params_,
-                                         /*recursive=*/true, &vs);
+    SnapshotSlots slots(store_, 1);
+    auto result = slots.Validate(params_, {f}, book_, &vs);
     K2_RETURN_NOT_OK(result.status());
     pieces = result.MoveValue();
     stats_.validation.candidates_in += vs.candidates_in;
     stats_.validation.fc_accepted += vs.fc_accepted;
     stats_.validation.split_rounds += vs.split_rounds;
     stats_.validation.reclusterings += vs.reclusterings;
+    stats_.validation.proven_ticks += vs.proven_ticks;
     return Status::OK();
   }));
   it = validate_cache_.emplace(f, std::move(pieces)).first;
@@ -293,8 +301,10 @@ Result<std::vector<Convoy>> OnlineK2HopMiner::Finalize() {
   // 2. Branches that survived to the frontier are the open convoys: close
   //    them at the dataset boundary, as batch ExtendRight does at range.end.
   std::vector<Convoy> open;
-  for (ConvoyExtensionWalk& w : walks_) w.Flush(frontier_, &open);
+  std::vector<ProvenRun> proven;
+  for (ConvoyExtensionWalk& w : walks_) w.Flush(frontier_, &open, &proven);
   walks_.clear();
+  book_.Add(proven);
   stats_.open_convoys = open.size();
   for (Convoy& c : open) {
     s = OnRightResult(std::move(c));

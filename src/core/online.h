@@ -163,6 +163,8 @@ class OnlineK2HopMiner {
 
   std::map<Convoy, std::vector<Convoy>> left_cache_;
   std::map<Convoy, std::vector<Convoy>> validate_cache_;
+  /// What HWMT and the walks proved so far; lives as long as the caches.
+  ProofBook book_;
 
   std::vector<Convoy> closed_;
   std::set<Convoy> emitted_;

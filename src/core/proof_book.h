@@ -1,0 +1,56 @@
+// Connectivity proofs of one mining run. A ReCluster(t, S) call that
+// returns exactly {S} proves that S is connected at t: the restriction of
+// tick t to S is one cluster, which is all that FC validation (Sec. 4.6)
+// asks of each tick of a candidate's lifespan. HWMT and the extension
+// walks make such calls anyway; the ProofBook keeps what they proved,
+// keyed by object set, so validation answers those ticks without a store
+// read. Keying by set (not carrying proofs on Convoy) lets them survive
+// every MaximalConvoySet fold and cache between the phases.
+//
+// Only an exact {S} answer is a proof. A cluster that ReCluster returns
+// for a superset of S proves nothing about S on its own: DBSCAN restricted
+// to fewer objects can split S (a border point a core of S needed may have
+// gone to another cluster). So a branch born from a split at tick t is not
+// proven at t.
+#ifndef K2_CORE_PROOF_BOOK_H_
+#define K2_CORE_PROOF_BOOK_H_
+
+#include <span>
+#include <unordered_map>
+#include <vector>
+
+#include "common/object_set.h"
+#include "common/types.h"
+
+namespace k2 {
+
+/// `objects` is connected at every tick of `ticks`: ReCluster returned
+/// exactly {objects} there.
+struct ProvenRun {
+  ObjectSet objects;
+  TimeRange ticks;
+};
+
+/// Object set -> the ticks at which it is proven connected. Filled on one
+/// thread between the parallel phases; concurrent Find calls are safe while
+/// nobody adds. The content is the union of what was added, so it does not
+/// depend on the order of the Add calls.
+class ProofBook {
+ public:
+  void Add(const ProvenRun& run);
+  void Add(const std::vector<ProvenRun>& runs) {
+    for (const ProvenRun& run : runs) Add(run);
+  }
+
+  /// The proven ticks of exactly `objects`: sorted ranges, pairwise
+  /// disjoint and non-adjacent; empty when nothing is proven.
+  std::span<const TimeRange> Find(const ObjectSet& objects) const;
+
+ private:
+  std::unordered_map<ObjectSet, std::vector<TimeRange>, ObjectSetHash>
+      ranges_;
+};
+
+}  // namespace k2
+
+#endif  // K2_CORE_PROOF_BOOK_H_

@@ -48,15 +48,20 @@ Status SnapshotSlots::ForEach(
 
 Result<std::vector<Convoy>> SnapshotSlots::Extend(
     const MiningParams& params, const std::vector<Convoy>& seeds,
-    Timestamp limit, int dir) {
+    Timestamp limit, int dir, ProofBook* book) {
   std::vector<std::vector<Convoy>> completed(seeds.size());
+  std::vector<std::vector<ProvenRun>> proven(seeds.size());
   K2_RETURN_NOT_OK(ForEach(seeds.size(), [&](Slot& slot, size_t i) -> Status {
+    std::vector<ProvenRun>* runs = book != nullptr ? &proven[i] : nullptr;
     ConvoyExtensionWalk walk(seeds[i], dir);
-    K2_RETURN_NOT_OK(
-        walk.Advance(slot.store, params, limit, &completed[i], &slot.scratch));
-    walk.Flush(limit, &completed[i]);
+    K2_RETURN_NOT_OK(walk.Advance(slot.store, params, limit, &completed[i],
+                                  &slot.scratch, runs));
+    walk.Flush(limit, &completed[i], runs);
     return Status::OK();
   }));
+  if (book != nullptr) {
+    for (const std::vector<ProvenRun>& runs : proven) book->Add(runs);
+  }
   MaximalConvoySet results;
   for (std::vector<Convoy>& pieces : completed) {
     for (Convoy& c : pieces) results.Insert(std::move(c));
@@ -66,7 +71,7 @@ Result<std::vector<Convoy>> SnapshotSlots::Extend(
 
 Result<std::vector<Convoy>> SnapshotSlots::Validate(
     const MiningParams& params, std::vector<Convoy> candidates,
-    ValidationStats* stats) {
+    const ProofBook& book, ValidationStats* stats) {
   return ValidateInRounds(
       std::move(candidates), params, /*recursive=*/true, stats,
       [&](const std::vector<Convoy>& round,
@@ -74,7 +79,8 @@ Result<std::vector<Convoy>> SnapshotSlots::Validate(
         return ForEach(round.size(), [&](Slot& slot, size_t i) -> Status {
           K2_ASSIGN_OR_RETURN(
               (*checks)[i],
-              CheckFullyConnected(slot.store, round[i], params, &slot.scratch));
+              CheckFullyConnected(slot.store, round[i], params, &slot.scratch,
+                                  book.Find(round[i].objects)));
           return Status::OK();
         });
       });

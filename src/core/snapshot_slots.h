@@ -24,6 +24,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/proof_book.h"
 #include "storage/store.h"
 
 namespace k2 {
@@ -56,15 +57,19 @@ class SnapshotSlots {
 
   /// Extension to exact lifespans (Sec. 4.5): one ConvoyExtensionWalk per
   /// seed toward `limit` (`dir` = +1 right, -1 left), folded in seed order
-  /// through a MaximalConvoySet.
+  /// through a MaximalConvoySet. The walks' proofs are gathered by seed
+  /// index and added to `book` (optional) on the calling thread.
   Result<std::vector<Convoy>> Extend(const MiningParams& params,
                                      const std::vector<Convoy>& seeds,
-                                     Timestamp limit, int dir);
+                                     Timestamp limit, int dir,
+                                     ProofBook* book = nullptr);
 
   /// Recursive FC validation (Sec. 4.6) with each round's candidates
-  /// checked concurrently (see ValidateInRounds).
+  /// checked concurrently (see ValidateInRounds). Each candidate's proven
+  /// ticks are looked up in `book` once, and the tasks only read it.
   Result<std::vector<Convoy>> Validate(const MiningParams& params,
                                        std::vector<Convoy> candidates,
+                                       const ProofBook& book,
                                        ValidationStats* stats);
 
   /// Store IO consumed since construction: the store's own delta plus each

@@ -271,8 +271,12 @@ Status LsmStore::Recover() {
 
   // 2. Replay the live WAL segments (oldest first) into the active
   //    memtable: the longest valid prefix of each is exactly what was
-  //    durable. The segments stay live until this memtable flushes.
+  //    durable. The segments that yielded a record stay live until this
+  //    memtable flushes. One without a record holds no acknowledged tick,
+  //    so it is dropped: step 3's MANIFEST no longer lists it and step 5
+  //    deletes the file, so reopening never piles up empty segments.
   std::set<Timestamp> ticks;
+  active_wal_seqs_.clear();
   for (uint64_t wseq : manifest.live_wals) {
     next_seq_ = std::max(next_seq_, wseq + 1);
     const std::string path = WalFilePath(wseq);
@@ -296,8 +300,8 @@ Status LsmStore::Recover() {
       }
     });
     if (!replayed.ok()) return replayed.status();
+    if (replayed.value() > 0) active_wal_seqs_.push_back(wseq);
   }
-  active_wal_seqs_ = manifest.live_wals;
 
   // 3. Start a fresh WAL segment for new writes and commit the recovered
   //    shape, so the store is durable-consistent before the first Append.

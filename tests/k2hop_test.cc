@@ -7,6 +7,7 @@
 #include "cluster/store_clustering.h"
 #include "common/rng.h"
 #include "core/k2hop.h"
+#include "core/online.h"
 #include "gen/synthetic.h"
 #include "storage/memory_store.h"
 #include "storage/store.h"
@@ -17,6 +18,7 @@ namespace {
 
 using ::k2::testing::C;
 using ::k2::testing::kGone;
+using ::k2::testing::MakeDataset;
 using ::k2::testing::MakeMemStore;
 using ::k2::testing::MakeTracks;
 using ::k2::testing::ScratchDir;
@@ -337,6 +339,142 @@ TEST(ExtendTest, ExtensionStopsAtDatasetBoundary) {
 }
 
 // ---------------------------------------------------------------------------
+// Proofs — what HWMT and the walks report must hold, tick by tick
+// ---------------------------------------------------------------------------
+
+TEST(ProofBookTest, FoldsOverlappingAndAdjacentRangesPerObjectSet) {
+  const ObjectSet a = ObjectSet::Of({1, 2, 3});
+  ProofBook book;
+  book.Add({a, {10, 12}});
+  book.Add({a, {20, 25}});
+  book.Add({a, {0, 3}});
+  book.Add({a, {5, 4}});  // empty: ignored
+  EXPECT_EQ(std::vector<TimeRange>(book.Find(a).begin(), book.Find(a).end()),
+            (std::vector<TimeRange>{{0, 3}, {10, 12}, {20, 25}}));
+  book.Add({a, {13, 19}});  // touches both neighbours
+  book.Add({a, {2, 4}});    // overlaps the first
+  EXPECT_EQ(std::vector<TimeRange>(book.Find(a).begin(), book.Find(a).end()),
+            (std::vector<TimeRange>{{0, 4}, {10, 25}}));
+  EXPECT_TRUE(book.Find(ObjectSet::Of({1, 2})).empty());
+}
+
+// Re-checks a proof the slow way: ReCluster at every tick of the run must
+// return exactly the run's object set.
+void ExpectProven(Store* store, const MiningParams& params,
+                  const ProvenRun& run) {
+  ASSERT_FALSE(run.ticks.empty());
+  for (Timestamp t = run.ticks.start; t <= run.ticks.end; ++t) {
+    auto clusters = ReCluster(store, t, run.objects, params);
+    ASSERT_TRUE(clusters.ok());
+    ASSERT_EQ(clusters.value(), std::vector<ObjectSet>{run.objects})
+        << run.objects.DebugString() << " is not proven at tick " << t;
+  }
+}
+
+TEST(ProofTest, HwmtAndWalkProofsHoldOnRandomWalks) {
+  size_t hwmt_runs = 0, walk_runs = 0, split_born_runs = 0;
+  for (uint64_t seed : {3u, 11u, 29u, 47u}) {
+    RandomWalkSpec spec;
+    spec.num_objects = 30;
+    spec.num_ticks = 40;
+    spec.area = 24.0;
+    spec.step = 3.0;
+    spec.seed = seed;
+    auto store = MakeMemStore(GenerateRandomWalk(spec));
+    const MiningParams params{3, 8, 6.0};
+    const TimeRange range = store->time_range();
+    const std::vector<Timestamp> b = BenchmarkPoints(range, params.k);
+    std::vector<std::vector<ObjectSet>> clusters;
+    for (Timestamp t : b) {
+      auto c = ClusterSnapshot(store.get(), t, params);
+      ASSERT_TRUE(c.ok());
+      clusters.push_back(c.MoveValue());
+    }
+    for (size_t w = 0; w + 1 < b.size(); ++w) {
+      std::vector<ProvenRun> proven;
+      auto spanning = HwmtSpanning(
+          store.get(), params, b[w], b[w + 1],
+          CandidateClusters(clusters[w], clusters[w + 1], params.m),
+          /*binary_order=*/true, /*verify_right_benchmark=*/false, nullptr,
+          &proven);
+      ASSERT_TRUE(spanning.ok());
+      for (const ProvenRun& run : proven) {
+        EXPECT_EQ(run.ticks, (TimeRange{b[w] + 1, b[w + 1] - 1}));
+        ExpectProven(store.get(), params, run);
+      }
+      hwmt_runs += proven.size();
+    }
+    // Every benchmark cluster seeds a walk each way to the dataset edge.
+    for (size_t i = 0; i < b.size(); ++i) {
+      for (const ObjectSet& seed_set : clusters[i]) {
+        for (int dir : {+1, -1}) {
+          const Timestamp limit = dir > 0 ? range.end : range.start;
+          ConvoyExtensionWalk walk(Convoy(seed_set, b[i], b[i]), dir);
+          std::vector<Convoy> completed;
+          std::vector<ProvenRun> proven;
+          ASSERT_TRUE(walk.Advance(store.get(), params, limit, &completed,
+                                   nullptr, &proven)
+                          .ok());
+          walk.Flush(limit, &completed, &proven);
+          for (const ProvenRun& run : proven) {
+            ExpectProven(store.get(), params, run);
+            if (run.objects != seed_set) ++split_born_runs;
+          }
+          walk_runs += proven.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(hwmt_runs, 0u) << "weak test input";
+  EXPECT_GT(walk_runs, 0u) << "weak test input";
+  EXPECT_GT(split_born_runs, 0u) << "weak test input: no branch split";
+}
+
+TEST(ProofTest, SplitBornBranchIsNotProvenAtItsBirthTick) {
+  // m = 4, eps = 1. At ticks 0-2 all eleven objects form one blob. At tick
+  // 3 they split into Y1 = {0..4} and Y2 = {5..10}: border point 4 (x=1.8)
+  // goes to Y1, which expands first, although core point 5 (x=2.7) of Y2
+  // needs it as its fourth neighbour. Re-clustered alone at tick 3, Y2
+  // loses that core, and with it object 6, reachable only through 5. At
+  // ticks 4-5 Y1 and Y2 are far apart, each tight.
+  const double tick3[11][2] = {{0.0, 0}, {0.3, 0}, {0.6, 0}, {0.9, 0},
+                               {1.8, 0}, {2.7, 0}, {2.7, 0.9}, {3.6, 0},
+                               {4.0, 0}, {4.4, 0}, {4.2, 0.3}};
+  std::vector<std::tuple<Timestamp, ObjectId, double, double>> rows;
+  for (ObjectId o = 0; o < 11; ++o) {
+    for (Timestamp t = 0; t < 3; ++t) rows.emplace_back(t, o, 0.05 * o, 0.0);
+    rows.emplace_back(3, o, tick3[o][0], tick3[o][1]);
+    for (Timestamp t = 4; t < 6; ++t) {
+      rows.emplace_back(t, o, (o < 5 ? 0.0 : 100.0) + 0.05 * o, 0.0);
+    }
+  }
+  auto store = MakeMemStore(MakeDataset(rows));
+  const MiningParams params{4, 2, 1.0};
+  const ObjectSet x = ObjectSet::Of({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+  const ObjectSet y1 = ObjectSet::Of({0, 1, 2, 3, 4});
+  const ObjectSet y2 = ObjectSet::Of({5, 6, 7, 8, 9, 10});
+  ASSERT_EQ(ReCluster(store.get(), 3, x, params).value(),
+            (std::vector<ObjectSet>{y1, y2}));
+  ASSERT_EQ(ReCluster(store.get(), 3, y2, params).value(),
+            (std::vector<ObjectSet>{ObjectSet::Of({5, 7, 8, 9, 10})}));
+
+  ConvoyExtensionWalk walk(Convoy(x, 0, 2), +1);
+  std::vector<Convoy> completed;
+  std::vector<ProvenRun> proven;
+  ASSERT_TRUE(
+      walk.Advance(store.get(), params, 5, &completed, nullptr, &proven).ok());
+  walk.Flush(5, &completed, &proven);
+  EXPECT_SAME_CONVOYS(completed, (std::vector<Convoy>{
+                                     Convoy(x, 0, 2), Convoy(y1, 0, 5),
+                                     Convoy(y2, 0, 5)}));
+  ASSERT_EQ(proven.size(), 2u);
+  for (const ProvenRun& run : proven) {
+    EXPECT_EQ(run.ticks, (TimeRange{4, 5})) << run.objects.DebugString();
+    ExpectProven(store.get(), params, run);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end driver behaviour
 // ---------------------------------------------------------------------------
 
@@ -408,6 +546,47 @@ TEST(K2HopTest, ValidateFalseReturnsPartiallyConnectedCandidates) {
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out.value().size(), 1u);
   EXPECT_EQ(out.value()[0], C({0, 1}, 0, 9));
+}
+
+TEST(K2HopTest, ValidationReadsOnlyTheBenchmarkTicksOfAGroupThatNeverSplits) {
+  // Objects 0-2 travel together over ticks [5, 44] of [0, 49]; twelve noise
+  // objects stay far from everything. HWMT proves every window interior
+  // and the right walk proves 41-44, so FC validation re-clusters only the
+  // benchmark ticks 5, 10, ..., 40 (k = 10, hop 5), in batch and online.
+  std::vector<std::vector<double>> tracks;
+  for (int i = 0; i < 3; ++i) {
+    std::vector<double> track(50, kGone);
+    for (int t = 5; t <= 44; ++t) track[t] = t + 0.4 * i;
+    tracks.push_back(track);
+  }
+  for (int n = 0; n < 12; ++n) {
+    std::vector<double> track;
+    for (int t = 0; t < 50; ++t) track.push_back(1000.0 * (n + 1) + t);
+    tracks.push_back(track);
+  }
+  const Dataset data = MakeTracks(tracks);
+  const MiningParams params{3, 10, 1.0};
+  const std::vector<Convoy> want = {C({0, 1, 2}, 5, 44)};
+  const size_t benchmark_ticks = 8;
+
+  auto store = MakeMemStore(data);
+  K2HopStats stats;
+  auto batch = MineK2Hop(store.get(), params, {}, &stats);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch.value(), want);
+  EXPECT_EQ(stats.validation.reclusterings, benchmark_ticks);
+  EXPECT_EQ(stats.validation.proven_ticks, 40 - benchmark_ticks);
+
+  MemoryStore online_store;
+  OnlineK2HopMiner miner(&online_store, params);
+  for (Timestamp t : data.timestamps()) {
+    ASSERT_TRUE(miner.AppendTick(t, SnapshotPoints(data, t)).ok());
+  }
+  auto online = miner.Finalize();
+  ASSERT_TRUE(online.ok());
+  EXPECT_EQ(online.value(), want);
+  EXPECT_EQ(miner.stats().validation.reclusterings, benchmark_ticks);
+  EXPECT_EQ(miner.stats().validation.proven_ticks, 40 - benchmark_ticks);
 }
 
 TEST(K2HopTest, ResultsAreIdenticalForEveryThreadCount) {
@@ -487,6 +666,7 @@ TEST_P(K2HopEveryStoreTest, ConvoysAndCountersIdenticalForEveryThreadCount) {
       EXPECT_EQ(got.validation.fc_accepted, want.validation.fc_accepted);
       EXPECT_EQ(got.validation.split_rounds, want.validation.split_rounds);
       EXPECT_EQ(got.validation.reclusterings, want.validation.reclusterings);
+      EXPECT_EQ(got.validation.proven_ticks, want.validation.proven_ticks);
       EXPECT_EQ(got.seams_crossed, want.seams_crossed);
       EXPECT_EQ(got.stitch_replays, want.stitch_replays);
       EXPECT_EQ(got.adopted_folds, want.adopted_folds);

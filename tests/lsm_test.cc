@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 
 #include "gen/synthetic.h"
@@ -368,6 +370,42 @@ TEST(LsmStoreTest, WalSegmentRotationBySizeAndMultiSegmentReplay) {
       ASSERT_TRUE(store.ScanTimestamp(t, &out).ok());
       ASSERT_EQ(out.size(), 4u) << "tick " << t << " reopen " << reopen;
       EXPECT_DOUBLE_EQ(out[0].x, double(t));
+    }
+  }
+}
+
+TEST(LsmStoreTest, ReopeningKeepsWalSegmentsAndFilesBounded) {
+  // Recovery drops every replayed segment that held no record, so twenty
+  // reopens neither add segments to the MANIFEST nor leave files behind.
+  for (bool unflushed_tick : {false, true}) {
+    SCOPED_TRACE(unflushed_tick ? "one unflushed tick" : "bulk-loaded");
+    const std::string dir =
+        ScratchDir(unflushed_tick ? "lsm_reopen_tick" : "lsm_reopen");
+    RandomWalkSpec spec;
+    spec.num_objects = 8;
+    spec.num_ticks = 20;
+    uint64_t points = 0;
+    {
+      LsmStore store(dir);
+      ASSERT_TRUE(store.BulkLoad(GenerateRandomWalk(spec)).ok());
+      if (unflushed_tick) {
+        ASSERT_TRUE(store.Append(spec.num_ticks, {{0, 1.0, 2.0}}).ok());
+      }
+      points = store.num_points();
+    }
+    auto count_files = [&] {
+      return std::distance(std::filesystem::directory_iterator(dir),
+                           std::filesystem::directory_iterator());
+    };
+    ptrdiff_t files = 0;
+    for (int reopen = 0; reopen < 20; ++reopen) {
+      LsmStore store(dir);
+      ASSERT_TRUE(store.status().ok()) << store.status().ToString();
+      EXPECT_EQ(store.active_wal_segments(), unflushed_tick ? 2u : 1u)
+          << "reopen " << reopen;
+      EXPECT_EQ(store.num_points(), points) << "reopen " << reopen;
+      if (reopen == 0) files = count_files();
+      EXPECT_EQ(count_files(), files) << "reopen " << reopen;
     }
   }
 }

@@ -6,6 +6,9 @@
 
 #include "baselines/gold.h"
 #include "baselines/validation.h"
+#include "cluster/store_clustering.h"
+#include "common/rng.h"
+#include "gen/synthetic.h"
 #include "tests/test_util.h"
 
 namespace k2 {
@@ -14,6 +17,7 @@ namespace {
 using ::k2::testing::C;
 using ::k2::testing::MakeMemStore;
 using ::k2::testing::MakeTracks;
+using ::k2::testing::Str;
 
 // ---------------------------------------------------------------------------
 // BinarySubdivisionOrder
@@ -190,6 +194,73 @@ TEST(ValidationTest, DistinctCandidatesWithEqualHashesAreBothChecked) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(checked, 2u);
   EXPECT_EQ(out.value(), (std::vector<Convoy>{candidates[1], candidates[0]}));
+}
+
+TEST(ValidationTest, ProvenTicksNeverChangeTheAnswer) {
+  // Candidates: clusters of one tick of a dense random walk, given random
+  // lifespans around that tick, so some are fully connected and others
+  // split and reach the fallback sweep. Each candidate's proven ranges come
+  // from direct ReCluster calls that returned exactly {O}, on a random half
+  // of its ticks. Every tick of the lifespan is probed, so each proven tick
+  // saves exactly one re-clustering.
+  Rng rng(20261017);
+  size_t fully_connected = 0, split_with_proofs = 0;
+  for (uint64_t seed : {5u, 17u, 31u}) {
+    RandomWalkSpec spec;
+    spec.num_objects = 30;
+    spec.num_ticks = 40;
+    spec.area = 24.0;
+    spec.step = 3.0;
+    spec.seed = seed;
+    auto store = MakeMemStore(GenerateRandomWalk(spec));
+    const MiningParams params{3, 4, 6.0};
+    SnapshotScratch scratch;
+    for (Timestamp t0 = 0; t0 < spec.num_ticks; t0 += 3) {
+      auto clusters = ClusterSnapshot(store.get(), t0, params);
+      ASSERT_TRUE(clusters.ok());
+      for (const ObjectSet& objects : clusters.value()) {
+        const Convoy candidate(
+            objects, std::max(0, t0 - static_cast<Timestamp>(rng.NextInt(8))),
+            std::min(spec.num_ticks - 1,
+                     t0 + static_cast<Timestamp>(rng.NextInt(8))));
+        std::vector<TimeRange> proven;
+        size_t covered = 0;
+        for (Timestamp t = candidate.start; t <= candidate.end; ++t) {
+          if (rng.NextInt(2) == 0) continue;
+          auto cs = ReCluster(store.get(), t, objects, params);
+          ASSERT_TRUE(cs.ok());
+          if (cs.value() != std::vector<ObjectSet>{objects}) continue;
+          if (!proven.empty() && proven.back().end + 1 == t) {
+            proven.back().end = t;
+          } else {
+            proven.push_back({t, t});
+          }
+          ++covered;
+        }
+        auto plain =
+            CheckFullyConnected(store.get(), candidate, params, &scratch);
+        auto with = CheckFullyConnected(store.get(), candidate, params,
+                                        &scratch, proven);
+        ASSERT_TRUE(plain.ok() && with.ok());
+        SCOPED_TRACE(Str({candidate}));
+        EXPECT_EQ(with.value().fully_connected, plain.value().fully_connected);
+        EXPECT_EQ(with.value().pieces, plain.value().pieces);
+        EXPECT_EQ(plain.value().reclusterings,
+                  static_cast<size_t>(candidate.length()));
+        EXPECT_EQ(plain.value().proven_ticks, 0u);
+        EXPECT_EQ(with.value().proven_ticks, covered);
+        EXPECT_EQ(with.value().reclusterings,
+                  plain.value().reclusterings - covered);
+        if (plain.value().fully_connected) {
+          ++fully_connected;
+        } else if (covered > 0) {
+          ++split_with_proofs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(fully_connected, 0u) << "weak test input";
+  EXPECT_GT(split_with_proofs, 0u) << "weak test input";
 }
 
 }  // namespace
