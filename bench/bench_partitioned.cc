@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const Dataset& data = Trucks();
   std::cout << data.DebugString() << "\n\n";
   const MiningParams params{3, 200, 30.0};
-  // k2-lint: allow(bench-key-hardware-independent): sizes the worker pool
+  // k2-lint: allow(bench-key-hardware-independent): sizes the miner threads
   // only; every recorded row is keyed by explicit shard/thread columns.
   const int threads = std::max(
       2, static_cast<int>(std::thread::hardware_concurrency()));

@@ -8,12 +8,11 @@
 #include "bench/harness.h"
 
 #include <atomic>
-#include <thread>
 
 #include "common/check.h"
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/online.h"
 #include "serve/catalog.h"
 #include "serve/query.h"
@@ -262,10 +261,9 @@ int main(int argc, char** argv) {
     double mt_seconds = 0.0;
     {
       const ConvoyCatalog* catalog = src.catalog;
-      ThreadPool pool(mt_readers);
       std::atomic<uint64_t> total{0};
       Stopwatch sw;
-      pool.ParallelFor(static_cast<size_t>(mt_readers), [&](size_t) {
+      ParallelFor(mt_readers, mt_readers, [&](size_t, size_t) {
         ConvoyQueryEngine engine(catalog);
         const auto pinned = engine.Pin();
         std::vector<ConvoyId> local_ids;

@@ -19,6 +19,13 @@
    bench_streaming record in BENCH_k2hop.json, at the table's printed
    precision, so the table cannot drift from the committed ledger.
 
+5. Knob table: the backticked K2_* names in the table of
+   docs/OPERATIONS.md §2 must be exactly the K2_* environment variables
+   the code reads — the string-literal first argument of a getenv( or
+   Env*( call under src/ or bench/, or an os.environ / ${K2_...} read
+   under scripts/ — so a knob can neither go undocumented nor outlive
+   its code.
+
 Exits non-zero with one line per violation.
 """
 
@@ -169,16 +176,58 @@ def check_durability_table() -> list[str]:
     return problems
 
 
+CODE_KNOB_RE = re.compile(r"\b(?:getenv|Env\w*)\s*\(\s*\"(K2_\w+)\"")
+SCRIPT_KNOB_RE = re.compile(
+    r"os\.environ(?:\.get\s*\(|\s*\[)\s*[\"'](K2_\w+)|\$\{(K2_\w+)")
+TABLE_KNOB_RE = re.compile(r"`(K2_\w+)`")
+
+
+def knobs_read() -> dict[str, str]:
+    """K2_* variable -> the first file:line that reads it."""
+    found = {}
+    sources = [(top, CODE_KNOB_RE) for top in ("src", "bench")]
+    sources.append(("scripts", SCRIPT_KNOB_RE))
+    for top, pattern in sources:
+        for path in sorted((ROOT / top).rglob("*")):
+            if not path.is_file() or path.suffix not in (
+                    ".cc", ".h", ".py", ".sh"):
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                for match in pattern.finditer(line):
+                    name = next(g for g in match.groups() if g)
+                    found.setdefault(
+                        name, f"{path.relative_to(ROOT)}:{lineno}")
+    return found
+
+
+def check_knob_table() -> list[str]:
+    text = OPERATIONS_DOC.read_text()
+    start = text.find("\n## 2.")
+    section = text[start:text.find("\n## ", start + 1)]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("|"):
+            documented.update(TABLE_KNOB_RE.findall(line.split("|")[1]))
+    read = knobs_read()
+    problems = [f"{where}: reads {name}, which the knob table of "
+                f"docs/OPERATIONS.md §2 does not list"
+                for name, where in sorted(read.items())
+                if name not in documented]
+    problems += [f"docs/OPERATIONS.md §2: lists {name}, which no code reads"
+                 for name in sorted(documented - read.keys())]
+    return problems
+
+
 def main() -> int:
     problems = (check_protocol_doc() + check_links() + check_cited_docs() +
-                check_durability_table())
+                check_durability_table() + check_knob_table())
     for p in problems:
         print(p, file=sys.stderr)
     if problems:
         print(f"check_docs: {len(problems)} problem(s)", file=sys.stderr)
         return 1
     print("check_docs: protocol spec covers every enumerator; all links, "
-          "cited documents and the durability table ok")
+          "cited documents, the durability table and the knob table ok")
     return 0
 
 

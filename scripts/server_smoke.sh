@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# End-to-end smoke of the network serving layer: starts a real k2_server on
-# an ephemeral loopback port, then drives k2_server_smoke against it — full
+# End-to-end smoke of the network serving layer. First, k2_server must
+# refuse to start on flags that cannot parse or fit (--eps abc, --workers
+# abc, --port 70000) and on mining parameters that could never ingest
+# (--m 1). Then it starts a real k2_server on an ephemeral loopback port
+# and drives k2_server_smoke against it — full
 # ingest over the wire, every query type (and a conjunction) diff-checked
 # byte-for-byte against an in-process reference engine (including after a
 # mid-stream snapshot swap), the malformed-frame error paths, and finally a
@@ -22,6 +25,23 @@ for bin in "$SERVER" "$SMOKE"; do
     exit 1
   fi
 done
+
+# A configuration that could never ingest, or a flag that does not parse
+# whole or fit its range, must stop the server before it listens.
+for bad in "--m 1" "--eps abc" "--workers abc" "--port 70000"; do
+  # shellcheck disable=SC2086  # split "--flag value" into two arguments
+  if out=$(timeout 5 "$SERVER" --port 0 $bad 2>&1); then
+    echo "error: k2_server $bad exited 0:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+  if grep -q "listening" <<< "$out"; then
+    echo "error: k2_server $bad started listening:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
+echo "k2_server refused --m 1, --eps abc, --workers abc and --port 70000"
 
 # Mining params must match on both sides: the smoke binary rebuilds the
 # same catalog in-process and compares raw reply bytes.

@@ -1,12 +1,11 @@
 #include "baselines/dcm.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "baselines/sweep.h"
 #include "cluster/clusterer.h"
 #include "common/check.h"
+#include "common/parallel_for.h"
 #include "model/dataset.h"
 
 namespace k2 {
@@ -84,29 +83,19 @@ Result<std::vector<Convoy>> MineDcm(Store* store, const MiningParams& params,
       SplitRange(range, options.num_partitions);
   std::vector<std::vector<Convoy>> partition_results(ranges.size());
   std::vector<Status> partition_status(ranges.size(), Status::OK());
-  std::atomic<size_t> next_partition{0};
-  auto worker = [&]() {
-    for (;;) {
-      const size_t p = next_partition.fetch_add(1);
-      if (p >= ranges.size()) return;
-      SweepOptions sweep;
-      sweep.min_length = params.k;
-      sweep.keep_left_border = p > 0;
-      sweep.keep_right_border = p + 1 < ranges.size();
-      auto result = MaximalConvoySweep(DatasetClustersFn(&dataset, params),
-                                       ranges[p], params.m, sweep);
-      if (result.ok()) {
-        partition_results[p] = result.MoveValue();
-      } else {
-        partition_status[p] = result.status();
-      }
+  ParallelFor(options.num_workers, ranges.size(), [&](size_t, size_t p) {
+    SweepOptions sweep;
+    sweep.min_length = params.k;
+    sweep.keep_left_border = p > 0;
+    sweep.keep_right_border = p + 1 < ranges.size();
+    auto result = MaximalConvoySweep(DatasetClustersFn(&dataset, params),
+                                     ranges[p], params.m, sweep);
+    if (result.ok()) {
+      partition_results[p] = result.MoveValue();
+    } else {
+      partition_status[p] = result.status();
     }
-  };
-  const int workers = std::max(1, options.num_workers);
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (int w = 0; w < workers; ++w) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
+  });
   for (const Status& st : partition_status) K2_RETURN_NOT_OK(st);
   for (const auto& pr : partition_results) s->partition_convoys += pr.size();
   s->phases.Add("partition-mining", sw.ElapsedSeconds());

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "cluster/clusterer.h"
 #include "cluster/dbscan.h"
+#include "common/parallel_for.h"
 
 namespace k2 {
 
@@ -116,19 +116,9 @@ Result<std::vector<Convoy>> MineSpare(Store* store, const MiningParams& params,
     K2_RETURN_NOT_OK(store->ScanTimestamp(ticks[i], &snapshots[i]));
   }
   std::vector<DbscanLabels> labels(ticks.size());
-  {
-    std::atomic<size_t> next{0};
-    auto cluster_worker = [&]() {
-      for (;;) {
-        const size_t i = next.fetch_add(1);
-        if (i >= ticks.size()) return;
-        labels[i] = DbscanLabelled(snapshots[i], params.eps, params.m);
-      }
-    };
-    std::vector<std::thread> pool;
-    for (int w = 0; w < workers; ++w) pool.emplace_back(cluster_worker);
-    for (std::thread& t : pool) t.join();
-  }
+  ParallelFor(workers, ticks.size(), [&](size_t, size_t i) {
+    labels[i] = DbscanLabelled(snapshots[i], params.eps, params.m);
+  });
   s->phases.Add("clustering", sw.ElapsedSeconds());
 
   // ---- Build per-object timelines and the co-clustering edge set.
@@ -193,25 +183,16 @@ Result<std::vector<Convoy>> MineSpare(Store* store, const MiningParams& params,
   std::atomic<uint64_t> budget{options.enumeration_budget};
   std::atomic<bool> exhausted{false};
   std::vector<std::vector<Convoy>> worker_results(workers);
-  {
-    std::atomic<uint32_t> next{0};
-    auto enum_worker = [&](int w) {
-      StarContext ctx{&universe, &timelines, &stars,
-                      &params,   &budget,    &exhausted};
-      for (;;) {
-        const uint32_t root = next.fetch_add(1);
-        if (root >= stars.size()) return;
-        if (stars[root].size() + 1 < static_cast<size_t>(params.m)) continue;
-        std::vector<uint32_t> members{root};
-        std::vector<Timestamp> root_ticks;
-        for (const auto& [t, cid] : timelines[root]) root_ticks.push_back(t);
-        Enumerate(ctx, root, &members, &root_ticks, 0, &worker_results[w]);
-      }
-    };
-    std::vector<std::thread> pool;
-    for (int w = 0; w < workers; ++w) pool.emplace_back(enum_worker, w);
-    for (std::thread& t : pool) t.join();
-  }
+  const StarContext ctx{&universe, &timelines, &stars,
+                        &params,   &budget,    &exhausted};
+  ParallelFor(workers, stars.size(), [&](size_t slot, size_t i) {
+    const uint32_t root = static_cast<uint32_t>(i);
+    if (stars[root].size() + 1 < static_cast<size_t>(params.m)) return;
+    std::vector<uint32_t> members{root};
+    std::vector<Timestamp> root_ticks;
+    for (const auto& [t, cid] : timelines[root]) root_ticks.push_back(t);
+    Enumerate(ctx, root, &members, &root_ticks, 0, &worker_results[slot]);
+  });
   s->dfs_nodes = options.enumeration_budget -
                  std::min(options.enumeration_budget, budget.load());
   s->budget_exhausted = exhausted.load();

@@ -4,9 +4,9 @@
 #include <optional>
 #include <span>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
+#include "common/parallel_for.h"
 #include "core/snapshot_slots.h"
 
 namespace k2 {
@@ -401,15 +401,13 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
   if (range.length() < params.k) return std::vector<Convoy>{};
 
   // Threading setup. With T = num_threads (default hardware_concurrency),
-  // every per-item phase runs on the calling thread plus T - 1 pool
-  // workers, each reading through its own store snapshot; T = 1 runs
-  // inline on the store itself.
+  // every per-item phase runs on the calling thread plus up to T - 1
+  // threads started for the phase, each reading through its own store
+  // snapshot; T = 1 runs inline on the store itself.
   int threads =
-      options.num_threads > 0
-          ? options.num_threads
-          : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  // Spawning the pool costs a thread create/join per worker. An explicit
-  // num_threads is always honored, but the default skips the pool for jobs
+      options.num_threads > 0 ? options.num_threads : HardwareThreads();
+  // Each phase costs a thread create/join per extra runner. An explicit
+  // num_threads is always honored, but the default runs inline for jobs
   // too small to amortize it (sub-millisecond mines in tests and sweeps).
   if (options.num_threads <= 0 && store->num_points() < 65536) threads = 1;
   SnapshotSlots slots(store, threads);

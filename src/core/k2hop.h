@@ -55,11 +55,12 @@ struct K2HopOptions {
   /// the store through its own Store::CreateReadSnapshot handle, so reads
   /// are never serialized (an rdbms snapshot brings its own buffer pool).
   /// 0 = hardware_concurrency, except that small stores (< 64k points) run
-  /// sequentially because the pool and snapshots cost more than they save
-  /// there; 1 = sequential on the store itself; an explicit value > 1
-  /// always uses the pool. Results and the Table-5 IO counters are
-  /// identical for every thread count: per-item outputs are gathered by
-  /// index and folded in order (see core/snapshot_slots.h).
+  /// sequentially because the threads and snapshots cost more than they
+  /// save there; 1 = sequential on the store itself; an explicit value > 1
+  /// starts threads for each phase (common/parallel_for.h). Results and the
+  /// Table-5 IO counters are identical for every thread count: per-item
+  /// outputs are gathered by index and folded in order (see
+  /// core/snapshot_slots.h).
   int num_threads = 0;
   /// Time shards of the benchmark grid (see PlanShards), mined in turn on
   /// the same runners; values below 1 mean 1. Convoys are identical for

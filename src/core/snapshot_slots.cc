@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "core/k2hop.h"
 
 namespace k2 {
@@ -11,36 +11,26 @@ SnapshotSlots::SnapshotSlots(Store* store, int threads)
     : store_(store),
       store_before_(store->io_stats()),
       slots_(static_cast<size_t>(std::max(threads, 1))) {
-  if (slots_.size() > 1) {
-    pool_ = std::make_unique<ThreadPool>(static_cast<int>(slots_.size()) - 1);
-  } else {
-    slots_[0].slot.store = store_;
-  }
-}
-
-SnapshotSlots::~SnapshotSlots() = default;
-
-Result<SnapshotSlots::Slot*> SnapshotSlots::Acquire(size_t slot) {
-  SlotState& s = slots_[slot];
-  if (s.slot.store == nullptr) {
-    MutexLock lock(create_mu_);
-    K2_ASSIGN_OR_RETURN(s.snapshot, store_->CreateReadSnapshot());
-    s.opened = s.snapshot->io_stats();
-    s.slot.store = s.snapshot.get();
-  }
-  return &s.slot;
+  if (slots_.size() == 1) slots_[0].slot.store = store_;
 }
 
 Status SnapshotSlots::ForEach(
     size_t n, const std::function<Status(Slot&, size_t)>& fn) {
-  if (pool_ == nullptr) {
+  if (slots_.size() == 1) {
     for (size_t i = 0; i < n; ++i) K2_RETURN_NOT_OK(fn(slots_[0].slot, i));
     return Status::OK();
   }
+  const size_t runners = std::min(slots_.size(), n);
+  for (size_t r = 0; r < runners; ++r) {
+    SlotState& s = slots_[r];
+    if (s.snapshot != nullptr) continue;
+    K2_ASSIGN_OR_RETURN(s.snapshot, store_->CreateReadSnapshot());
+    s.opened = s.snapshot->io_stats();
+    s.slot.store = s.snapshot.get();
+  }
   std::vector<Status> statuses(n);
-  pool_->ParallelFor(n, [&](size_t slot, size_t i) {
-    auto acquired = Acquire(slot);
-    statuses[i] = acquired.ok() ? fn(*acquired.value(), i) : acquired.status();
+  ParallelFor(static_cast<int>(runners), n, [&](size_t slot, size_t i) {
+    statuses[i] = fn(slots_[slot].slot, i);
   });
   for (Status& status : statuses) K2_RETURN_NOT_OK(status);
   return Status::OK();
@@ -89,7 +79,7 @@ Result<std::vector<Convoy>> SnapshotSlots::Validate(
 IoStats SnapshotSlots::io() const {
   IoStats total = IoStats::Delta(store_->io_stats(), store_before_);
   for (const SlotState& s : slots_) {
-    if (s.snapshot == nullptr) continue;  // no pool, or the slot never ran
+    if (s.snapshot == nullptr) continue;  // one slot, or the slot never ran
     total.Accumulate(IoStats::Delta(s.snapshot->io_stats(), s.opened));
   }
   return total;

@@ -1,10 +1,11 @@
 // The slot machinery of the parallel mining pipelines. A slot is one
-// concurrent runner — the calling thread or one pool worker — and owns
-// everything a task touches: a store handle and a clustering scratch. With
-// more than one slot, every slot reads through its own
-// Store::CreateReadSnapshot handle, so no two threads share a store handle
-// and no store access is serialized; with one slot there is no pool and the
-// slot reads the store itself, so the sequential run is the same code.
+// concurrent runner of a ParallelFor call — the calling thread or a thread
+// started for the call — and owns everything a task touches: a store
+// handle and a clustering scratch. With more than one slot, every slot
+// reads through its own Store::CreateReadSnapshot handle, so no two threads
+// share a store handle and no store access is serialized; with one slot no
+// thread is started and the slot reads the store itself, so the sequential
+// run is the same code.
 //
 // Per-item work (a benchmark point, a hop-window, a convoy's extension
 // walk, a validation candidate) is a deterministic function of the store's
@@ -21,15 +22,12 @@
 #include "baselines/validation.h"
 #include "cluster/clusterer.h"
 #include "common/convoy.h"
-#include "common/mutex.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/proof_book.h"
 #include "storage/store.h"
 
 namespace k2 {
-
-class ThreadPool;
 
 class SnapshotSlots {
  public:
@@ -40,19 +38,20 @@ class SnapshotSlots {
     SnapshotScratch scratch;
   };
 
-  /// `threads` runners: the calling thread plus `threads - 1` pool workers.
-  /// A slot's snapshot is opened on its first task, so idle slots cost
-  /// nothing. `store` is borrowed and must not be mutated while this object
-  /// lives.
+  /// `threads` runners: the calling thread plus up to `threads - 1` threads
+  /// started per ForEach. A slot's snapshot is opened by the first ForEach
+  /// that runs the slot, so unused slots cost nothing. `store` is borrowed
+  /// and must not be mutated while this object lives.
   SnapshotSlots(Store* store, int threads);
-  ~SnapshotSlots();
 
   SnapshotSlots(const SnapshotSlots&) = delete;
   SnapshotSlots& operator=(const SnapshotSlots&) = delete;
 
-  /// Runs fn(slot, i) for every i in [0, n): over the pool when there is
-  /// one (every item runs; the lowest-index failure is returned), else
-  /// inline in index order, stopping at the first failure.
+  /// Runs fn(slot, i) for every i in [0, n). With one slot, inline in index
+  /// order, stopping at the first failure. Otherwise on ParallelFor, after
+  /// the calling thread opened the snapshot of every slot the call will run
+  /// (a failed open is the call's error, and no item runs); every item runs
+  /// and the lowest-index failure is returned.
   Status ForEach(size_t n, const std::function<Status(Slot&, size_t)>& fn);
 
   /// Extension to exact lifespans (Sec. 4.5): one ConvoyExtensionWalk per
@@ -79,20 +78,13 @@ class SnapshotSlots {
  private:
   struct SlotState {
     Slot slot;
-    std::unique_ptr<Store> snapshot;  ///< null until opened, or no pool
+    std::unique_ptr<Store> snapshot;  ///< null until opened, or one slot
     IoStats opened;                   ///< the snapshot's counters when opened
   };
 
-  /// The slot, with its snapshot opened on first use.
-  Result<Slot*> Acquire(size_t slot);
-
   Store* store_;
   IoStats store_before_;
-  std::unique_ptr<ThreadPool> pool_;
   std::vector<SlotState> slots_;
-  /// Serializes snapshot creation: two slots opening at once would both
-  /// call into the shared parent store.
-  Mutex create_mu_;
 };
 
 }  // namespace k2

@@ -9,12 +9,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <unordered_map>
 
+#include "cluster/clusterer.h"
 #include "common/mutex.h"
+#include "common/parallel_for.h"
 #include "common/stopwatch.h"
 #include "common/thread_annotations.h"
 #include "core/online.h"
@@ -27,12 +29,6 @@ namespace {
 
 Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
-}
-
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
 }
 
 /// How long a worker polls epoll before it sleeps: waking a thread whose
@@ -469,36 +465,14 @@ struct K2Server::Impl {
   }
 };
 
-K2ServerOptions K2ServerOptions::FromEnv() {
-  K2ServerOptions options;
-  if (const char* host = std::getenv("K2_SERVER_HOST"))
-    if (*host != '\0') options.host = host;
-  options.port =
-      static_cast<uint16_t>(EnvInt("K2_SERVER_PORT", options.port));
-  options.num_workers = EnvInt("K2_SERVER_WORKERS", options.num_workers);
-  options.publish_every = static_cast<size_t>(
-      EnvInt("K2_SERVER_PUBLISH_EVERY",
-             static_cast<int>(options.publish_every)));
-  const int max_mb = EnvInt(
-      "K2_SERVER_MAX_FRAME_MB",
-      static_cast<int>(options.max_frame_payload >> 20));
-  if (max_mb > 0)
-    options.max_frame_payload = static_cast<size_t>(max_mb) << 20;
-  options.drain_timeout_ms =
-      EnvInt("K2_SERVER_DRAIN_TIMEOUT_MS", options.drain_timeout_ms);
-  return options;
-}
-
 K2Server::K2Server(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
 
 Result<std::unique_ptr<K2Server>> K2Server::Start(K2ServerOptions options) {
+  K2_RETURN_NOT_OK(ValidateMiningParams(options.params));
   if (options.publish_every == 0) options.publish_every = 1;
-  int workers = options.num_workers;
-  if (workers <= 0) {
-    workers = static_cast<int>(std::thread::hardware_concurrency());
-    if (workers <= 0) workers = 1;
-    if (workers > 16) workers = 16;
-  }
+  const int workers = options.num_workers > 0
+                          ? options.num_workers
+                          : std::min(HardwareThreads(), 16);
 
   struct sockaddr_in addr = {};
   addr.sin_family = AF_INET;

@@ -62,18 +62,14 @@ struct K2ServerOptions {
   /// Shutdown drain: max milliseconds each worker spends flushing one
   /// connection's pending replies before closing it anyway.
   int drain_timeout_ms = 2000;
-
-  /// Applies the K2_SERVER_* environment knobs (PORT, HOST, WORKERS,
-  /// PUBLISH_EVERY, MAX_FRAME_MB, DRAIN_TIMEOUT_MS — see
-  /// docs/OPERATIONS.md) over the built-in defaults. Command-line flags in
-  /// k2_server override the result.
-  static K2ServerOptions FromEnv();
 };
 
 /// A running server. Construction via Start() fully binds, listens, and
 /// launches the workers; destruction requests shutdown and joins them.
 class K2Server {
  public:
+  /// Invalid `options.params` (ValidateMiningParams) fail before any socket
+  /// or thread exists: such a server could never ingest a tick.
   static Result<std::unique_ptr<K2Server>> Start(K2ServerOptions options);
   ~K2Server();
 

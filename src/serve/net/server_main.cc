@@ -5,12 +5,16 @@
 //   k2_server [--host A] [--port N] [--workers N] [--m N] [--k N]
 //             [--eps F] [--publish-every N] [--drain-timeout-ms N]
 //
-// Flags override the K2_SERVER_* environment knobs (docs/OPERATIONS.md);
+// Flags are the only configuration (docs/OPERATIONS.md). A numeric flag
+// must parse whole and fit its type, else the binary exits 2 naming it;
+// invalid mining parameters make Start fail before anything is bound.
 // SIGINT/SIGTERM trigger the same graceful drain as a kShutdown message.
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include <unistd.h>
@@ -35,15 +39,33 @@ void Usage(const char* argv0) {
       stderr,
       "usage: %s [--host A] [--port N] [--workers N] [--m N] [--k N]\n"
       "          [--eps F] [--publish-every N] [--drain-timeout-ms N]\n"
-      "Serves the k2 wire protocol (docs/WIRE_PROTOCOL.md). Flags override\n"
-      "the K2_SERVER_* environment knobs (docs/OPERATIONS.md).\n",
+      "Serves the k2 wire protocol (docs/WIRE_PROTOCOL.md); the flags are\n"
+      "described in docs/OPERATIONS.md.\n",
       argv0);
+}
+
+/// `text` as a T in [lo, hi]: the whole string must parse (std::from_chars,
+/// as the CSV reader's fields do). Otherwise exits 2, naming `flag`.
+template <typename T>
+T ParseFlag(const char* argv0, const std::string& flag, const char* text,
+            T lo = std::numeric_limits<T>::lowest(),
+            T hi = std::numeric_limits<T>::max()) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (text == end || ec != std::errc() || ptr != end ||
+      !(value >= lo && value <= hi)) {
+    std::fprintf(stderr, "%s: invalid value '%s' for %s\n", argv0, text,
+                 flag.c_str());
+    std::exit(2);
+  }
+  return value;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  k2::net::K2ServerOptions options = k2::net::K2ServerOptions::FromEnv();
+  k2::net::K2ServerOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
@@ -56,19 +78,19 @@ int main(int argc, char** argv) {
     if (arg == "--host") {
       options.host = value();
     } else if (arg == "--port") {
-      options.port = static_cast<uint16_t>(std::atoi(value()));
+      options.port = ParseFlag<uint16_t>(argv[0], arg, value());
     } else if (arg == "--workers") {
-      options.num_workers = std::atoi(value());
+      options.num_workers = ParseFlag<int>(argv[0], arg, value(), 0);
     } else if (arg == "--m") {
-      options.params.m = std::atoi(value());
+      options.params.m = ParseFlag<int>(argv[0], arg, value());
     } else if (arg == "--k") {
-      options.params.k = std::atoi(value());
+      options.params.k = ParseFlag<int>(argv[0], arg, value());
     } else if (arg == "--eps") {
-      options.params.eps = std::atof(value());
+      options.params.eps = ParseFlag<double>(argv[0], arg, value());
     } else if (arg == "--publish-every") {
-      options.publish_every = static_cast<size_t>(std::atoll(value()));
+      options.publish_every = ParseFlag<size_t>(argv[0], arg, value());
     } else if (arg == "--drain-timeout-ms") {
-      options.drain_timeout_ms = std::atoi(value());
+      options.drain_timeout_ms = ParseFlag<int>(argv[0], arg, value(), 0);
     } else if (arg == "--help" || arg == "-h") {
       Usage(argv[0]);
       return 0;

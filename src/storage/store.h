@@ -130,7 +130,7 @@ class Store {
   virtual Status status() const { return Status::OK(); }
 
   /// Creates an independent read-only view of the store's current content
-  /// for one concurrent reader thread (the miners open one per pool slot,
+  /// for one concurrent reader thread (the miners open one per runner slot,
   /// see core/snapshot_slots.h). Contract:
   ///
   ///  * the snapshot borrows the parent: it must not outlive the parent

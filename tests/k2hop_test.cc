@@ -682,5 +682,63 @@ INSTANTIATE_TEST_SUITE_P(EveryStore, K2HopEveryStoreTest,
                            return StoreKindName(info.param);
                          });
 
+// A memory store whose read snapshots fail to open.
+class SnapshotlessStore final : public Store {
+ public:
+  explicit SnapshotlessStore(Dataset dataset) : inner_(std::move(dataset)) {}
+  std::string name() const override { return "snapshotless"; }
+  Status BulkLoad(const Dataset& dataset) override {
+    return inner_.BulkLoad(dataset);
+  }
+  Status ScanTimestamp(Timestamp t, std::vector<SnapshotPoint>* out) override {
+    return inner_.ScanTimestamp(t, out);
+  }
+  Status GetPoints(Timestamp t, const ObjectSet& objects,
+                   std::vector<SnapshotPoint>* out) override {
+    return inner_.GetPoints(t, objects, out);
+  }
+  TimeRange time_range() const override { return inner_.time_range(); }
+  const std::vector<Timestamp>& timestamps() const override {
+    return inner_.timestamps();
+  }
+  uint64_t num_points() const override { return inner_.num_points(); }
+  Result<std::unique_ptr<Store>> CreateReadSnapshot() override {
+    return Status::IOError("snapshot open failed");
+  }
+
+ private:
+  MemoryStore inner_;
+};
+
+TEST(K2HopTest, FailedSnapshotOpenIsTheMinesError) {
+  // The calling thread opens every runner's snapshot before a phase starts,
+  // so a failed open must surface as the mine's error. One thread reads the
+  // store itself and opens no snapshot.
+  RandomWalkSpec spec;
+  spec.num_objects = 24;
+  spec.num_ticks = 40;
+  spec.area = 24.0;
+  spec.step = 3.0;
+  spec.seed = 19;
+  const Dataset dataset = GenerateRandomWalk(spec);
+  SnapshotlessStore store(dataset);
+  const MiningParams params{3, 6, 7.0};
+  K2HopOptions options;
+
+  options.num_threads = 2;
+  auto failed = MineK2Hop(&store, params, options);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(failed.status().message(), "snapshot open failed");
+
+  options.num_threads = 1;
+  auto mined = MineK2Hop(&store, params, options);
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  auto want = MineK2Hop(MakeMemStore(dataset).get(), params, options);
+  ASSERT_TRUE(want.ok());
+  ASSERT_FALSE(want.value().empty()) << "weak test input";
+  EXPECT_EQ(mined.value(), want.value());
+}
+
 }  // namespace
 }  // namespace k2

@@ -46,7 +46,7 @@ void ExpectPartitionedMatchesBatch(const Dataset& data,
   for (int shards : shard_counts) {
     K2HopOptions options;
     options.num_shards = shards;
-    options.num_threads = shards > 1 ? 3 : 1;  // exercise the pool path
+    options.num_threads = shards > 1 ? 3 : 1;  // exercise the threaded path
     auto mined = MineK2Hop(store.get(), params, options);
     ASSERT_TRUE(mined.ok()) << mined.status().ToString();
     // Byte-exact: both sides are in canonical sorted order.

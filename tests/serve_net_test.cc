@@ -425,6 +425,17 @@ TEST(K2ServerTest, StartsAndStopsWithoutClients) {
   EXPECT_FALSE(server.value()->running());
 }
 
+TEST(K2ServerTest, InvalidMiningParamsFailStart) {
+  // m = 1 makes the miner's parameter error sticky, so such a server would
+  // reject every tick; Start must refuse it before binding anything.
+  K2ServerOptions options = TestServerOptions();
+  options.params.m = 1;
+  options.num_workers = 1;
+  auto server = K2Server::Start(options);
+  ASSERT_FALSE(server.ok());
+  EXPECT_EQ(server.status().code(), StatusCode::kInvalid);
+}
+
 TEST(K2ServerTest, HandshakePingAndEmptyStats) {
   auto server = K2Server::Start(TestServerOptions());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
