@@ -6,12 +6,12 @@
 // thread hammering the same catalog through pinned snapshots, the
 // concurrent read path the epoch/RCU design exists for.
 #include "bench/harness.h"
+#include "bench/query_mix.h"
 
 #include <atomic>
 
 #include "common/check.h"
 #include "common/parallel_for.h"
-#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "core/online.h"
 #include "serve/catalog.h"
@@ -22,54 +22,6 @@ using namespace k2;
 using namespace k2::bench;
 
 namespace {
-
-struct QueryMix {
-  std::vector<ObjectId> oids;
-  std::vector<TimeRange> windows;
-  std::vector<Rect> rects;
-  std::vector<ConvoyQuery> conjunctions;
-};
-
-QueryMix MakeMix(const Dataset& data, size_t per_type) {
-  QueryMix mix;
-  Rng rng(777);
-  std::vector<ObjectId> all_oids;
-  for (const PointRecord& rec : data.records()) all_oids.push_back(rec.oid);
-  std::sort(all_oids.begin(), all_oids.end());
-  all_oids.erase(std::unique(all_oids.begin(), all_oids.end()),
-                 all_oids.end());
-
-  Rect box;
-  box.min_x = box.max_x = data.records()[0].x;
-  box.min_y = box.max_y = data.records()[0].y;
-  for (const PointRecord& rec : data.records()) {
-    box.min_x = std::min(box.min_x, rec.x);
-    box.max_x = std::max(box.max_x, rec.x);
-    box.min_y = std::min(box.min_y, rec.y);
-    box.max_y = std::max(box.max_y, rec.y);
-  }
-  const TimeRange range = data.time_range();
-  const auto span = static_cast<uint64_t>(range.length());
-
-  for (size_t i = 0; i < per_type; ++i) {
-    mix.oids.push_back(all_oids[rng.NextInt(all_oids.size())]);
-    const auto a = static_cast<Timestamp>(range.start + rng.NextInt(span));
-    mix.windows.push_back(
-        {a, static_cast<Timestamp>(a + rng.NextInt(span / 4 + 1))});
-    const double x0 = rng.Uniform(box.min_x, box.max_x);
-    const double y0 = rng.Uniform(box.min_y, box.max_y);
-    const double max_w = (box.max_x - box.min_x) / 4;
-    const double max_h = (box.max_y - box.min_y) / 4;
-    mix.rects.push_back(Rect{x0, y0, x0 + rng.Uniform(0.0, max_w),
-                             y0 + rng.Uniform(0.0, max_h)});
-    ConvoyQuery q;
-    q.object = mix.oids.back();
-    q.time_window = mix.windows.back();
-    if (i % 2 == 0) q.region = mix.rects.back();
-    mix.conjunctions.push_back(q);
-  }
-  return mix;
-}
 
 /// Runs `queries` rounds of one query type against a pinned snapshot;
 /// returns queries/sec. `sink` defeats dead-code elimination.
@@ -176,7 +128,7 @@ int main(int argc, char** argv) {
   }
 
   // --- differential probe: the three catalogs must agree -----------------
-  const QueryMix mix = MakeMix(data, 64);
+  const QueryMix mix = MakeQueryMix(data, 64);
   for (const SourceResult& src : sources) {
     K2_CHECK(src.snap->convoys() == sources[0].snap->convoys());
     std::vector<ConvoyId> expected, got;

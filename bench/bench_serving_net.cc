@@ -14,6 +14,7 @@
 // serve-net-sat@c64 — the connection count is fixed, never derived from
 // hardware_concurrency).
 #include "bench/harness.h"
+#include "bench/query_mix.h"
 
 #include <algorithm>
 #include <atomic>
@@ -23,7 +24,6 @@
 
 #include "common/check.h"
 #include "common/mutex.h"
-#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "serve/net/client.h"
 #include "serve/net/server.h"
@@ -39,53 +39,8 @@ constexpr int kPipelineDepth = 64;
 constexpr int kLatencyRoundsPerConn = 300;
 constexpr int kSaturationBatchesPerConn = 40;
 
-struct WireMix {
-  std::vector<ObjectId> oids;
-  std::vector<TimeRange> windows;
-  std::vector<Rect> rects;
-  std::vector<ConvoyQuery> conjunctions;
-};
-
-WireMix MakeWireMix(const Dataset& data, size_t per_type) {
-  WireMix mix;
-  Rng rng(777);
-  std::vector<ObjectId> all_oids;
-  for (const PointRecord& rec : data.records()) all_oids.push_back(rec.oid);
-  std::sort(all_oids.begin(), all_oids.end());
-  all_oids.erase(std::unique(all_oids.begin(), all_oids.end()),
-                 all_oids.end());
-  Rect box;
-  box.min_x = box.max_x = data.records()[0].x;
-  box.min_y = box.max_y = data.records()[0].y;
-  for (const PointRecord& rec : data.records()) {
-    box.min_x = std::min(box.min_x, rec.x);
-    box.max_x = std::max(box.max_x, rec.x);
-    box.min_y = std::min(box.min_y, rec.y);
-    box.max_y = std::max(box.max_y, rec.y);
-  }
-  const TimeRange range = data.time_range();
-  const auto span = static_cast<uint64_t>(range.length());
-  for (size_t i = 0; i < per_type; ++i) {
-    mix.oids.push_back(all_oids[rng.NextInt(all_oids.size())]);
-    const auto a = static_cast<Timestamp>(range.start + rng.NextInt(span));
-    mix.windows.push_back(
-        {a, static_cast<Timestamp>(a + rng.NextInt(span / 4 + 1))});
-    const double x0 = rng.Uniform(box.min_x, box.max_x);
-    const double y0 = rng.Uniform(box.min_y, box.max_y);
-    mix.rects.push_back(Rect{x0, y0,
-                             x0 + rng.Uniform(0.0, (box.max_x - box.min_x) / 4),
-                             y0 + rng.Uniform(0.0, (box.max_y - box.min_y) / 4)});
-    ConvoyQuery q;
-    q.object = mix.oids.back();
-    q.time_window = mix.windows.back();
-    if (i % 2 == 0) q.region = mix.rects.back();
-    mix.conjunctions.push_back(q);
-  }
-  return mix;
-}
-
 /// The i-th request of a connection's deterministic query schedule.
-ConvoyQuery MixQuery(const WireMix& mix, size_t i) {
+ConvoyQuery MixQuery(const QueryMix& mix, size_t i) {
   const size_t slot = i % mix.oids.size();
   ConvoyQuery q;
   switch (i % 4) {
@@ -157,7 +112,7 @@ int main(int argc, char** argv) {
             << " eagerly closed convoys\n\n";
   K2_CHECK(catalog_convoys > 0);
 
-  const WireMix mix = MakeWireMix(data, 64);
+  const QueryMix mix = MakeQueryMix(data, 64);
 
   // --- latency phase: blocking round trips on 64 connections --------------
   std::vector<double> latencies_ms;

@@ -16,6 +16,10 @@ exit 1 — when:
   * a record's wall time exceeds baseline * tolerance (default 2.0,
     override with --tolerance or K2_BENCH_TIME_TOL), ignoring records
     where both sides are under --min-ms (default 5 ms, pure noise);
+  * a mining-phase time (benchmark_ms, candidates_ms, hwmt_ms, merge_ms,
+    extend_right_ms, extend_left_ms, validation_ms; the k/2-hop records
+    carry them) exceeds baseline * tolerance, with the same --min-ms
+    floor; a field absent on either side is skipped;
   * a latency-percentile field (any numeric key ending in _p50, _p99 or
     _p999, e.g. the streaming bench's append_ms_p99) exceeds baseline *
     tolerance, ignoring fields where both sides are under --min-pct-ms
@@ -77,6 +81,21 @@ def percentile_fields(base, live):
                 and isinstance(live.get(key), (int, float))):
             fields.append(key)
     return sorted(fields)
+
+
+PHASE_FIELDS = ("benchmark_ms", "candidates_ms", "hwmt_ms", "merge_ms",
+                "extend_right_ms", "extend_left_ms", "validation_ms")
+
+
+def timed_fields(base, live):
+    """(label, baseline ms, fresh ms): the wall time, then every phase field
+    that both records carry."""
+    yield ("wall time", float(base.get("wall_ms", 0.0)),
+           float(live.get("wall_ms", 0.0)))
+    for field in PHASE_FIELDS:
+        if (isinstance(base.get(field), (int, float))
+                and isinstance(live.get(field), (int, float))):
+            yield field, float(base[field]), float(live[field])
 
 
 def fmt_key(key):
@@ -141,20 +160,19 @@ def main():
                     f"{tag}: {field} {base_p:.3f} ms -> {live_p:.3f} ms "
                     f"({live_p / max(base_p, 1e-9):.2f}x > "
                     f"{args.tolerance:.1f}x tolerance)")
-        base_ms = float(base.get("wall_ms", 0.0))
-        live_ms = float(live.get("wall_ms", 0.0))
-        if base_ms < args.min_ms and live_ms < args.min_ms:
-            continue
-        if live_ms > base_ms * args.tolerance:
-            failures.append(
-                f"{tag}: wall time {base_ms:.1f} ms -> {live_ms:.1f} ms "
-                f"({live_ms / max(base_ms, 1e-9):.2f}x > "
-                f"{args.tolerance:.1f}x tolerance)")
-        elif base_ms > live_ms * args.tolerance:
-            notes.append(
-                f"{tag}: {live_ms / max(base_ms, 1e-9):.2f}x of baseline "
-                f"({base_ms:.1f} -> {live_ms:.1f} ms) — consider committing "
-                "a fresh snapshot")
+        for label, base_ms, live_ms in timed_fields(base, live):
+            if base_ms < args.min_ms and live_ms < args.min_ms:
+                continue
+            if live_ms > base_ms * args.tolerance:
+                failures.append(
+                    f"{tag}: {label} {base_ms:.1f} ms -> {live_ms:.1f} ms "
+                    f"({live_ms / max(base_ms, 1e-9):.2f}x > "
+                    f"{args.tolerance:.1f}x tolerance)")
+            elif label == "wall time" and base_ms > live_ms * args.tolerance:
+                notes.append(
+                    f"{tag}: {live_ms / max(base_ms, 1e-9):.2f}x of baseline "
+                    f"({base_ms:.1f} -> {live_ms:.1f} ms) — consider "
+                    "committing a fresh snapshot")
 
     for key in sorted(set(fresh_records) - set(base_records), key=fmt_key):
         notes.append(f"{fmt_key(key)}: new record (not in baseline)")

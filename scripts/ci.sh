@@ -4,7 +4,8 @@
 #   scripts/ci.sh [build-dir]      configure + build everything + smoke ctest
 #                                  (the default gate; gcc or clang)
 #   scripts/ci.sh --lint           project lints: scripts/lint_k2.py over the
-#                                  tree, then its own unit tests. No compiler
+#                                  tree, then its own unit tests and those of
+#                                  scripts/bench_compare.py. No compiler
 #                                  needed — runs anywhere with python3.
 #   scripts/ci.sh --tidy [dir]     clang-tidy over src/ with the checked-in
 #                                  .clang-tidy baseline (zero findings =
@@ -27,6 +28,7 @@ fi
 run_lint() {
   python3 scripts/lint_k2.py
   python3 scripts/lint_k2_test.py
+  python3 scripts/bench_compare_test.py
 }
 
 find_clang_tidy() {

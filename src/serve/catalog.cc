@@ -140,9 +140,8 @@ ConvoyCatalog::ConvoyCatalog(CatalogOptions options)
   // Epoch 0: an empty snapshot, so snapshot() is never null. No other
   // thread can exist yet, but Store demands the writer capability.
   MutexLock lock(writer_mu_);
-  snapshot_.Store(
-      std::shared_ptr<const CatalogSnapshot>(new CatalogSnapshot()),
-      writer_mu_);
+  base_.reset(new CatalogSnapshot());
+  snapshot_.Store(base_, writer_mu_);
 }
 
 Status ConvoyCatalog::AddConvoys(std::span<const Convoy> convoys,
@@ -160,10 +159,21 @@ Status ConvoyCatalog::AddConvoy(const Convoy& convoy, Store* store) {
 }
 
 Status ConvoyCatalog::AddLocked(const Convoy& convoy, Store* store) {
-  if (entries_.contains(convoy)) return Status::OK();
+  if (FindLocked(convoy)) return Status::OK();
   K2_ASSIGN_OR_RETURN(auto footprint, BuildFootprint(convoy, store));
-  entries_.emplace(convoy, std::move(footprint));
+  added_.emplace(convoy, std::move(footprint));
   return Status::OK();
+}
+
+std::shared_ptr<const Footprint> ConvoyCatalog::FindLocked(
+    const Convoy& convoy) const {
+  const std::vector<Convoy>& published = base_->convoys_;
+  const auto it = std::lower_bound(published.begin(), published.end(), convoy);
+  if (it != published.end() && *it == convoy) {
+    return base_->footprints_[static_cast<size_t>(it - published.begin())];
+  }
+  const auto added = added_.find(convoy);
+  return added == added_.end() ? nullptr : added->second;
 }
 
 Status ConvoyCatalog::ReplaceAll(std::span<const Convoy> convoys,
@@ -174,15 +184,14 @@ Status ConvoyCatalog::ReplaceAll(std::span<const Convoy> convoys,
   std::map<Convoy, std::shared_ptr<const Footprint>> next;
   for (const Convoy& convoy : convoys) {
     if (next.contains(convoy)) continue;
-    const auto it = entries_.find(convoy);
-    if (it != entries_.end()) {
-      next.emplace(convoy, it->second);
-      continue;
+    std::shared_ptr<const Footprint> footprint = FindLocked(convoy);
+    if (!footprint) {
+      K2_ASSIGN_OR_RETURN(footprint, BuildFootprint(convoy, store));
     }
-    K2_ASSIGN_OR_RETURN(auto footprint, BuildFootprint(convoy, store));
     next.emplace(convoy, std::move(footprint));
   }
-  entries_ = std::move(next);
+  base_.reset(new CatalogSnapshot());
+  added_ = std::move(next);
   return Status::OK();
 }
 
@@ -221,19 +230,38 @@ std::shared_ptr<const CatalogSnapshot> ConvoyCatalog::Publish() {
 }
 
 std::shared_ptr<const CatalogSnapshot> ConvoyCatalog::PublishLocked() {
+  const CatalogSnapshot& old = *base_;
   std::shared_ptr<CatalogSnapshot> snap(new CatalogSnapshot());
   snap->epoch_ = ++epoch_;
-  const size_t n = entries_.size();
+  const size_t n = old.size() + added_.size();
   snap->convoys_.reserve(n);
+  snap->footprints_.reserve(n);
+  snap->boxes_.reserve(n);
 
-  std::vector<std::pair<ObjectId, ConvoyId>> postings;
-  for (const auto& [convoy, footprint] : entries_) {  // canonical order
-    const ConvoyId id = static_cast<ConvoyId>(snap->convoys_.size());
-    for (ObjectId oid : convoy.objects) postings.emplace_back(oid, id);
+  // Convoys, footprints and boxes: the additions merged into the old
+  // canonical order. remap[i] is old id i's new id (increasing in i), and
+  // fresh lists the additions' new ids, ascending.
+  const auto push = [&snap](const Convoy& convoy,
+                           const std::shared_ptr<const Footprint>& footprint) {
     snap->convoys_.push_back(convoy);
     snap->footprints_.push_back(footprint);
     snap->boxes_.push_back(footprint->box);
     snap->footprint_points_ += footprint->points.size();
+    return static_cast<ConvoyId>(snap->convoys_.size() - 1);
+  };
+  std::vector<ConvoyId> remap, fresh;
+  remap.reserve(old.size());
+  fresh.reserve(added_.size());
+  auto add = added_.begin();
+  for (size_t i = 0; i < old.size() || add != added_.end();) {
+    if (add == added_.end() ||
+        (i < old.size() && old.convoys_[i] < add->first)) {
+      remap.push_back(push(old.convoys_[i], old.footprints_[i]));
+      ++i;
+    } else {
+      fresh.push_back(push(add->first, add->second));
+      ++add;
+    }
   }
 
   // Interval index: max-end segment tree over the start-sorted convoys.
@@ -248,9 +276,26 @@ std::shared_ptr<const CatalogSnapshot> ConvoyCatalog::PublishLocked() {
         std::max(snap->seg_max_end_[2 * i], snap->seg_max_end_[2 * i + 1]);
   }
 
-  // Inverted object index: CSR postings, ids ascending per oid (the sort is
-  // by (oid, id) and ids were appended in ascending order).
-  std::sort(postings.begin(), postings.end());
+  // Inverted object index: the old postings as (oid, remapped id) pairs
+  // keep their (oid, id) order, since the remap is increasing; merging in
+  // the additions' sorted pairs gives the CSR order with ids ascending per
+  // oid. Only the additions' pairs are sorted.
+  std::vector<std::pair<ObjectId, ConvoyId>> postings;
+  postings.reserve(old.obj_postings_.size());
+  for (size_t o = 0; o < old.obj_oids_.size(); ++o) {
+    for (uint32_t p = old.obj_starts_[o]; p < old.obj_starts_[o + 1]; ++p) {
+      postings.emplace_back(old.obj_oids_[o], remap[old.obj_postings_[p]]);
+    }
+  }
+  const size_t old_postings = postings.size();
+  for (ConvoyId id : fresh) {
+    for (ObjectId oid : snap->convoys_[id].objects) {
+      postings.emplace_back(oid, id);
+    }
+  }
+  std::sort(postings.begin() + old_postings, postings.end());
+  std::inplace_merge(postings.begin(), postings.begin() + old_postings,
+                     postings.end());
   snap->obj_postings_.reserve(postings.size());
   for (const auto& [oid, id] : postings) {
     if (snap->obj_oids_.empty() || snap->obj_oids_.back() != oid) {
@@ -263,30 +308,35 @@ std::shared_ptr<const CatalogSnapshot> ConvoyCatalog::PublishLocked() {
   snap->obj_starts_.push_back(
       static_cast<uint32_t>(snap->obj_postings_.size()));
 
-  // Rank orders: metric descending, ties by ascending id.
-  snap->by_length_.resize(n);
-  snap->by_size_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    snap->by_length_[i] = snap->by_size_[i] = static_cast<ConvoyId>(i);
-  }
+  // Rank orders (metric descending, ties by ascending id): the old order
+  // remapped is still ranked, because metrics do not change and the remap
+  // keeps ties in id order; merge in the additions, ranked on their own.
   const CatalogSnapshot* s = snap.get();
-  std::sort(snap->by_length_.begin(), snap->by_length_.end(),
-            [s](ConvoyId a, ConvoyId b) {
-              return s->RankBefore(ConvoyRank::kLongest, a, b);
-            });
-  std::sort(snap->by_size_.begin(), snap->by_size_.end(),
-            [s](ConvoyId a, ConvoyId b) {
-              return s->RankBefore(ConvoyRank::kLargest, a, b);
-            });
+  for (const ConvoyRank rank : {ConvoyRank::kLongest, ConvoyRank::kLargest}) {
+    const auto before = [s, rank](ConvoyId a, ConvoyId b) {
+      return s->RankBefore(rank, a, b);
+    };
+    std::vector<ConvoyId> order;
+    order.reserve(n);
+    for (ConvoyId id : old.Ranked(rank)) order.push_back(remap[id]);
+    const size_t old_ranked = order.size();
+    order.insert(order.end(), fresh.begin(), fresh.end());
+    std::sort(order.begin() + old_ranked, order.end(), before);
+    std::inplace_merge(order.begin(), order.begin() + old_ranked, order.end(),
+                       before);
+    (rank == ConvoyRank::kLongest ? snap->by_length_ : snap->by_size_) =
+        std::move(order);
+  }
 
-  std::shared_ptr<const CatalogSnapshot> published = std::move(snap);
-  snapshot_.Store(published, writer_mu_);
-  return published;
+  base_ = std::move(snap);
+  added_.clear();
+  snapshot_.Store(base_, writer_mu_);
+  return base_;
 }
 
 size_t ConvoyCatalog::pending_size() const {
   MutexLock lock(writer_mu_);
-  return entries_.size();
+  return base_->size() + added_.size();
 }
 
 Status ConvoyCatalog::hook_status() const {

@@ -8,6 +8,12 @@
 // convoys contain object o? overlap window [a,b]? pass through region R?)
 // are index lookups instead of rescans of a flat result vector.
 //
+// Publishing is incremental: the writer keeps the last published snapshot
+// plus the convoys added since, and Publish() merges the sorted additions
+// into that snapshot in one linear pass (canonical order yields an old ->
+// new id remap; postings and rank orders are the old ones remapped with
+// the additions merged in), so no existing posting or rank is re-sorted.
+//
 // Concurrency model (epoch/RCU, left-right flavour): the write side
 // (AddConvoys / ReplaceAll / Publish, single writer, internally serialized)
 // builds a fresh immutable CatalogSnapshot and publishes it through a
@@ -211,8 +217,8 @@ class ConvoyCatalog {
 
   /// Adds convoys to the writer state, building each NEW convoy's spatial
   /// footprint from `store` (GetPoints reads of the member objects over the
-  /// sampled lifespan ticks); re-adding a known convoy is a no-op. Not
-  /// visible to readers until Publish().
+  /// sampled lifespan ticks); re-adding a known convoy (published or
+  /// pending) is a no-op. Not visible to readers until Publish().
   Status AddConvoys(std::span<const Convoy> convoys, Store* store)
       K2_EXCLUDES(writer_mu_);
   Status AddConvoy(const Convoy& convoy, Store* store)
@@ -222,13 +228,15 @@ class ConvoyCatalog {
   /// OnlineK2HopMiner::Finalize(), whose authoritative result may drop an
   /// eagerly emitted convoy that ended up dominated. Footprints of convoys
   /// already in the catalog are shared, not rebuilt. On error the
-  /// catalog is unchanged. Publish() afterwards to expose the new content.
+  /// catalog is unchanged. Publish() afterwards to expose the new content;
+  /// that publish merges the whole replacement into an empty snapshot.
   Status ReplaceAll(std::span<const Convoy> convoys, Store* store)
       K2_EXCLUDES(writer_mu_);
 
-  /// Builds a snapshot of the current writer state and atomically swaps it
-  /// in as the new epoch; returns the published snapshot. O(convoys): no
-  /// footprint point is copied.
+  /// Merges the convoys added since the last publish into it and
+  /// atomically swaps the result in as the new epoch; returns the published
+  /// snapshot. Linear in the catalog's convoys and postings, plus a sort of
+  /// the additions only; no footprint point is copied.
   std::shared_ptr<const CatalogSnapshot> Publish() K2_EXCLUDES(writer_mu_);
 
   /// The latest published snapshot (never null: epoch 0 is an empty
@@ -237,8 +245,9 @@ class ConvoyCatalog {
     return snapshot_.Load();
   }
 
-  /// Convoys in the writer state (>= the published snapshot's size until
-  /// the next Publish()).
+  /// Convoys the next Publish() will expose. AddConvoys only grows it, but
+  /// after a ReplaceAll that drops convoys it is the replacement's size,
+  /// which can be below the published snapshot's.
   size_t pending_size() const K2_EXCLUDES(writer_mu_);
 
   /// First error swallowed by OnClosedHook (hooks cannot propagate Status);
@@ -251,14 +260,20 @@ class ConvoyCatalog {
   /// every `publish_every` ingests. Errors are sticky in hook_status().
   /// The returned callable borrows this catalog and `store`.
   ///
-  /// A convoy's footprint is read once, at ingest, and a publish is
-  /// O(convoys) (see Publish()); raise publish_every (or publish on a
-  /// timer) only for catalogs of very many convoys.
+  /// A convoy's footprint is read once, at ingest. A publish is one linear
+  /// pass of plain copies over the catalog that re-sorts nothing already
+  /// published (see Publish()); raise publish_every (or publish on a timer)
+  /// only when that pass, which grows with the catalog, shows in ingest
+  /// latency.
   std::function<void(const Convoy&)> OnClosedHook(Store* store,
                                                   size_t publish_every = 1);
 
  private:
   Status AddLocked(const Convoy& convoy, Store* store)
+      K2_REQUIRES(writer_mu_);
+  /// The shared footprint of `convoy` when the writer state holds it (in
+  /// base_ or added_), else null.
+  std::shared_ptr<const Footprint> FindLocked(const Convoy& convoy) const
       K2_REQUIRES(writer_mu_);
   std::shared_ptr<const CatalogSnapshot> PublishLocked()
       K2_REQUIRES(writer_mu_);
@@ -267,9 +282,12 @@ class ConvoyCatalog {
 
   CatalogOptions options_;
   mutable Mutex writer_mu_;
-  /// Master state: convoy -> shared footprint, in canonical order (which
-  /// is what makes snapshot ids deterministic).
-  std::map<Convoy, std::shared_ptr<const Footprint>> entries_
+  /// The snapshot the next Publish() merges added_ into: the last published
+  /// one, or an empty one after ReplaceAll.
+  std::shared_ptr<const CatalogSnapshot> base_ K2_GUARDED_BY(writer_mu_);
+  /// Convoys added since, none of them in base_, with their shared
+  /// footprints, in canonical order.
+  std::map<Convoy, std::shared_ptr<const Footprint>> added_
       K2_GUARDED_BY(writer_mu_);
   uint64_t epoch_ K2_GUARDED_BY(writer_mu_) = 0;
   Status hook_status_ K2_GUARDED_BY(writer_mu_) = Status::OK();

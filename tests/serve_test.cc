@@ -2,13 +2,15 @@
 // (interval, inverted object, spatial footprint — the last also against a
 // brute-force region oracle), the typed query API and its conjunctions,
 // RCU snapshot semantics (readers keep their epoch while
-// the writer publishes new ones), the OnlineK2HopMiner on_closed adapter,
+// the writer publishes new ones), incremental publishes against a fresh
+// build after every one, the OnlineK2HopMiner on_closed adapter,
 // and concurrent readers hammering the catalog during ingest (run under
 // TSan in CI).
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -366,11 +368,194 @@ TEST_F(ServeFixture, ReplaceAllDropsStaleConvoys) {
   // Keep A and C, drop B — the reconcile path after Finalize().
   ASSERT_TRUE(
       catalog_.ReplaceAll(std::vector<Convoy>{a_, c_}, store_.get()).ok());
+  // The pending content shrank below the published snapshot's.
+  EXPECT_EQ(catalog_.pending_size(), 2u);
+  EXPECT_EQ(catalog_.snapshot()->size(), 3u);
   const auto snap = catalog_.Publish();
   EXPECT_EQ(snap->convoys(), (std::vector<Convoy>{a_, c_}));
   std::vector<ConvoyId> ids;
   snap->ByObject(3, &ids);
   EXPECT_TRUE(ids.empty());
+}
+
+// Publish oracle: every publish merges the convoys added since into the last
+// snapshot. After each one, every index must equal that of a catalog fed the
+// same content in one AddConvoys + Publish. The feed visits random convoys
+// in random order (most enter mid-order), re-adds known ones, and halfway
+// replaces the content with a ReplaceAll that drops a third of it.
+class ServePublishOracleTest : public ::testing::Test {
+ protected:
+  static constexpr int kObjects = 30, kTicks = 60, kBoard = 60, kPool = 90;
+
+  void SetUp() override {
+    Rng rng(20261018);
+    std::vector<std::tuple<Timestamp, ObjectId, double, double>> rows;
+    for (ObjectId oid = 0; oid < kObjects; ++oid) {
+      int64_t x = rng.UniformInt(0, kBoard), y = rng.UniformInt(0, kBoard);
+      for (Timestamp t = 0; t < kTicks; ++t) {
+        x = std::clamp<int64_t>(x + rng.UniformInt(-3, 3), 0, kBoard);
+        y = std::clamp<int64_t>(y + rng.UniformInt(-3, 3), 0, kBoard);
+        rows.push_back(
+            {t, oid, static_cast<double>(x), static_cast<double>(y)});
+      }
+    }
+    store_ = MakeMemStore(MakeDataset(rows));
+    // Object kObjects never appears in the store (empty footprints).
+    for (int i = 0; i < kPool; ++i) {
+      std::vector<ObjectId> ids;
+      const int64_t size = rng.UniformInt(2, 5);
+      while (static_cast<int64_t>(ids.size()) < size) {
+        const auto oid = static_cast<ObjectId>(rng.UniformInt(0, kObjects));
+        if (std::find(ids.begin(), ids.end(), oid) == ids.end()) {
+          ids.push_back(oid);
+        }
+      }
+      const auto start = static_cast<Timestamp>(rng.UniformInt(0, kTicks - 1));
+      const auto end = static_cast<Timestamp>(
+          rng.UniformInt(start, std::min(start + 15, kTicks - 1)));
+      const Convoy convoy(ObjectSet(ids), start, end);
+      feed_.push_back(convoy);
+      // Now and then re-add a convoy fed earlier.
+      if (rng.Bernoulli(0.2)) {
+        const Convoy again = feed_[rng.NextInt(feed_.size())];
+        feed_.push_back(again);
+      }
+    }
+    for (Timestamp a = -3; a <= kTicks + 2; a += 3) {
+      for (Timestamp width : {0, 2, 7, 20}) windows_.push_back({a, a + width});
+    }
+    for (double x = -4.0; x <= kBoard + 4.0; x += 8.0) {
+      for (double y = -4.0; y <= kBoard + 4.0; y += 8.0) {
+        rects_.push_back({x, y, x + 8.0, y + 8.0});
+        rects_.push_back({x, y, x + 25.0, y + 3.0});
+      }
+    }
+  }
+
+  /// Replaces the content with two thirds of it plus a few pool convoys,
+  /// then publishes and checks.
+  void ReplaceMidway(ConvoyCatalog* catalog, std::set<Convoy>* content) {
+    std::vector<Convoy> keep;
+    size_t i = 0;
+    for (const Convoy& convoy : *content) {
+      if (i++ % 3 != 0) keep.push_back(convoy);
+    }
+    ASSERT_LT(keep.size(), content->size());
+    for (size_t j = feed_.size() - 3; j < feed_.size(); ++j) {
+      keep.push_back(feed_[j]);
+    }
+    keep.push_back(keep.front());  // a duplicate inside the replacement
+    ASSERT_TRUE(catalog->ReplaceAll(keep, store_.get()).ok());
+    *content = std::set<Convoy>(keep.begin(), keep.end());
+    ASSERT_EQ(catalog->pending_size(), content->size());
+    ExpectMatchesFreshBuild(*catalog->Publish(), *content);
+  }
+
+  void ExpectMatchesFreshBuild(const CatalogSnapshot& got,
+                               const std::set<Convoy>& content) {
+    ASSERT_GT(got.epoch(), epoch_);
+    epoch_ = got.epoch();
+    ++publishes_;
+    const std::vector<Convoy> all(content.begin(), content.end());
+    ConvoyCatalog fresh;
+    ASSERT_TRUE(fresh.AddConvoys(all, store_.get()).ok());
+    const auto want = fresh.Publish();
+    ASSERT_EQ(want->convoys(), all);
+    ASSERT_EQ(got.convoys(), all);
+    ASSERT_EQ(got.footprint_points(), want->footprint_points());
+    std::vector<ConvoyId> g, w;
+    for (ObjectId oid = 0; oid <= kObjects + 1; ++oid) {
+      got.ByObject(oid, &g);
+      want->ByObject(oid, &w);
+      ASSERT_EQ(g, w) << "oid " << oid;
+    }
+    for (const TimeRange& window : windows_) {
+      got.ByTimeWindow(window, &g);
+      want->ByTimeWindow(window, &w);
+      ASSERT_EQ(g, w) << "window [" << window.start << ", " << window.end
+                      << "]";
+      nonempty_windows_ += !w.empty();
+    }
+    for (const Rect& rect : rects_) {
+      got.ByRegion(rect, &g);
+      want->ByRegion(rect, &w);
+      ASSERT_EQ(g, w) << "rect at (" << rect.min_x << ", " << rect.min_y
+                      << ")";
+      nonempty_regions_ += !w.empty();
+    }
+    for (const ConvoyRank rank : {ConvoyRank::kLongest, ConvoyRank::kLargest}) {
+      ASSERT_EQ(got.Ranked(rank), want->Ranked(rank));
+    }
+  }
+
+  /// Feeds feed_ through OnClosedHook, checking after every publish it
+  /// makes; replaces the content midway.
+  void RunHook(size_t publish_every) {
+    ConvoyCatalog catalog;
+    auto hook = catalog.OnClosedHook(store_.get(), publish_every);
+    std::set<Convoy> content;
+    for (size_t i = 0; i < feed_.size(); ++i) {
+      if (i == feed_.size() / 2) {
+        ASSERT_NO_FATAL_FAILURE(ReplaceMidway(&catalog, &content));
+      }
+      const uint64_t before = catalog.snapshot()->epoch();
+      hook(feed_[i]);
+      content.insert(feed_[i]);
+      const auto snap = catalog.snapshot();
+      ASSERT_EQ(snap->epoch() != before, (i + 1) % publish_every == 0);
+      if (snap->epoch() != before) {
+        ASSERT_NO_FATAL_FAILURE(ExpectMatchesFreshBuild(*snap, content));
+      }
+    }
+    ASSERT_TRUE(catalog.hook_status().ok());
+  }
+
+  std::unique_ptr<MemoryStore> store_;
+  std::vector<Convoy> feed_;
+  std::vector<TimeRange> windows_;
+  std::vector<Rect> rects_;
+  uint64_t epoch_ = 0;
+  int publishes_ = 0, nonempty_windows_ = 0, nonempty_regions_ = 0;
+};
+
+TEST_F(ServePublishOracleTest, HookPublishingEveryConvoy) {
+  RunHook(1);
+  EXPECT_EQ(publishes_, static_cast<int>(feed_.size()) + 1);
+  EXPECT_GE(nonempty_windows_, 6000);
+  EXPECT_GE(nonempty_regions_, 9000);
+}
+
+TEST_F(ServePublishOracleTest, HookPublishingEveryThirdConvoy) {
+  RunHook(3);
+  EXPECT_EQ(publishes_, static_cast<int>(feed_.size()) / 3 + 1);
+  EXPECT_GE(nonempty_windows_, 2000);
+  EXPECT_GE(nonempty_regions_, 3000);
+}
+
+TEST_F(ServePublishOracleTest, AddConvoysBatches) {
+  Rng rng(7);
+  ConvoyCatalog catalog;
+  std::set<Convoy> content;
+  bool replaced = false;
+  for (size_t i = 0; i < feed_.size();) {
+    if (!replaced && i >= feed_.size() / 2) {
+      ASSERT_NO_FATAL_FAILURE(ReplaceMidway(&catalog, &content));
+      replaced = true;
+    }
+    // A batch of 0 republishes unchanged content under a new epoch.
+    const size_t n = std::min<size_t>(feed_.size() - i, rng.NextInt(7));
+    ASSERT_TRUE(catalog
+                    .AddConvoys(std::span<const Convoy>(&feed_[i], n),
+                                store_.get())
+                    .ok());
+    content.insert(feed_.begin() + i, feed_.begin() + i + n);
+    i += n;
+    ASSERT_EQ(catalog.pending_size(), content.size());
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectMatchesFreshBuild(*catalog.Publish(), content));
+  }
+  EXPECT_GE(nonempty_windows_, 1500);
+  EXPECT_GE(nonempty_regions_, 2500);
 }
 
 TEST_F(ServeFixture, DuplicateAddIsNoOp) {
