@@ -26,6 +26,11 @@
    under scripts/ — so a knob can neither go undocumented nor outlive
    its code.
 
+6. SIMD levels: the backticked values of the `K2_SIMD` row in that table
+   must be exactly the level names simd::LevelName returns in
+   src/common/simd.cc, so the documented values are the ones K2_SIMD
+   accepts.
+
 Exits non-zero with one line per violation.
 """
 
@@ -139,6 +144,13 @@ DURABILITY_ROWS = {
 DURABILITY_FIELDS = ("append_ms_p50", "append_ms_p99", "append_ms_p999")
 
 
+def operations_section(number: int) -> str:
+    """Section `## <number>.` of docs/OPERATIONS.md, up to the next one."""
+    text = OPERATIONS_DOC.read_text()
+    start = text.find(f"\n## {number}.")
+    return text[start:text.find("\n## ", start + 1)]
+
+
 def check_durability_table() -> list[str]:
     problems = []
     records = {
@@ -146,9 +158,7 @@ def check_durability_table() -> list[str]:
         for r in json.loads(LEDGER.read_text())["records"]
         if r.get("bench") == "bench_streaming"
     }
-    text = OPERATIONS_DOC.read_text()
-    start = text.find("\n## 3.")
-    section = text[start:text.find("\n## ", start + 1)]
+    section = operations_section(3)
     seen = set()
     for line in section.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
@@ -201,11 +211,8 @@ def knobs_read() -> dict[str, str]:
 
 
 def check_knob_table() -> list[str]:
-    text = OPERATIONS_DOC.read_text()
-    start = text.find("\n## 2.")
-    section = text[start:text.find("\n## ", start + 1)]
     documented = set()
-    for line in section.splitlines():
+    for line in operations_section(2).splitlines():
         if line.startswith("|"):
             documented.update(TABLE_KNOB_RE.findall(line.split("|")[1]))
     read = knobs_read()
@@ -218,16 +225,45 @@ def check_knob_table() -> list[str]:
     return problems
 
 
+SIMD_SOURCE = ROOT / "src" / "common" / "simd.cc"
+LEVEL_NAME_RE = re.compile(r"case\s+Level::\w+:\s*return\s+\"(\w+)\";")
+TABLE_CELL_SPLIT_RE = re.compile(r"(?<!\\)\|")  # a cell may hold `\|`
+TABLE_VALUE_RE = re.compile(r"`([^`]+)`")
+
+
+def check_simd_levels() -> list[str]:
+    text = SIMD_SOURCE.read_text()
+    start = text.find("const char* LevelName(Level level) {")
+    names = LEVEL_NAME_RE.findall(text[start:text.find("\n}\n", start)])
+    if start < 0 or not names:
+        return [f"{SIMD_SOURCE.relative_to(ROOT)}: no level names parsed "
+                f"from simd::LevelName"]
+    for line in operations_section(2).splitlines():
+        cells = [c.strip() for c in
+                 TABLE_CELL_SPLIT_RE.split(line.strip().strip("|"))]
+        if cells[0] != "`K2_SIMD`" or len(cells) < 2:
+            continue
+        documented = TABLE_VALUE_RE.findall(cells[1])
+        if sorted(documented) == sorted(names):
+            return []
+        return [f"docs/OPERATIONS.md §2: K2_SIMD lists "
+                f"{', '.join(documented)}, but simd::LevelName returns "
+                f"{', '.join(names)}"]
+    return ["docs/OPERATIONS.md §2: the knob table has no `K2_SIMD` row"]
+
+
 def main() -> int:
     problems = (check_protocol_doc() + check_links() + check_cited_docs() +
-                check_durability_table() + check_knob_table())
+                check_durability_table() + check_knob_table() +
+                check_simd_levels())
     for p in problems:
         print(p, file=sys.stderr)
     if problems:
         print(f"check_docs: {len(problems)} problem(s)", file=sys.stderr)
         return 1
     print("check_docs: protocol spec covers every enumerator; all links, "
-          "cited documents, the durability table and the knob table ok")
+          "cited documents, the durability table, the knob table and the "
+          "SIMD levels ok")
     return 0
 
 

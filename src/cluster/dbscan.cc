@@ -170,23 +170,6 @@ std::vector<ObjectSet> Dbscan(std::span<const SnapshotPoint> points,
   return Dbscan(points, eps, min_pts, ThreadLocalScratch());
 }
 
-std::vector<ObjectSet> DbscanSubset(std::span<const SnapshotPoint> points,
-                                    const ObjectSet& subset, double eps,
-                                    int min_pts, DbscanScratch* scratch) {
-  std::vector<SnapshotPoint>& filtered = scratch->filtered;
-  filtered.clear();
-  for (const SnapshotPoint& p : points) {
-    if (subset.Contains(p.oid)) filtered.push_back(p);
-  }
-  return Dbscan(filtered, eps, min_pts, scratch);
-}
-
-std::vector<ObjectSet> DbscanSubset(std::span<const SnapshotPoint> points,
-                                    const ObjectSet& subset, double eps,
-                                    int min_pts) {
-  return DbscanSubset(points, subset, eps, min_pts, ThreadLocalScratch());
-}
-
 void DbscanLabelled(std::span<const SnapshotPoint> points, double eps,
                     int min_pts, DbscanScratch* scratch, DbscanLabels* out) {
   RunDbscan(points, eps, min_pts, scratch, out);

@@ -38,7 +38,6 @@ struct DbscanScratch {
   std::vector<uint32_t> seeds;
   DbscanLabels labels;
   std::vector<std::vector<ObjectId>> members;
-  std::vector<SnapshotPoint> filtered;
   // Batched-expansion buffers: the unvisited slice of the seed queue and
   // the flat neighbor lists (CSR offsets) its region queries fill.
   std::vector<uint32_t> batch;
@@ -58,15 +57,6 @@ std::vector<ObjectSet> Dbscan(std::span<const SnapshotPoint> points,
 std::vector<ObjectSet> Dbscan(std::span<const SnapshotPoint> points,
                               double eps, int min_pts,
                               DbscanScratch* scratch);
-
-/// DBSCAN restricted to snapshot points whose object id occurs in `subset`
-/// (the reCluster(DB[t]|O) primitive of Algorithm 2 / Sec. 4.3).
-std::vector<ObjectSet> DbscanSubset(std::span<const SnapshotPoint> points,
-                                    const ObjectSet& subset, double eps,
-                                    int min_pts);
-std::vector<ObjectSet> DbscanSubset(std::span<const SnapshotPoint> points,
-                                    const ObjectSet& subset, double eps,
-                                    int min_pts, DbscanScratch* scratch);
 
 DbscanLabels DbscanLabelled(std::span<const SnapshotPoint> points, double eps,
                             int min_pts);

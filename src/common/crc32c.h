@@ -4,7 +4,7 @@
 // Castagnoli rather than the zlib polynomial for its better burst-error
 // detection — and because SSE4.2 implements exactly this polynomial in
 // hardware. The implementation runtime-dispatches through common/simd.h
-// (hardware crc32 with 3-way stream interleave when available, table-driven
+// (hardware crc32 with 3-way stream interleave on AVX2 CPUs, table-driven
 // software fallback otherwise); K2_SIMD=scalar forces the fallback.
 #ifndef K2_COMMON_CRC32C_H_
 #define K2_COMMON_CRC32C_H_

@@ -45,27 +45,6 @@ ObjectSet ObjectSet::Intersect(const ObjectSet& a, const ObjectSet& b) {
   return FromSorted(std::move(out));
 }
 
-ObjectSet ObjectSet::Union(const ObjectSet& a, const ObjectSet& b) {
-  std::vector<ObjectId> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.ids_.begin(), a.ids_.end(), b.ids_.begin(), b.ids_.end(),
-                 std::back_inserter(out));
-  return FromSorted(std::move(out));
-}
-
-ObjectSet ObjectSet::Difference(const ObjectSet& a, const ObjectSet& b) {
-  std::vector<ObjectId> out;
-  out.reserve(a.size());
-  std::set_difference(a.ids_.begin(), a.ids_.end(), b.ids_.begin(),
-                      b.ids_.end(), std::back_inserter(out));
-  return FromSorted(std::move(out));
-}
-
-size_t ObjectSet::IntersectionSize(const ObjectSet& a, const ObjectSet& b) {
-  return simd::Active().intersect_size(a.ids_.data(), a.size(), b.ids_.data(),
-                                       b.size());
-}
-
 std::string ObjectSet::DebugString() const {
   std::ostringstream os;
   os << '{';

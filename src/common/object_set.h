@@ -34,13 +34,6 @@ class ObjectSet {
 
   /// Merge-based intersection; O(|a| + |b|).
   static ObjectSet Intersect(const ObjectSet& a, const ObjectSet& b);
-  /// Merge-based union; O(|a| + |b|).
-  static ObjectSet Union(const ObjectSet& a, const ObjectSet& b);
-  /// a \ b.
-  static ObjectSet Difference(const ObjectSet& a, const ObjectSet& b);
-
-  /// Size of the intersection without materializing it.
-  static size_t IntersectionSize(const ObjectSet& a, const ObjectSet& b);
 
   const std::vector<ObjectId>& ids() const { return ids_; }
   std::vector<ObjectId>::const_iterator begin() const { return ids_.begin(); }

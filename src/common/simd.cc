@@ -53,23 +53,6 @@ size_t IntersectScalar(const uint32_t* a, size_t na, const uint32_t* b,
   return cnt;
 }
 
-size_t IntersectSizeScalar(const uint32_t* a, size_t na, const uint32_t* b,
-                           size_t nb) {
-  size_t i = 0, j = 0, cnt = 0;
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++cnt;
-      ++i;
-      ++j;
-    }
-  }
-  return cnt;
-}
-
 bool IsSubsetScalar(const uint32_t* a, size_t na, const uint32_t* b,
                     size_t nb) {
   if (na > nb) return false;
@@ -103,10 +86,12 @@ uint32_t Crc32cScalar(const void* data, size_t n, uint32_t seed) {
   return ~c;
 }
 
+#if K2_SIMD_X86
+
 // ---------------------------------------------------------------------------
 // Galloping intersection for heavily skewed set sizes (the small set probes
 // the big one by exponential + binary search instead of merging through it).
-// Shared by the vector levels; set results are unique, so this matches the
+// Used by the AVX2 kernels; set results are unique, so this matches the
 // scalar merge byte-for-byte.
 // ---------------------------------------------------------------------------
 
@@ -139,19 +124,6 @@ size_t IntersectGallop(const uint32_t* s, size_t ns, const uint32_t* g,
   return cnt;
 }
 
-size_t IntersectSizeGallop(const uint32_t* s, size_t ns, const uint32_t* g,
-                           size_t ng) {
-  size_t j = 0, cnt = 0;
-  for (size_t i = 0; i < ns && j < ng; ++i) {
-    j = GallopLowerBound(g, ng, j, s[i]);
-    if (j < ng && g[j] == s[i]) {
-      ++cnt;
-      ++j;
-    }
-  }
-  return cnt;
-}
-
 bool IsSubsetGallop(const uint32_t* a, size_t na, const uint32_t* b,
                     size_t nb) {
   size_t j = 0;
@@ -163,46 +135,27 @@ bool IsSubsetGallop(const uint32_t* a, size_t na, const uint32_t* b,
   return true;
 }
 
-#if K2_SIMD_X86
-
 // ---------------------------------------------------------------------------
-// Compress-store lookup tables: for an L-bit match mask, the shuffle that
-// packs the matching 32-bit lanes to the front of the register. Built once
-// at load time (the 8-lane table is 256 x 8 permute indices).
+// Compress-store lookup table: for an 8-bit match mask, the vpermd indices
+// that pack the matching 32-bit lanes to the front of the register. Built
+// once at load time (256 x 8 entries).
 // ---------------------------------------------------------------------------
 
-struct CompressTables {
-  alignas(16) uint8_t lanes4[16][16];   // byte shuffle for _mm_shuffle_epi8
-  alignas(32) uint32_t lanes8[256][8];  // dword permute for vpermd
+struct CompressTable {
+  alignas(32) uint32_t lanes[256][8];
 
-  CompressTables() {
-    for (int m = 0; m < 16; ++m) {
-      int o = 0;
-      for (int l = 0; l < 4; ++l) {
-        if (m & (1 << l)) {
-          for (int byte = 0; byte < 4; ++byte) {
-            lanes4[m][o * 4 + byte] = static_cast<uint8_t>(l * 4 + byte);
-          }
-          ++o;
-        }
-      }
-      for (; o < 4; ++o) {
-        for (int byte = 0; byte < 4; ++byte) {
-          lanes4[m][o * 4 + byte] = 0x80;  // zero-fill the slack lanes
-        }
-      }
-    }
+  CompressTable() {
     for (int m = 0; m < 256; ++m) {
       int o = 0;
       for (int l = 0; l < 8; ++l) {
-        if (m & (1 << l)) lanes8[m][o++] = static_cast<uint32_t>(l);
+        if (m & (1 << l)) lanes[m][o++] = static_cast<uint32_t>(l);
       }
-      for (; o < 8; ++o) lanes8[m][o] = 0;
+      for (; o < 8; ++o) lanes[m][o] = 0;
     }
   }
 };
 
-const CompressTables kCompress;
+const CompressTable kCompress;
 
 // ---------------------------------------------------------------------------
 // CRC-32C combine support: a GF(2) operator matrix that advances a CRC over
@@ -267,171 +220,9 @@ const uint32_t* CrcStrideOperator() {
 }
 
 // ---------------------------------------------------------------------------
-// SSE4.2 kernels
+// Hardware CRC-32C: the crc32 instruction is SSE4.2, which every AVX2 CPU
+// has (DetectMaxLevel checks both), so the AVX2 table carries it.
 // ---------------------------------------------------------------------------
-
-__attribute__((target("sse4.2,popcnt"))) size_t EpsScanSse42(
-    const double* xs, const double* ys, const uint32_t* ids, size_t n,
-    double qx, double qy, double eps2, uint32_t* out) {
-  size_t cnt = 0, j = 0;
-  const __m128d vqx = _mm_set1_pd(qx);
-  const __m128d vqy = _mm_set1_pd(qy);
-  const __m128d ve = _mm_set1_pd(eps2);
-  for (; j + 4 <= n; j += 4) {
-    const __m128d dx0 = _mm_sub_pd(_mm_loadu_pd(xs + j), vqx);
-    const __m128d dy0 = _mm_sub_pd(_mm_loadu_pd(ys + j), vqy);
-    const __m128d dx1 = _mm_sub_pd(_mm_loadu_pd(xs + j + 2), vqx);
-    const __m128d dy1 = _mm_sub_pd(_mm_loadu_pd(ys + j + 2), vqy);
-    const __m128d d0 =
-        _mm_add_pd(_mm_mul_pd(dx0, dx0), _mm_mul_pd(dy0, dy0));
-    const __m128d d1 =
-        _mm_add_pd(_mm_mul_pd(dx1, dx1), _mm_mul_pd(dy1, dy1));
-    const int m = _mm_movemask_pd(_mm_cmple_pd(d0, ve)) |
-                  (_mm_movemask_pd(_mm_cmple_pd(d1, ve)) << 2);
-    if (m != 0) {
-      const __m128i v =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + j));
-      const __m128i shuf = _mm_load_si128(
-          reinterpret_cast<const __m128i*>(kCompress.lanes4[m]));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + cnt),
-                       _mm_shuffle_epi8(v, shuf));
-      cnt += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(m)));
-    }
-  }
-  for (; j < n; ++j) {
-    const double dx = xs[j] - qx;
-    const double dy = ys[j] - qy;
-    if (dx * dx + dy * dy <= eps2) out[cnt++] = ids[j];
-  }
-  return cnt;
-}
-
-__attribute__((target("sse4.2,popcnt"))) size_t IntersectSse42(
-    const uint32_t* a, size_t na, const uint32_t* b, size_t nb,
-    uint32_t* out) {
-  if (na * kGallopRatio < nb) return IntersectGallop(a, na, b, nb, out);
-  if (nb * kGallopRatio < na) return IntersectGallop(b, nb, a, na, out);
-  size_t i = 0, j = 0, cnt = 0;
-  while (i + 4 <= na && j + 4 <= nb) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    __m128i cmp = _mm_cmpeq_epi32(va, vb);
-    cmp = _mm_or_si128(
-        cmp, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1))));
-    cmp = _mm_or_si128(
-        cmp, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2))));
-    cmp = _mm_or_si128(
-        cmp, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3))));
-    const int m = _mm_movemask_ps(_mm_castsi128_ps(cmp));
-    if (m != 0) {
-      const __m128i shuf = _mm_load_si128(
-          reinterpret_cast<const __m128i*>(kCompress.lanes4[m]));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + cnt),
-                       _mm_shuffle_epi8(va, shuf));
-      cnt += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(m)));
-    }
-    const uint32_t amax = a[i + 3];
-    const uint32_t bmax = b[j + 3];
-    if (amax <= bmax) i += 4;
-    if (bmax <= amax) j += 4;
-  }
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out[cnt++] = a[i];
-      ++i;
-      ++j;
-    }
-  }
-  return cnt;
-}
-
-__attribute__((target("sse4.2,popcnt"))) size_t IntersectSizeSse42(
-    const uint32_t* a, size_t na, const uint32_t* b, size_t nb) {
-  if (na * kGallopRatio < nb) return IntersectSizeGallop(a, na, b, nb);
-  if (nb * kGallopRatio < na) return IntersectSizeGallop(b, nb, a, na);
-  size_t i = 0, j = 0, cnt = 0;
-  while (i + 4 <= na && j + 4 <= nb) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    __m128i cmp = _mm_cmpeq_epi32(va, vb);
-    cmp = _mm_or_si128(
-        cmp, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1))));
-    cmp = _mm_or_si128(
-        cmp, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2))));
-    cmp = _mm_or_si128(
-        cmp, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3))));
-    cnt += static_cast<size_t>(__builtin_popcount(
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(cmp)))));
-    const uint32_t amax = a[i + 3];
-    const uint32_t bmax = b[j + 3];
-    if (amax <= bmax) i += 4;
-    if (bmax <= amax) j += 4;
-  }
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++cnt;
-      ++i;
-      ++j;
-    }
-  }
-  return cnt;
-}
-
-__attribute__((target("sse4.2,popcnt"))) bool IsSubsetSse42(const uint32_t* a,
-                                                            size_t na,
-                                                            const uint32_t* b,
-                                                            size_t nb) {
-  if (na > nb) return false;
-  if (na * kGallopRatio < nb) return IsSubsetGallop(a, na, b, nb);
-  size_t i = 0, j = 0;
-  unsigned acc = 0;  // match bits of the in-flight a block
-  while (i + 4 <= na && j + 4 <= nb) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    __m128i cmp = _mm_cmpeq_epi32(va, vb);
-    cmp = _mm_or_si128(
-        cmp, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1))));
-    cmp = _mm_or_si128(
-        cmp, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2))));
-    cmp = _mm_or_si128(
-        cmp, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3))));
-    acc |= static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(cmp)));
-    const uint32_t amax = a[i + 3];
-    const uint32_t bmax = b[j + 3];
-    if (amax <= bmax) {
-      // The block is fully resolved: later b values exceed bmax >= amax.
-      if (acc != 0xFu) return false;
-      i += 4;
-      acc = 0;
-    }
-    if (bmax <= amax) j += 4;
-  }
-  // Lanes of the in-flight block that already matched (acc) were satisfied
-  // by b values before j; the rest can only match at or after j.
-  for (unsigned l = 0; l < 4 && i + l < na; ++l) {
-    if (acc & (1u << l)) continue;
-    const uint32_t v = a[i + l];
-    while (j < nb && b[j] < v) ++j;
-    if (j == nb || b[j] != v) return false;
-    ++j;
-  }
-  i = std::min(i + 4, na);
-  return IsSubsetScalar(a + i, na - i, b + j, nb - j);
-}
 
 // Raw-state hardware CRC over a short range: `crc` is the inverted running
 // state, returned in the same domain.
@@ -454,9 +245,8 @@ __attribute__((target("sse4.2"))) uint32_t Crc32cHwRaw(const uint8_t* p,
   return c32;
 }
 
-__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
-                                                       size_t n,
-                                                       uint32_t seed) {
+__attribute__((target("sse4.2"))) uint32_t Crc32cHw(const void* data,
+                                                    size_t n, uint32_t seed) {
   const auto* p = static_cast<const uint8_t*>(data);
   uint32_t c = ~seed;
   if (n >= 3 * kCrcStride) {
@@ -517,7 +307,7 @@ __attribute__((target("avx2,popcnt"))) size_t EpsScanAvx2(
       const __m256i v =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + j));
       const __m256i perm = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(kCompress.lanes8[m]));
+          reinterpret_cast<const __m256i*>(kCompress.lanes[m]));
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + cnt),
                           _mm256_permutevar8x32_epi32(v, perm));
       cnt += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(m)));
@@ -574,7 +364,7 @@ __attribute__((target("avx2,popcnt"))) size_t IntersectAvx2(const uint32_t* a,
     const unsigned m = MatchMask8(va, vb);
     if (m != 0) {
       const __m256i perm = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(kCompress.lanes8[m]));
+          reinterpret_cast<const __m256i*>(kCompress.lanes[m]));
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + cnt),
                           _mm256_permutevar8x32_epi32(va, perm));
       cnt += static_cast<size_t>(__builtin_popcount(m));
@@ -591,36 +381,6 @@ __attribute__((target("avx2,popcnt"))) size_t IntersectAvx2(const uint32_t* a,
       ++j;
     } else {
       out[cnt++] = a[i];
-      ++i;
-      ++j;
-    }
-  }
-  return cnt;
-}
-
-__attribute__((target("avx2,popcnt"))) size_t IntersectSizeAvx2(
-    const uint32_t* a, size_t na, const uint32_t* b, size_t nb) {
-  if (na * kGallopRatio < nb) return IntersectSizeGallop(a, na, b, nb);
-  if (nb * kGallopRatio < na) return IntersectSizeGallop(b, nb, a, na);
-  size_t i = 0, j = 0, cnt = 0;
-  while (i + 8 <= na && j + 8 <= nb) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    cnt += static_cast<size_t>(__builtin_popcount(MatchMask8(va, vb)));
-    const uint32_t amax = a[i + 7];
-    const uint32_t bmax = b[j + 7];
-    if (amax <= bmax) i += 8;
-    if (bmax <= amax) j += 8;
-  }
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++cnt;
       ++i;
       ++j;
     }
@@ -670,20 +430,12 @@ __attribute__((target("avx2,popcnt"))) bool IsSubsetAvx2(const uint32_t* a,
 // ---------------------------------------------------------------------------
 
 constexpr Kernels kScalarKernels = {
-    EpsScanScalar, IntersectScalar, IntersectSizeScalar, IsSubsetScalar,
-    Crc32cScalar,
+    EpsScanScalar, IntersectScalar, IsSubsetScalar, Crc32cScalar,
 };
 
 #if K2_SIMD_X86
-constexpr Kernels kSse42Kernels = {
-    EpsScanSse42, IntersectSse42, IntersectSizeSse42, IsSubsetSse42,
-    Crc32cSse42,
-};
-
-// The crc32 instruction is SSE4.2; AVX2 adds nothing to it, so the AVX2
-// table reuses the SSE4.2 CRC.
 constexpr Kernels kAvx2Kernels = {
-    EpsScanAvx2, IntersectAvx2, IntersectSizeAvx2, IsSubsetAvx2, Crc32cSse42,
+    EpsScanAvx2, IntersectAvx2, IsSubsetAvx2, Crc32cHw,
 };
 #endif
 
@@ -693,9 +445,6 @@ Level DetectMaxLevel() {
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("sse4.2") &&
       __builtin_cpu_supports("popcnt")) {
     return Level::kAvx2;
-  }
-  if (__builtin_cpu_supports("sse4.2") && __builtin_cpu_supports("popcnt")) {
-    return Level::kSse42;
   }
 #endif
   return Level::kScalar;
@@ -708,14 +457,11 @@ Level ResolveActiveLevel() {
   Level requested;
   if (std::strcmp(env, "scalar") == 0) {
     requested = Level::kScalar;
-  } else if (std::strcmp(env, "sse42") == 0) {
-    requested = Level::kSse42;
   } else if (std::strcmp(env, "avx2") == 0) {
     requested = Level::kAvx2;
   } else {
     std::fprintf(stderr,
-                 "K2_SIMD=%s not recognized (scalar|sse42|avx2); "
-                 "auto-detecting\n",
+                 "K2_SIMD=%s not recognized (scalar|avx2); auto-detecting\n",
                  env);
     return max;
   }
@@ -733,8 +479,6 @@ const char* LevelName(Level level) {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSse42:
-      return "sse42";
     case Level::kAvx2:
       return "avx2";
   }
@@ -756,14 +500,7 @@ Level ActiveLevel() {
 const Kernels& At(Level level) {
   K2_CHECK(Supported(level));
 #if K2_SIMD_X86
-  switch (level) {
-    case Level::kScalar:
-      return kScalarKernels;
-    case Level::kSse42:
-      return kSse42Kernels;
-    case Level::kAvx2:
-      return kAvx2Kernels;
-  }
+  if (level == Level::kAvx2) return kAvx2Kernels;
 #endif
   return kScalarKernels;
 }

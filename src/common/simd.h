@@ -1,24 +1,26 @@
-// Runtime-dispatched SIMD kernel layer for the library's three hottest inner
+// Runtime-dispatched SIMD kernel layer for the library's hottest inner
 // loops: the SoA eps-distance scan behind every DBSCAN region query, the
-// sorted-set intersection behind the Sec. 4.2 candidate pruning, and the
-// CRC-32C guarding every durable byte of the LSM write path.
+// sorted-set intersection and subset test behind the Sec. 4.2 candidate
+// pruning and the maximal-set update, and the CRC-32C guarding every
+// durable byte of the LSM write path.
 //
-// Dispatch model: the CPU is probed once (first use), picking the widest
-// implementation the hardware supports — AVX2, then SSE4.2, then portable
-// scalar. The `K2_SIMD` environment variable (`scalar`, `sse42`, `avx2`)
-// caps the choice below the hardware maximum, which is how CI forces the
-// fallback paths and how bench runs are made attributable.
+// Dispatch model: two levels. The CPU is probed once (first use); a CPU
+// with AVX2 (plus the SSE4.2 crc32 instruction and popcnt, which every
+// AVX2 CPU has) runs the AVX2 table, any other CPU and every non-x86 build
+// runs the portable scalar table. The `K2_SIMD` environment variable
+// (`scalar` or `avx2`) caps the choice below the hardware maximum, which
+// is how CI forces the scalar path and how bench runs are made
+// attributable.
 //
 // The scalar-oracle rule: every kernel keeps its portable scalar
-// implementation in the dispatch table (`At(Level::kScalar)`), and a SIMD
-// variant must be *byte-identical* to it on every input — not "close", not
-// "equivalent up to order". tests/simd_test.cc enforces this with
-// randomized property suites across unaligned bases, all tail lengths and
-// adversarial set shapes; the differential miner suites then prove convoy
-// output is unchanged at every dispatch level. To add a kernel: add the
-// function pointer here, implement scalar first, wire it into every level's
-// table in simd.cc (higher levels may reuse lower ones), then extend the
-// property suite.
+// implementation in the dispatch table (`At(Level::kScalar)`), and the
+// AVX2 variant must be *byte-identical* to it on every input — not
+// "close", not "equivalent up to order". tests/simd_test.cc enforces this
+// with randomized property suites across unaligned bases, all tail lengths
+// and adversarial set shapes; the differential miner suites then prove
+// convoy output is unchanged at both levels. To add a kernel: add the
+// function pointer here, implement scalar first, wire it into both tables
+// in simd.cc, then extend the property suite.
 #ifndef K2_COMMON_SIMD_H_
 #define K2_COMMON_SIMD_H_
 
@@ -27,13 +29,11 @@
 
 namespace k2::simd {
 
-/// Instruction-set levels in strictly increasing capability order. Every
-/// level's table is fully populated (lower-level or scalar entries fill the
-/// gaps), so callers never see a null kernel.
+/// Instruction-set levels in increasing capability order. Both tables are
+/// fully populated, so callers never see a null kernel.
 enum class Level : int {
   kScalar = 0,
-  kSse42 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
 /// Widest compress-store lane group any kernel uses (AVX2, 8 x u32). The
@@ -63,10 +63,6 @@ struct Kernels {
   size_t (*intersect)(const uint32_t* a, size_t na, const uint32_t* b,
                       size_t nb, uint32_t* out);
 
-  /// |a ∩ b| without materializing it.
-  size_t (*intersect_size)(const uint32_t* a, size_t na, const uint32_t* b,
-                           size_t nb);
-
   /// True iff every element of `a` occurs in `b` (both sorted, unique).
   bool (*is_subset)(const uint32_t* a, size_t na, const uint32_t* b,
                     size_t nb);
@@ -76,7 +72,7 @@ struct Kernels {
   uint32_t (*crc32c)(const void* data, size_t n, uint32_t seed);
 };
 
-/// Human-readable level name ("scalar", "sse42", "avx2").
+/// Human-readable level name ("scalar", "avx2"): the values K2_SIMD takes.
 const char* LevelName(Level level);
 
 /// True when this machine can run `level` (scalar is always supported).

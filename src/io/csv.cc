@@ -1,66 +1,20 @@
 #include "io/csv.h"
 
 #include <cerrno>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <vector>
+
+#include "io/csv_fields.h"
 
 namespace k2 {
 
 namespace {
 
 constexpr uint64_t kBinaryMagic = 0x6b32686f70646174ULL;  // "k2hopdat"
-
-/// Strips surrounding whitespace — in particular the '\r' that getline
-/// leaves on every line of a CRLF (Windows-exported) file, which used to
-/// make the header match fail ("y\r" != "y").
-std::string Trim(const std::string& s) {
-  const char* ws = " \t\r\n";
-  const size_t begin = s.find_first_not_of(ws);
-  if (begin == std::string::npos) return "";
-  const size_t end = s.find_last_not_of(ws);
-  return s.substr(begin, end - begin + 1);
-}
-
-std::vector<std::string> SplitComma(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream is(line);
-  while (std::getline(is, field, ',')) fields.push_back(Trim(field));
-  return fields;
-}
-
-/// Whole-field numeric parse via std::from_chars: no exceptions, no
-/// locale, and — unlike the std::sto* family this replaced — no silent
-/// acceptance of trailing junk ("5abc" used to parse as 5, and a malformed
-/// field threw std::invalid_argument through the whole process). A leading
-/// '+' is still accepted for compatibility (std::sto* allowed it;
-/// from_chars alone does not). The value must be finite: from_chars also
-/// parses "inf" and "nan", which no store accepts as a coordinate.
-template <typename T>
-bool ParseField(const std::string& field, T* out) {
-  const char* begin = field.data();
-  const char* end = begin + field.size();
-  if (begin != end && *begin == '+' && begin + 1 != end &&
-      *(begin + 1) != '-') {
-    ++begin;
-  }
-  if (begin == end) return false;
-  const auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr == end && std::isfinite(*out);
-}
-
-Status RowParseError(const std::string& path, size_t line_no,
-                     const char* column, const std::string& field) {
-  return Status::Invalid(path + ":" + std::to_string(line_no) + ": column '" +
-                         column + "': cannot parse '" + field +
-                         "' as a finite number");
-}
 
 }  // namespace
 
@@ -83,7 +37,7 @@ Result<Dataset> ReadCsv(const std::string& path) {
   if (!std::getline(in, line)) return Status::Invalid(path + " is empty");
 
   // Header: locate the four columns by name.
-  const std::vector<std::string> header = SplitComma(line);
+  const std::vector<std::string> header = csv::SplitComma(line);
   int col_t = -1, col_oid = -1, col_x = -1, col_y = -1;
   for (size_t i = 0; i < header.size(); ++i) {
     if (header[i] == "t" || header[i] == "timestamp") col_t = i;
@@ -100,7 +54,7 @@ Result<Dataset> ReadCsv(const std::string& path) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.find_first_not_of(" \t\r\n") == std::string::npos) continue;
-    const std::vector<std::string> fields = SplitComma(line);
+    const std::vector<std::string> fields = csv::SplitComma(line);
     const size_t needed = static_cast<size_t>(
         std::max(std::max(col_t, col_oid), std::max(col_x, col_y)) + 1);
     if (fields.size() < needed) {
@@ -110,17 +64,17 @@ Result<Dataset> ReadCsv(const std::string& path) {
     Timestamp t = 0;
     ObjectId oid = 0;
     double x = 0.0, y = 0.0;
-    if (!ParseField(fields[col_t], &t)) {
-      return RowParseError(path, line_no, "t", fields[col_t]);
+    if (!csv::ParseField(fields[col_t], &t)) {
+      return csv::RowParseError(path, line_no, "t", fields[col_t]);
     }
-    if (!ParseField(fields[col_oid], &oid)) {
-      return RowParseError(path, line_no, "oid", fields[col_oid]);
+    if (!csv::ParseField(fields[col_oid], &oid)) {
+      return csv::RowParseError(path, line_no, "oid", fields[col_oid]);
     }
-    if (!ParseField(fields[col_x], &x)) {
-      return RowParseError(path, line_no, "x", fields[col_x]);
+    if (!csv::ParseField(fields[col_x], &x)) {
+      return csv::RowParseError(path, line_no, "x", fields[col_x]);
     }
-    if (!ParseField(fields[col_y], &y)) {
-      return RowParseError(path, line_no, "y", fields[col_y]);
+    if (!csv::ParseField(fields[col_y], &y)) {
+      return csv::RowParseError(path, line_no, "y", fields[col_y]);
     }
     builder.Add(t, oid, x, y);
   }

@@ -1,6 +1,5 @@
-// Proximity-log interchange: CSV (for importing real co-location traces —
-// Bluetooth sightings, Wi-Fi session joins — as `(t, oid_a, oid_b)` rows)
-// and a fixed-width binary format for fast reload between bench runs.
+// Proximity-log interchange: CSV, for importing real co-location traces —
+// Bluetooth sightings, Wi-Fi session joins — as `(t, oid_a, oid_b)` rows.
 #ifndef K2_IO_PROXIMITY_IO_H_
 #define K2_IO_PROXIMITY_IO_H_
 
@@ -19,10 +18,6 @@ Status WriteProximityCsv(const ProximityLog& log, const std::string& path);
 /// self-loop rows (oid_a == oid_b), yield an error; unordered duplicates
 /// are canonicalized like ProximityLog::FromRecords.
 Result<ProximityLog> ReadProximityCsv(const std::string& path);
-
-/// Binary round-trip: a small header plus packed PairRecords.
-Status WriteProximityBinary(const ProximityLog& log, const std::string& path);
-Result<ProximityLog> ReadProximityBinary(const std::string& path);
 
 }  // namespace k2
 

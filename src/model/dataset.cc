@@ -49,19 +49,6 @@ size_t SelectObjects(std::span<const PointRecord> tick,
   return out->size() - before;
 }
 
-Dataset Dataset::Restrict(const std::vector<ObjectId>& sorted_oids,
-                          TimeRange range) const {
-  DatasetBuilder builder;
-  for (const PointRecord& rec : records_) {
-    if (!range.Contains(rec.t)) continue;
-    if (!std::binary_search(sorted_oids.begin(), sorted_oids.end(), rec.oid)) {
-      continue;
-    }
-    builder.Add(rec);
-  }
-  return builder.Build();
-}
-
 Status Dataset::AppendSnapshot(Timestamp t,
                                const std::vector<SnapshotPoint>& points) {
   if (points.empty()) return Status::OK();

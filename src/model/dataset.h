@@ -43,11 +43,6 @@ class Dataset {
   /// Position of object `oid` at tick `t`, or nullptr when absent.
   const PointRecord* Find(Timestamp t, ObjectId oid) const;
 
-  /// Restriction DB|O of the dataset to the given objects (Def. 4),
-  /// optionally also restricted to ticks in `range`.
-  Dataset Restrict(const std::vector<ObjectId>& sorted_oids,
-                   TimeRange range) const;
-
   /// Appends one complete snapshot at tick `t`, which must be strictly
   /// greater than time_range().end; `points` must be sorted by oid and
   /// duplicate-free. Empty snapshots are a no-op (a tick without data is

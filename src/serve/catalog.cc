@@ -53,6 +53,35 @@ void SnapshotCell::Store(std::shared_ptr<const CatalogSnapshot> next,
 
 }  // namespace detail
 
+namespace {
+
+// A convoy's footprint: its members' positions at every tick of its
+// lifespan, sorted by x, and their bounding box. The tick counter is 64-bit
+// so that a lifespan ending at the largest Timestamp terminates.
+Result<std::shared_ptr<const Footprint>> BuildFootprint(const Convoy& convoy,
+                                                        Store* store) {
+  auto footprint = std::make_shared<Footprint>();
+  std::vector<FootprintPoint>& points = footprint->points;
+  std::vector<SnapshotPoint> buf;
+  for (int64_t t = convoy.start; t <= convoy.end; ++t) {
+    K2_RETURN_NOT_OK(
+        store->GetPoints(static_cast<Timestamp>(t), convoy.objects, &buf));
+    // A NaN coordinate is inside no rect and would break the sort below.
+    for (const SnapshotPoint& p : buf) {
+      if (!std::isnan(p.x) && !std::isnan(p.y)) points.push_back({p.x, p.y});
+    }
+  }
+  std::ranges::sort(points, {}, &FootprintPoint::x);
+  if (!points.empty()) {
+    const auto [lo, hi] =
+        std::ranges::minmax_element(points, {}, &FootprintPoint::y);
+    footprint->box = {points.front().x, lo->y, points.back().x, hi->y};
+  }
+  return std::shared_ptr<const Footprint>(std::move(footprint));
+}
+
+}  // namespace
+
 void CatalogSnapshot::ByObject(ObjectId oid, std::vector<ConvoyId>* out) const {
   out->clear();
   const auto it = std::lower_bound(obj_oids_.begin(), obj_oids_.end(), oid);
@@ -135,8 +164,7 @@ bool CatalogSnapshot::RankBefore(ConvoyRank rank, ConvoyId a,
   return a < b;
 }
 
-ConvoyCatalog::ConvoyCatalog(CatalogOptions options)
-    : options_(std::move(options)) {
+ConvoyCatalog::ConvoyCatalog() {
   // Epoch 0: an empty snapshot, so snapshot() is never null. No other
   // thread can exist yet, but Store demands the writer capability.
   MutexLock lock(writer_mu_);
@@ -193,35 +221,6 @@ Status ConvoyCatalog::ReplaceAll(std::span<const Convoy> convoys,
   base_.reset(new CatalogSnapshot());
   added_ = std::move(next);
   return Status::OK();
-}
-
-Result<std::shared_ptr<const Footprint>> ConvoyCatalog::BuildFootprint(
-    const Convoy& convoy, Store* store) const {
-  const int64_t stride = std::max(1, options_.footprint_stride);
-  auto footprint = std::make_shared<Footprint>();
-  std::vector<FootprintPoint>& points = footprint->points;
-  std::vector<SnapshotPoint> buf;
-  Timestamp t = convoy.start;
-  while (true) {
-    K2_RETURN_NOT_OK(store->GetPoints(t, convoy.objects, &buf));
-    // A NaN coordinate is inside no rect and would break the sort below.
-    for (const SnapshotPoint& p : buf) {
-      if (!std::isnan(p.x) && !std::isnan(p.y)) points.push_back({p.x, p.y});
-    }
-    if (t >= convoy.end) break;
-    // Always land on the final tick (arithmetic in 64 bits: the clamp must
-    // not overflow for lifespans near the Timestamp range edge).
-    t = static_cast<int64_t>(convoy.end) - t <= stride
-            ? convoy.end
-            : static_cast<Timestamp>(t + stride);
-  }
-  std::ranges::sort(points, {}, &FootprintPoint::x);
-  if (!points.empty()) {
-    const auto [lo, hi] =
-        std::ranges::minmax_element(points, {}, &FootprintPoint::y);
-    footprint->box = {points.front().x, lo->y, points.back().x, hi->y};
-  }
-  return std::shared_ptr<const Footprint>(std::move(footprint));
 }
 
 std::shared_ptr<const CatalogSnapshot> ConvoyCatalog::Publish() {

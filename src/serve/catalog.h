@@ -2,11 +2,11 @@
 // read-optimized indexes — an interval index over lifespans (max-end
 // segment tree over the canonical start-sorted order), an inverted
 // object-id → convoy index (CSR postings), and per-convoy spatial
-// footprints (member positions sampled over each convoy's lifespan, sorted
-// by x, with their bounding box; built once per convoy and shared by every
-// epoch) — so the questions users ask of mined convoys (Jeung et al.: which
-// convoys contain object o? overlap window [a,b]? pass through region R?)
-// are index lookups instead of rescans of a flat result vector.
+// footprints (member positions at every tick of each convoy's lifespan,
+// sorted by x, with their bounding box; built once per convoy and shared
+// by every epoch) — so the questions users ask of mined convoys (Jeung et
+// al.: which convoys contain object o? overlap window [a,b]? pass through
+// region R?) are index lookups instead of rescans of a flat result vector.
 //
 // Publishing is incremental: the writer keeps the last published snapshot
 // plus the convoys added since, and Publish() merges the sorted additions
@@ -67,7 +67,7 @@ enum class ConvoyRank {
   kLargest,  ///< by object count, descending
 };
 
-/// One sampled member position of a convoy's spatial footprint.
+/// One member position of a convoy's spatial footprint.
 struct FootprintPoint {
   double x = 0.0;
   double y = 0.0;
@@ -76,17 +76,10 @@ struct FootprintPoint {
 /// One convoy's spatial footprint, built once when the convoy enters the
 /// catalog and shared, immutable, by the writer state and every snapshot.
 struct Footprint {
-  /// Sampled member positions, sorted by x.
+  /// Member positions at every tick of the lifespan, sorted by x.
   std::vector<FootprintPoint> points;
   /// Bounding box of `points`; an empty Rect when there are none.
   Rect box;
-};
-
-struct CatalogOptions {
-  /// Tick stride of footprint sampling: a convoy's footprint is its member
-  /// positions at ticks start, start+stride, start+2*stride, ... plus
-  /// always the final tick. 1 = every tick of the lifespan.
-  int footprint_stride = 1;
 };
 
 /// An immutable, fully indexed view of the catalog at one publish epoch.
@@ -103,17 +96,17 @@ class CatalogSnapshot {
   /// Canonical order; ConvoyId indexes into this.
   const std::vector<Convoy>& convoys() const { return convoys_; }
   const Convoy& convoy(ConvoyId id) const { return convoys_[id]; }
-  /// Total sampled footprint points behind the spatial index.
+  /// Total footprint points behind the spatial index.
   size_t footprint_points() const { return footprint_points_; }
 
   /// Convoys whose object set contains `oid`.
   void ByObject(ObjectId oid, std::vector<ConvoyId>* out) const;
   /// Convoys whose lifespan overlaps `window` (inclusive on both ends).
   void ByTimeWindow(TimeRange window, std::vector<ConvoyId>* out) const;
-  /// Convoys with at least one sampled footprint point inside `region`.
+  /// Convoys with at least one footprint point inside `region`.
   void ByRegion(const Rect& region, std::vector<ConvoyId>* out) const;
-  /// The per-convoy test behind ByRegion: true when a sampled footprint
-  /// point of `id` lies inside `region` (inclusive, as Rect::Contains).
+  /// The per-convoy test behind ByRegion: true when a footprint point of
+  /// `id` lies inside `region` (inclusive, as Rect::Contains).
   bool InRegion(ConvoyId id, const Rect& region) const;
 
   /// All ids ranked by `rank`: metric descending, ties by ascending id.
@@ -213,12 +206,12 @@ class SnapshotCell {
 /// a manual Publish may race benignly); readers never take any lock.
 class ConvoyCatalog {
  public:
-  explicit ConvoyCatalog(CatalogOptions options = {});
+  ConvoyCatalog();
 
   /// Adds convoys to the writer state, building each NEW convoy's spatial
-  /// footprint from `store` (GetPoints reads of the member objects over the
-  /// sampled lifespan ticks); re-adding a known convoy (published or
-  /// pending) is a no-op. Not visible to readers until Publish().
+  /// footprint from `store` (GetPoints reads of the member objects at every
+  /// tick of the lifespan); re-adding a known convoy (published or pending)
+  /// is a no-op. Not visible to readers until Publish().
   Status AddConvoys(std::span<const Convoy> convoys, Store* store)
       K2_EXCLUDES(writer_mu_);
   Status AddConvoy(const Convoy& convoy, Store* store)
@@ -277,10 +270,7 @@ class ConvoyCatalog {
       K2_REQUIRES(writer_mu_);
   std::shared_ptr<const CatalogSnapshot> PublishLocked()
       K2_REQUIRES(writer_mu_);
-  Result<std::shared_ptr<const Footprint>> BuildFootprint(
-      const Convoy& convoy, Store* store) const;
 
-  CatalogOptions options_;
   mutable Mutex writer_mu_;
   /// The snapshot the next Publish() merges added_ into: the last published
   /// one, or an empty one after ReplaceAll.

@@ -43,7 +43,7 @@ class ConvoyQueryEngine {
   std::vector<Convoy> ByObject(ObjectId oid) const;
   /// Convoys whose lifespan overlaps `window`, canonical order.
   std::vector<Convoy> ByTimeWindow(TimeRange window) const;
-  /// Convoys passing through `region` (any sampled footprint point inside),
+  /// Convoys passing through `region` (any footprint point inside),
   /// canonical order.
   std::vector<Convoy> ByRegion(const Rect& region) const;
   /// The `k` best convoys by `rank` (all of them when k >= size).

@@ -48,12 +48,6 @@ class BPlusTreeStore final : public Store {
   uint64_t delta_points() const { return delta_.num_points(); }
 
  private:
-  /// True when tick `t` can only live in the delta (it is newer than
-  /// everything that was bulk-loaded into the tree).
-  bool InDelta(Timestamp t) const {
-    return tree_.num_records() == 0 || t > tree_range_.end;
-  }
-
   BPlusTree tree_;
   size_t buffer_pool_pages_;  ///< replicated into read snapshots
   Dataset delta_;

@@ -61,21 +61,6 @@ TEST(ObjectSetTest, Intersect) {
   EXPECT_EQ(ObjectSet::Intersect(a, ObjectSet()), ObjectSet());
 }
 
-TEST(ObjectSetTest, IntersectionSizeMatchesIntersect) {
-  const ObjectSet a({1, 3, 5, 7, 9});
-  const ObjectSet b({3, 4, 5, 9, 10});
-  EXPECT_EQ(ObjectSet::IntersectionSize(a, b),
-            ObjectSet::Intersect(a, b).size());
-}
-
-TEST(ObjectSetTest, UnionAndDifference) {
-  const ObjectSet a({1, 2, 3});
-  const ObjectSet b({3, 4});
-  EXPECT_EQ(ObjectSet::Union(a, b), ObjectSet::Of({1, 2, 3, 4}));
-  EXPECT_EQ(ObjectSet::Difference(a, b), ObjectSet::Of({1, 2}));
-  EXPECT_EQ(ObjectSet::Difference(b, a), ObjectSet::Of({4}));
-}
-
 TEST(ObjectSetTest, OrderingIsLexicographic) {
   EXPECT_LT(ObjectSet::Of({1, 2}), ObjectSet::Of({1, 3}));
   EXPECT_LT(ObjectSet::Of({1}), ObjectSet::Of({1, 2}));

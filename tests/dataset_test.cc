@@ -1,5 +1,5 @@
 // Unit tests for the Dataset model: builder normalization, snapshot slices,
-// point lookup, restriction.
+// point lookup, sorted object select.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -135,18 +135,6 @@ TEST(SelectObjectsTest, RandomSetsMatchFind) {
       ExpectSelectMatchesFind(ds, 0, ObjectSet(oids));
     }
   }
-}
-
-TEST(DatasetTest, RestrictFiltersObjectsAndTime) {
-  const Dataset ds = MakeDataset({{0, 1, 0, 0},
-                                  {0, 2, 0, 0},
-                                  {1, 1, 0, 0},
-                                  {1, 2, 0, 0},
-                                  {2, 1, 0, 0}});
-  const Dataset sub = ds.Restrict({1}, TimeRange{1, 2});
-  EXPECT_EQ(sub.num_points(), 2u);
-  EXPECT_EQ(sub.num_objects(), 1u);
-  EXPECT_EQ(sub.time_range(), (TimeRange{1, 2}));
 }
 
 TEST(DatasetTest, NegativeTimestampsSupported) {

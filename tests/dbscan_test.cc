@@ -201,12 +201,17 @@ TEST(DbscanTest, DuplicatePositionsCluster) {
 }
 
 TEST(DbscanTest, SubsetRestrictsClustering) {
-  // Objects 0,1,2 are chained through 1; removing 1 disconnects them.
+  // reCluster(DB[t]|O): objects 0,1,2 are chained through 1, so clustering
+  // only the points of O = {0, 2} disconnects them.
   const auto pts = Points1D({0.0, 0.9, 1.8});
   const auto all = Dbscan(pts, 1.0, 2);
   ASSERT_EQ(all.size(), 1u);
-  const auto sub = DbscanSubset(pts, ObjectSet::Of({0, 2}), 1.0, 2);
-  EXPECT_TRUE(sub.empty());  // 0 and 2 are 1.8 apart
+  const ObjectSet subset = ObjectSet::Of({0, 2});
+  std::vector<SnapshotPoint> restricted;
+  for (const SnapshotPoint& p : pts) {
+    if (subset.Contains(p.oid)) restricted.push_back(p);
+  }
+  EXPECT_TRUE(Dbscan(restricted, 1.0, 2).empty());  // 0 and 2 are 1.8 apart
 }
 
 TEST(DbscanTest, LabelledOutputConsistentWithClusters) {

@@ -1,7 +1,7 @@
 // Unit tests for the proximity-log model, its generator, and its IO:
 // canonicalization, per-tick CSR adjacency views, presence-dataset bridging,
-// deterministic planted-clique generation, and CSV/binary round-trips with
-// named parse errors.
+// deterministic planted-clique generation, and CSV round-trips with named
+// parse errors.
 #include <fstream>
 #include <string>
 #include <vector>
@@ -126,22 +126,6 @@ TEST(ProximityIoTest, CsvRoundTrip) {
   EXPECT_EQ(loaded.value().ToRecords(), log.ToRecords());
 }
 
-TEST(ProximityIoTest, BinaryRoundTrip) {
-  const std::string dir = ScratchDir("proximity_bin");
-  PlantedProximitySpec spec;
-  spec.num_noise_objects = 10;
-  spec.num_ticks = 8;
-  spec.noise_pair_prob = 0.1;
-  spec.groups = {{4, 0, 7}};
-  const ProximityLog log = GeneratePlantedProximity(spec);
-
-  const std::string path = dir + "/pairs.bin";
-  ASSERT_TRUE(WriteProximityBinary(log, path).ok());
-  auto loaded = ReadProximityBinary(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().ToRecords(), log.ToRecords());
-}
-
 TEST(ProximityIoTest, CsvNamesRowAndColumnOnParseError) {
   const std::string dir = ScratchDir("proximity_bad");
   const std::string path = dir + "/bad.csv";
@@ -175,32 +159,6 @@ TEST(ProximityIoTest, CsvRejectsSelfLoopsAndBadHeaders) {
     out << "t,x,y\n1,2,3\n";
   }
   EXPECT_FALSE(ReadProximityCsv(bad_header).ok());
-}
-
-TEST(ProximityIoTest, BinaryRejectsWrongMagicAndLyingHeader) {
-  const std::string dir = ScratchDir("proximity_bad3");
-  const std::string garbage = dir + "/garbage.bin";
-  {
-    std::ofstream out(garbage, std::ios::binary);
-    out << "this is not a proximity log at all";
-  }
-  EXPECT_FALSE(ReadProximityBinary(garbage).ok());
-
-  // Valid magic but a count far beyond the file size must be rejected
-  // before any allocation.
-  const std::string lying = dir + "/lying.bin";
-  ASSERT_TRUE(
-      WriteProximityBinary(ProximityLog::FromRecords({{0, 1, 2}}), lying)
-          .ok());
-  {
-    std::fstream f(lying, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(8);
-    const uint64_t huge = ~0ULL / 2;
-    f.write(reinterpret_cast<const char*>(&huge), 8);
-  }
-  auto r = ReadProximityBinary(lying);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalid);
 }
 
 }  // namespace

@@ -286,49 +286,5 @@ TEST(ServeDifferentialTest, Brinkhoff) {
   RunDifferential(data, MiningParams{2, 6, 150.0});  // 42 convoys
 }
 
-TEST(ServeDifferentialTest, CoarseFootprintStrideStaysIdentical) {
-  // A catalog with stride > 1 samples fewer footprint points; all three
-  // sources must still agree with each other at that stride.
-  RandomWalkSpec spec;
-  spec.seed = 91;
-  spec.num_objects = 18;
-  spec.num_ticks = 50;
-  spec.area = 30.0;
-  spec.step = 4.0;
-  const Dataset data = GenerateRandomWalk(spec);
-  const MiningParams params{2, 6, 5.0};
-
-  CatalogOptions coarse;
-  coarse.footprint_stride = 3;
-
-  std::vector<FedCatalog> fed;
-  // Batch with coarse stride.
-  {
-    FedCatalog f;
-    f.source = "batch-coarse";
-    f.store = MakeMemStore(data);
-    auto mined = MineK2Hop(f.store.get(), params);
-    K2_CHECK(mined.ok());
-    f.catalog = std::make_unique<ConvoyCatalog>(coarse);
-    K2_CHECK_OK(f.catalog->AddConvoys(mined.value(), f.store.get()));
-    f.snap = f.catalog->Publish();
-    fed.push_back(std::move(f));
-  }
-  // Partitioned with coarse stride.
-  {
-    FedCatalog f;
-    f.source = "partitioned-coarse";
-    f.store = MakeMemStore(data);
-    auto mined = MineK2Hop(f.store.get(), params, {.num_shards = 4});
-    K2_CHECK(mined.ok());
-    f.catalog = std::make_unique<ConvoyCatalog>(coarse);
-    K2_CHECK_OK(f.catalog->AddConvoys(mined.value(), f.store.get()));
-    f.snap = f.catalog->Publish();
-    fed.push_back(std::move(f));
-  }
-  ASSERT_FALSE(fed[0].snap->empty());
-  ExpectIdenticalAnswers(fed, data);
-}
-
 }  // namespace
 }  // namespace k2

@@ -118,19 +118,16 @@ TEST_F(ServeFixture, ByRegionFindsConvoysPassingThrough) {
 }
 
 // Region oracle: every answer is checked against a brute-force scan that
-// re-reads each convoy's sampled footprint points from the store and tests
-// them with Rect::Contains. Positions are integers on a small board, so
-// rect edges land exactly on points.
+// re-reads each convoy's members at every tick of its lifespan from the
+// store and tests them with Rect::Contains. Positions are integers on a
+// small board, so rect edges land exactly on points.
 class RegionOracle {
  public:
-  RegionOracle(const CatalogSnapshot& snap, Store* store, int stride) {
+  RegionOracle(const CatalogSnapshot& snap, Store* store) {
     std::vector<SnapshotPoint> buf;
     for (const Convoy& c : snap.convoys()) {
-      std::vector<Timestamp> ticks;
-      for (Timestamp t = c.start; t < c.end; t += stride) ticks.push_back(t);
-      ticks.push_back(c.end);
       std::vector<FootprintPoint>& fp = footprints_.emplace_back();
-      for (Timestamp t : ticks) {
+      for (Timestamp t = c.start; t <= c.end; ++t) {
         K2_CHECK_OK(store->GetPoints(t, c.objects, &buf));
         for (const SnapshotPoint& p : buf) fp.push_back({p.x, p.y});
       }
@@ -156,7 +153,6 @@ TEST(ServeRegionOracleTest, RegionAnswersMatchBruteForce) {
   constexpr int kObjects = 24, kTicks = 30, kBoard = 40, kConvoys = 12;
   Rng rng(20261017);
   for (int round = 0; round < 40; ++round) {
-    const int stride = 1 + round % 3;
     // Integer random walks; an object skips a tick now and then, so some
     // footprint reads find fewer members than the convoy has.
     std::vector<std::tuple<Timestamp, ObjectId, double, double>> rows;
@@ -191,12 +187,10 @@ TEST(ServeRegionOracleTest, RegionAnswersMatchBruteForce) {
           rng.UniformInt(start, std::min(start + 10, kTicks - 1)));
       convoys.emplace_back(ObjectSet(ids), start, end);
     }
-    CatalogOptions options;
-    options.footprint_stride = stride;
-    ConvoyCatalog catalog(options);
+    ConvoyCatalog catalog;
     ASSERT_TRUE(catalog.AddConvoys(convoys, store.get()).ok());
     const auto snap = catalog.Publish();
-    const RegionOracle oracle(*snap, store.get(), stride);
+    const RegionOracle oracle(*snap, store.get());
 
     for (int r = 0; r < 400; ++r) {
       const ConvoyId some =
@@ -303,6 +297,24 @@ TEST(ServeRegionOracleTest, RegionAnswersMatchBruteForce) {
       ASSERT_EQ(got, want) << "round " << round << " rect " << r;
     }
   }
+}
+
+TEST(ServeFootprintTest, LifespanEndingAtTheLastTimestampIsSampled) {
+  // The footprint reads every tick of [max - 2, max]; a tick counter as
+  // wide as Timestamp would overflow on its last increment instead of
+  // stopping.
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  std::vector<std::tuple<Timestamp, ObjectId, double, double>> rows;
+  for (const Timestamp t : {kMax - 2, kMax - 1, kMax}) {
+    rows.push_back({t, 1, 0.0, 0.0});
+    rows.push_back({t, 2, 1.0, 0.0});
+  }
+  auto store = MakeMemStore(MakeDataset(rows));
+  ConvoyCatalog catalog;
+  ASSERT_TRUE(catalog.AddConvoy(C({1, 2}, kMax - 2, kMax), store.get()).ok());
+  const auto snap = catalog.Publish();
+  ASSERT_EQ(snap->size(), 1u);
+  EXPECT_EQ(snap->footprint_points(), 6u);
 }
 
 TEST_F(ServeFixture, TopKRanksAndTruncates) {
