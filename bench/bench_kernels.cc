@@ -94,9 +94,14 @@ Measurement RunEpsScan(const simd::Kernels& k, const EpsWorkload& w) {
   return m;
 }
 
+// A pool of set pairs, and the pair each repetition intersects. Replaying
+// one pair would time how well the branch predictor learns its one merge
+// sequence, which moves with code placement; a seeded random draw from the
+// pool gives every repetition fresh branches.
 struct SetWorkload {
-  std::vector<uint32_t> a, b;
-  int reps = 0;
+  std::vector<std::vector<uint32_t>> a, b;
+  std::vector<uint32_t> order;
+  size_t max_size = 0;
 };
 
 SetWorkload MakeSetWorkload() {
@@ -110,24 +115,31 @@ SetWorkload MakeSetWorkload() {
     v.erase(std::unique(v.begin(), v.end()), v.end());
     return v;
   };
-  w.a = draw();
-  w.b = draw();
-  w.reps = 3000;
+  constexpr size_t kPairs = 16;
+  for (size_t p = 0; p < kPairs; ++p) {
+    w.a.push_back(draw());
+    w.b.push_back(draw());
+    w.max_size = std::max({w.max_size, w.a.back().size(), w.b.back().size()});
+  }
+  std::uniform_int_distribution<uint32_t> pick(0, kPairs - 1);
+  w.order.resize(3000);
+  for (auto& p : w.order) p = pick(rng);
   return w;
 }
 
 Measurement RunIntersect(const simd::Kernels& k, const SetWorkload& w) {
-  std::vector<uint32_t> out(std::min(w.a.size(), w.b.size()) +
-                            simd::kMaxLaneSlack);
+  std::vector<uint32_t> out(w.max_size + simd::kMaxLaneSlack);
+  double elems = 0.0;
   Measurement m;
   Stopwatch sw;
-  for (int rep = 0; rep < w.reps; ++rep) {
-    g_sink = g_sink + k.intersect(w.a.data(), w.a.size(), w.b.data(),
-                                  w.b.size(), out.data());
+  for (const uint32_t p : w.order) {
+    g_sink = g_sink + k.intersect(w.a[p].data(), w.a[p].size(),
+                                  w.b[p].data(), w.b[p].size(), out.data());
   }
   m.seconds = sw.ElapsedSeconds();
-  const double elems =
-      static_cast<double>(w.a.size() + w.b.size()) * w.reps;
+  for (const uint32_t p : w.order) {
+    elems += static_cast<double>(w.a[p].size() + w.b[p].size());
+  }
   m.throughput = elems / m.seconds / 1e6;  // Melem/s
   return m;
 }
@@ -176,15 +188,18 @@ void CheckAgainstOracle(const simd::Kernels& k, const EpsWorkload& eps,
     K2_CHECK(got_n == want_n);
     for (size_t j = 0; j < got_n; ++j) K2_CHECK(got[j] == want[j]);
   }
-  got.assign(std::min(sets.a.size(), sets.b.size()) + simd::kMaxLaneSlack, 0);
+  got.assign(sets.max_size + simd::kMaxLaneSlack, 0);
   want.assign(got.size(), 0);
-  const size_t want_n = oracle.intersect(sets.a.data(), sets.a.size(),
-                                         sets.b.data(), sets.b.size(),
-                                         want.data());
-  const size_t got_n = k.intersect(sets.a.data(), sets.a.size(),
-                                   sets.b.data(), sets.b.size(), got.data());
-  K2_CHECK(got_n == want_n);
-  for (size_t j = 0; j < got_n; ++j) K2_CHECK(got[j] == want[j]);
+  for (size_t p = 0; p < sets.a.size(); ++p) {
+    const std::vector<uint32_t>& a = sets.a[p];
+    const std::vector<uint32_t>& b = sets.b[p];
+    const size_t want_n =
+        oracle.intersect(a.data(), a.size(), b.data(), b.size(), want.data());
+    const size_t got_n =
+        k.intersect(a.data(), a.size(), b.data(), b.size(), got.data());
+    K2_CHECK(got_n == want_n);
+    for (size_t j = 0; j < got_n; ++j) K2_CHECK(got[j] == want[j]);
+  }
   K2_CHECK(k.crc32c(crc.data.data(), crc.data.size(), 0) ==
            oracle.crc32c(crc.data.data(), crc.data.size(), 0));
 }

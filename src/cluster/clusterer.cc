@@ -30,6 +30,13 @@ Result<std::vector<ObjectSet>> GeometricClusterer::ReCluster(
     const MiningParams& params, SnapshotScratch* scratch,
     Mutex* /*store_mu*/) const {
   K2_RETURN_NOT_OK(store->GetPoints(t, objects, &scratch->points));
+  // Almost every re-clustering only confirms that `objects` is still one
+  // cluster; when every object was fetched, the bitmask check answers that
+  // exactly, and anything but a yes falls through to DBSCAN.
+  if (scratch->points.size() == objects.size() &&
+      IsOneDbscanCluster(scratch->points, params.eps, params.m)) {
+    return std::vector<ObjectSet>(1, objects);
+  }
   return Dbscan(scratch->points, params.eps, params.m, &scratch->dbscan);
 }
 

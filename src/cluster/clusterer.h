@@ -7,7 +7,8 @@
 //
 //   GeometricClusterer      point-radius DBSCAN over (x, y) coordinates —
 //                           the paper's Def. 2 and the default. GridIndex +
-//                           SIMD eps-scan fast path, unchanged.
+//                           SIMD eps-scan fast path; ReCluster asks
+//                           IsOneDbscanCluster first.
 //   CoLocationGraphClusterer / EpsGraphClusterer (cluster/graph_clusterer.h)
 //                           graph DBSCAN over proximity pairs — the
 //                           coordinate-free workload.
@@ -82,7 +83,9 @@ class SnapshotClusterer {
 };
 
 /// The default substrate: point-radius DBSCAN over coordinates, identical
-/// in every byte of output (and every allocation) to the pre-seam code.
+/// in every byte of output to plain Dbscan over the fetched points.
+/// ReCluster first asks IsOneDbscanCluster when every requested object was
+/// fetched: a yes returns `{objects}` without running DBSCAN.
 class GeometricClusterer final : public SnapshotClusterer {
  public:
   std::string name() const override { return "geometric"; }

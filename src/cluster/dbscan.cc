@@ -1,6 +1,8 @@
 #include "cluster/dbscan.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/simd.h"
 
@@ -168,6 +170,46 @@ std::vector<ObjectSet> Dbscan(std::span<const SnapshotPoint> points,
 std::vector<ObjectSet> Dbscan(std::span<const SnapshotPoint> points,
                               double eps, int min_pts) {
   return Dbscan(points, eps, min_pts, ThreadLocalScratch());
+}
+
+bool IsOneDbscanCluster(std::span<const SnapshotPoint> points, double eps,
+                        int min_pts) {
+  const size_t n = points.size();
+  if (min_pts <= 0 || n < static_cast<size_t>(min_pts) ||
+      n > kOneClusterMaxPoints) {
+    return false;
+  }
+  // nbr[i]: bit j set iff j is in i's eps-neighbourhood (self included),
+  // by eps_scan's expression for query i. Branch-free: the answers are
+  // data-dependent, and a mispredicted branch costs more than the pair.
+  const double eps2 = eps * eps;
+  uint64_t nbr[kOneClusterMaxPoints];
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t row = 0;
+    for (size_t j = 0; j < n; ++j) {
+      const double dx = points[j].x - points[i].x;
+      const double dy = points[j].y - points[i].y;
+      row |= uint64_t{dx * dx + dy * dy <= eps2} << j;
+    }
+    nbr[i] = row;
+  }
+  uint64_t core = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (std::popcount(nbr[i]) >= min_pts) core |= uint64_t{1} << i;
+  }
+  if (core == 0) return false;
+  // Closure from the lowest core point, the one DBSCAN starts its first
+  // cluster from: core points expand, border points only join.
+  uint64_t expanded = 0;
+  uint64_t reached = core & -core;
+  for (uint64_t frontier = reached; frontier != 0;
+       frontier = reached & core & ~expanded) {
+    const uint64_t bit = frontier & -frontier;
+    expanded |= bit;
+    reached |= nbr[std::countr_zero(bit)];
+  }
+  const uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+  return reached == all;
 }
 
 void DbscanLabelled(std::span<const SnapshotPoint> points, double eps,

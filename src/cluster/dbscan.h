@@ -6,9 +6,13 @@
 // Every entry point has a DbscanScratch overload: the scratch owns all
 // working state (grid index, visited bytes, seed queue, neighbor buffer,
 // label array), so repeated clusterings through one scratch — the per-tick
-// re-clusterings that dominate HWMT / extension / validation — allocate
-// nothing in steady state. The scratch-free overloads reuse a thread-local
-// scratch and are therefore equally allocation-free after warm-up.
+// re-clusterings that dominate HWMT / extension / validation — reuse their
+// working buffers; only the returned clusters are fresh allocations. The
+// scratch-free overloads reuse a thread-local scratch.
+//
+// IsOneDbscanCluster answers the yes-or-no question behind almost every
+// re-clustering — is the whole set still one cluster? — with one 64-bit
+// neighbour mask per point and no scratch at all.
 #ifndef K2_CLUSTER_DBSCAN_H_
 #define K2_CLUSTER_DBSCAN_H_
 
@@ -57,6 +61,20 @@ std::vector<ObjectSet> Dbscan(std::span<const SnapshotPoint> points,
 std::vector<ObjectSet> Dbscan(std::span<const SnapshotPoint> points,
                               double eps, int min_pts,
                               DbscanScratch* scratch);
+
+/// Most points IsOneDbscanCluster decides: one bit per point in a uint64_t.
+inline constexpr size_t kOneClusterMaxPoints = 64;
+
+/// True only if Dbscan(points, eps, min_pts) returns exactly one cluster
+/// holding every point. For min_pts <= points.size() <= kOneClusterMaxPoints
+/// the converse holds too; outside that range the answer is false without a
+/// check. Exact, not approximate: neighbours use eps_scan's expression
+/// (`dx*dx + dy*dy <= eps*eps`, self included), a point is core when its
+/// neighbourhood holds >= min_pts points, and the answer is whether the
+/// density-reachable closure of the lowest-index core point covers every
+/// point — the set DBSCAN's first cluster grows from that same point.
+bool IsOneDbscanCluster(std::span<const SnapshotPoint> points, double eps,
+                        int min_pts);
 
 DbscanLabels DbscanLabelled(std::span<const SnapshotPoint> points, double eps,
                             int min_pts);

@@ -38,10 +38,14 @@ void GridIndex::Build(std::span<const SnapshotPoint> points,
 
   // Grow the cell side until the bounding-box grid is at most ~4n cells, so
   // index memory stays linear in the snapshot for arbitrarily small eps.
-  // Queries stay correct: the 3x3 block covers eps for any cell >= eps.
+  // Queries stay correct: the 3x3 block covers eps for any cell > eps. The
+  // side starts 2^-20 above `cell_size` because cell indices come from
+  // rounded arithmetic: with a side of exactly eps, a neighbour exactly eps
+  // away could land two cells over and be missed. The margin outweighs
+  // that rounding for any grid of fewer than about 2^30 cells.
   const double max_cells =
       static_cast<double>(std::max<size_t>(64, 4 * n));
-  double cell = cell_size;
+  double cell = cell_size * (1.0 + 0x1p-20);
   while ((std::floor((max_x - min_x_) / cell) + 1.0) *
              (std::floor((max_y - min_y_) / cell) + 1.0) >
          max_cells) {

@@ -1,7 +1,8 @@
-// Uniform-grid spatial index over one snapshot. With cell size = eps, the
-// eps-neighbourhood of a point is contained in the 3x3 block of cells around
-// it, so DBSCAN's region queries run in expected O(1) per point instead of
-// the O(n) scan that the paper identifies as the bottleneck of the baselines.
+// Uniform-grid spatial index over one snapshot. With cells a hair wider
+// than eps, the eps-neighbourhood of a point is contained in the 3x3 block
+// of cells around it, so DBSCAN's region queries run in expected O(1) per
+// point instead of the O(n) scan that the paper identifies as the
+// bottleneck of the baselines.
 //
 // Layout: flat sorted CSR over the snapshot's bounding box. Points are
 // counting-sorted into cells (`cell_starts_` / `point_ids_`), cells are
@@ -26,17 +27,19 @@ class GridIndex {
   /// An empty index; call Build() before querying.
   GridIndex() = default;
 
-  /// Indexes `points` with square cells of side >= `cell_size` (> 0).
+  /// Indexes `points` with square cells of side > `cell_size` (> 0).
   GridIndex(std::span<const SnapshotPoint> points, double cell_size) {
     Build(points, cell_size);
   }
 
   /// (Re)indexes `points`, reusing previously allocated buffers — rebuilding
   /// the same GridIndex across snapshots is allocation-free in steady state.
-  /// The effective cell size is grown above `cell_size` when the bounding
-  /// box would otherwise shatter into more than ~4x|points| cells, which
-  /// keeps memory linear for any eps; queries stay correct for any
-  /// `eps` <= the requested `cell_size`.
+  /// The effective cell size starts 2^-20 above `cell_size` (so rounding
+  /// in the cell arithmetic cannot drop a neighbour exactly `cell_size`
+  /// away) and is grown further when the bounding box would otherwise
+  /// shatter into more than ~4x|points| cells, which keeps memory linear for
+  /// any eps; queries stay correct for any `eps` <= the requested
+  /// `cell_size`.
   void Build(std::span<const SnapshotPoint> points, double cell_size);
 
   /// Appends to `out` the indices of all points within `eps` of point `i`

@@ -18,9 +18,12 @@
 // "close", not "equivalent up to order". tests/simd_test.cc enforces this
 // with randomized property suites across unaligned bases, all tail lengths
 // and adversarial set shapes; the differential miner suites then prove
-// convoy output is unchanged at both levels. To add a kernel: add the
-// function pointer here, implement scalar first, wire it into both tables
-// in simd.cc, then extend the property suite.
+// convoy output is unchanged at both levels. The build passes
+// -ffp-contract=off, so no compiler fuses eps_scan's `dx*dx + dy*dy` into
+// an FMA in one table and not the other: a point exactly at eps must come
+// out the same everywhere (EpsScanProperty.MatchesScalarAtExactEps). To
+// add a kernel: add the function pointer here, implement scalar first,
+// wire it into both tables in simd.cc, then extend the property suite.
 #ifndef K2_COMMON_SIMD_H_
 #define K2_COMMON_SIMD_H_
 

@@ -1,12 +1,14 @@
 // Unit tests for the SnapshotClusterer seam: dispatch through MiningParams,
-// geometric-through-interface equality with direct DBSCAN, the graph
-// clustering core (core/border/noise semantics, first-cluster-wins border
-// contention), the co-location clusterer's store-joined semantics, and the
-// clusterer-aware parameter validation at every miner entry point.
+// geometric-through-interface equality with direct DBSCAN (Cluster and
+// ReCluster), the graph clustering core (core/border/noise semantics,
+// first-cluster-wins border contention), the co-location clusterer's
+// store-joined semantics, and the clusterer-aware parameter validation at
+// every miner entry point.
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -115,6 +117,92 @@ TEST(ClustererDispatchTest, GeometricThroughSeamMatchesDirectDbscan) {
     EXPECT_EQ(via_seam.value(), Dbscan(points, params.eps, params.m))
         << "tick " << t;
   }
+}
+
+// ReCluster through the seam answers most calls with IsOneDbscanCluster
+// before DBSCAN runs; the answer must still equal Dbscan over the points it
+// fetched. Lattice ticks put points exactly at eps and on top of each
+// other; about one row in six is missing, so some requested objects are
+// absent at t; subsets of exactly m, 64 and 65 objects are drawn from the
+// objects present; tick 6 holds a border point between two core groups.
+TEST(ClustererDispatchTest, GeometricReClusterThroughSeamMatchesDirectDbscan) {
+  Rng rng(21);
+  std::vector<std::tuple<Timestamp, ObjectId, double, double>> rows;
+  for (Timestamp t = 0; t < 6; ++t) {
+    const int64_t side = 3 + 3 * t;
+    for (ObjectId oid = 0; oid < 90; ++oid) {
+      if (rng.NextInt(6) == 0) continue;
+      rows.emplace_back(t, oid, static_cast<double>(rng.UniformInt(0, side)),
+                        static_cast<double>(rng.UniformInt(0, side)));
+    }
+  }
+  // m = 6, eps = 10: oid 6 at x = 14 reaches both groups but is not core.
+  const std::vector<double> border_xs{0,  1,  2,  3,  4,  5, 14,
+                                      23, 24, 25, 26, 27, 28};
+  for (size_t i = 0; i < border_xs.size(); ++i) {
+    rows.emplace_back(6, static_cast<ObjectId>(i), border_xs[i], 0.0);
+  }
+  const Dataset data = testing::MakeDataset(rows);
+  auto store = MakeMemStore(data);
+  const GeometricClusterer geometric;
+  SnapshotScratch scratch;
+
+  size_t whole = 0, split = 0, absent = 0;
+  auto check = [&](Timestamp t, const ObjectSet& objects, int m, double eps) {
+    MiningParams params{m, 2, eps};
+    params.clusterer = &geometric;
+    auto via_seam = ReCluster(store.get(), t, objects, params, &scratch);
+    ASSERT_TRUE(via_seam.ok());
+    std::vector<SnapshotPoint> restricted;
+    for (const SnapshotPoint& p : SnapshotPoints(data, t)) {
+      if (objects.Contains(p.oid)) restricted.push_back(p);
+    }
+    const std::vector<ObjectSet> want = Dbscan(restricted, eps, m);
+    EXPECT_EQ(via_seam.value(), want)
+        << "t=" << t << " |O|=" << objects.size() << " m=" << m
+        << " eps=" << eps;
+    if (restricted.size() < objects.size()) {
+      ++absent;
+    } else if (want.size() == 1 && want[0] == objects) {
+      ++whole;
+    } else {
+      ++split;
+    }
+  };
+
+  const ObjectSet border_tick = ObjectSet::Of(
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
+  check(6, border_tick, 6, 10.0);
+  ASSERT_EQ(Dbscan(SnapshotPoints(data, 6), 10.0, 6).size(), 2u);
+
+  for (Timestamp t = 0; t < 6; ++t) {
+    std::vector<ObjectId> present;
+    for (const SnapshotPoint& p : SnapshotPoints(data, t)) {
+      present.push_back(p.oid);
+    }
+    for (int it = 0; it < 60; ++it) {
+      const int m = 2 + static_cast<int>(rng.NextInt(4));
+      const double eps = 1.0 + static_cast<double>(rng.NextInt(2));
+      const size_t sizes[] = {static_cast<size_t>(m), 64, 65,
+                              1 + rng.NextInt(90)};
+      const size_t size = sizes[it % 4];
+      // Every fourth draw also picks from absent objects.
+      std::vector<ObjectId> pool = present;
+      if (it % 4 == 3) {
+        pool.clear();
+        for (ObjectId oid = 0; oid < 90; ++oid) pool.push_back(oid);
+      }
+      for (size_t i = 0; i < pool.size(); ++i) {
+        std::swap(pool[i], pool[i + rng.NextInt(pool.size() - i)]);
+      }
+      pool.resize(std::min(size, pool.size()));
+      check(t, ObjectSet(pool), m, eps);
+    }
+  }
+  // All three outcomes occur, so both paths of ReCluster ran.
+  EXPECT_GT(whole, 20u);
+  EXPECT_GT(split, 20u);
+  EXPECT_GT(absent, 10u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
-// Unit tests for the clustering substrate: grid index region queries and
-// DBSCAN semantics ((m,eps)-clusters of paper Def. 2).
+// Unit tests for the clustering substrate: grid index region queries,
+// DBSCAN semantics ((m,eps)-clusters of paper Def. 2) and the whole-set
+// check IsOneDbscanCluster against DBSCAN itself.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "cluster/dbscan.h"
 #include "cluster/grid_index.h"
@@ -106,6 +111,34 @@ TEST(GridIndexTest, RandomizedMatchesBruteForce) {
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, BruteForceNeighborsOf(pts, x, y, eps))
           << "seed=" << seed << " query=(" << x << "," << y << ")";
+    }
+  }
+}
+
+// Neighbours exactly eps apart, for eps values that are not binary
+// fractions: rounding in the cell arithmetic must never push one of them
+// out of the 3x3 block the query scans.
+TEST(GridIndexTest, NeighborsExactlyEpsApartAreNeverMissed) {
+  Rng rng(77);
+  for (int trial = 0; trial < 5000; ++trial) {
+    const double eps = std::exp(rng.Uniform(-4.0, 4.0));
+    const double base = rng.Uniform(-500.0, 500.0);
+    std::vector<SnapshotPoint> pts;
+    for (size_t i = 0; i < 40; ++i) {
+      const double y = rng.Bernoulli(0.5)
+                           ? 0.0
+                           : eps * static_cast<double>(rng.NextInt(3));
+      pts.push_back(SnapshotPoint{
+          static_cast<ObjectId>(i),
+          base + eps * static_cast<double>(rng.NextInt(8)), y});
+    }
+    GridIndex index(pts, eps);
+    for (size_t i = 0; i < pts.size(); ++i) {
+      std::vector<uint32_t> got;
+      index.Neighbors(i, eps, &got);
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, BruteForceNeighborsOf(pts, pts[i].x, pts[i].y, eps))
+          << "trial=" << trial << " i=" << i << " eps=" << eps;
     }
   }
 }
@@ -245,6 +278,122 @@ TEST(DbscanTest, LargeEpsMergesEverything) {
   const auto clusters = Dbscan(pts, 100.0, 2);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(clusters[0].size(), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// IsOneDbscanCluster
+// ---------------------------------------------------------------------------
+
+// True iff `clusters` is exactly one cluster holding every point.
+bool OneClusterOfAll(const std::vector<ObjectSet>& clusters,
+                     const std::vector<SnapshotPoint>& pts) {
+  return clusters.size() == 1 && clusters[0].size() == pts.size();
+}
+
+TEST(IsOneDbscanClusterTest, ChainAndExactEpsAreOneCluster) {
+  EXPECT_TRUE(IsOneDbscanCluster(Points1D({0.0, 1.0, 2.0, 3.0}), 1.0, 2));
+  EXPECT_FALSE(IsOneDbscanCluster(Points1D({0.0, 1.0, 2.5, 3.5}), 1.0, 2));
+}
+
+TEST(IsOneDbscanClusterTest, BorderPointBetweenTwoCoreGroupsIsNotOne) {
+  // m = 6, eps = 10: 14 touches both groups (5 neighbours, self included)
+  // but is not core, so DBSCAN splits it into two clusters.
+  const auto pts = Points1D({0, 1, 2, 3, 4, 5, 14, 23, 24, 25, 26, 27, 28});
+  EXPECT_EQ(Dbscan(pts, 10.0, 6).size(), 2u);
+  EXPECT_FALSE(IsOneDbscanCluster(pts, 10.0, 6));
+  // A second point at 14 makes both core, and the groups join.
+  const auto joined =
+      Points1D({0, 1, 2, 3, 4, 5, 14, 14, 23, 24, 25, 26, 27, 28});
+  EXPECT_TRUE(OneClusterOfAll(Dbscan(joined, 10.0, 6), joined));
+  EXPECT_TRUE(IsOneDbscanCluster(joined, 10.0, 6));
+}
+
+TEST(IsOneDbscanClusterTest, OutsideTheDecidedRangeIsFalse) {
+  EXPECT_FALSE(IsOneDbscanCluster({}, 1.0, 2));
+  EXPECT_FALSE(IsOneDbscanCluster(Points1D({0.0}), 1.0, 2));  // n < m
+  std::vector<SnapshotPoint> dup;
+  for (size_t i = 0; i < kOneClusterMaxPoints + 1; ++i) {
+    dup.push_back(SnapshotPoint{static_cast<ObjectId>(i), 5.0, 5.0});
+  }
+  EXPECT_FALSE(IsOneDbscanCluster(dup, 1.0, 2));  // 65 points: not decided
+  dup.pop_back();
+  EXPECT_TRUE(IsOneDbscanCluster(dup, 1.0, 2));  // 64 duplicates: one
+}
+
+// The property behind the ReCluster fast path: a yes implies DBSCAN returns
+// one cluster of every point, and for n <= 64 the converse holds. Counts
+// the answers into `yes` / `no`.
+void ExpectAgreesWithDbscan(const std::vector<SnapshotPoint>& pts, double eps,
+                            int m, DbscanScratch* scratch, size_t* yes,
+                            size_t* no) {
+  const bool got = IsOneDbscanCluster(pts, eps, m);
+  const bool want = OneClusterOfAll(Dbscan(pts, eps, m, scratch), pts);
+  if (got) {
+    ASSERT_TRUE(want) << "false yes: n=" << pts.size() << " eps=" << eps
+                      << " m=" << m;
+  } else if (pts.size() <= kOneClusterMaxPoints) {
+    ASSERT_FALSE(want) << "missed yes: n=" << pts.size() << " eps=" << eps
+                       << " m=" << m;
+  }
+  ++*(got ? yes : no);
+}
+
+// Integer lattices, so distances land exactly on eps and duplicates are
+// common. n covers 0..70 (m, 64 and 65 included), eps 1 and 2, m 2..5.
+TEST(IsOneDbscanClusterTest, MatchesDbscanOnLatticeSnapshots) {
+  Rng rng(20261018);
+  DbscanScratch scratch;
+  std::vector<SnapshotPoint> pts;
+  size_t yes = 0, no = 0;
+  for (int trial = 0; trial < 100000; ++trial) {
+    const size_t n = rng.NextInt(71);
+    const double eps = 1.0 + static_cast<double>(rng.NextInt(2));
+    const int m = 2 + static_cast<int>(rng.NextInt(4));
+    // Lattice side from 1 (all duplicates) to sparse, so both answers occur.
+    const int64_t side = 1 + static_cast<int64_t>(rng.NextInt(2 + n / 3));
+    pts.clear();
+    for (size_t i = 0; i < n; ++i) {
+      pts.push_back(SnapshotPoint{
+          static_cast<ObjectId>(i * 3 + 1),
+          static_cast<double>(rng.UniformInt(0, side - 1)) - 7.0,
+          static_cast<double>(rng.UniformInt(0, side - 1)) + 11.0});
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectAgreesWithDbscan(pts, eps, m, &scratch, &yes, &no))
+        << "trial " << trial;
+  }
+  // Both answers must be common, or the property says little.
+  EXPECT_GT(yes, 20000u);
+  EXPECT_GT(no, 20000u);
+}
+
+// The same property on lattices scaled by an eps that is not a binary
+// fraction, so neighbours sit exactly eps apart only up to rounding, and
+// DBSCAN's grid path (n > 32) must find every one the check finds.
+TEST(IsOneDbscanClusterTest, MatchesDbscanOnScaledLatticeSnapshots) {
+  Rng rng(20261019);
+  DbscanScratch scratch;
+  std::vector<SnapshotPoint> pts;
+  size_t yes = 0, no = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const size_t n = 20 + rng.NextInt(51);
+    const double eps = std::exp(rng.Uniform(-4.0, 4.0));
+    const int m = 2 + static_cast<int>(rng.NextInt(4));
+    const double base = rng.Uniform(-500.0, 500.0);
+    const int64_t side = 2 + static_cast<int64_t>(rng.NextInt(n / 6));
+    pts.clear();
+    for (size_t i = 0; i < n; ++i) {
+      pts.push_back(SnapshotPoint{
+          static_cast<ObjectId>(i),
+          base + eps * static_cast<double>(rng.UniformInt(0, side - 1)),
+          eps * static_cast<double>(rng.UniformInt(0, side - 1))});
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectAgreesWithDbscan(pts, eps, m, &scratch, &yes, &no))
+        << "trial " << trial;
+  }
+  EXPECT_GT(yes, 2000u);
+  EXPECT_GT(no, 4000u);
 }
 
 }  // namespace

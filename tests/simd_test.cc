@@ -2,10 +2,10 @@
 // implementation of every kernel must be byte-identical to the scalar
 // oracle on randomized inputs covering unaligned bases, all tail lengths up
 // to well past 2x the 8-lane group, adversarial set shapes (overlap-heavy,
-// disjoint, skewed enough to take the gallop path, equal, empty), and
-// extreme NaN-free coordinates. Run under K2_SIMD=scalar|avx2 the suites
-// still pass: they pit At(kAvx2) against At(kScalar) directly whenever the
-// host supports AVX2.
+// disjoint, skewed enough to take the gallop path, equal, empty), extreme
+// NaN-free coordinates, and points exactly at eps. Run under
+// K2_SIMD=scalar|avx2 the suites still pass: they pit At(kAvx2) against
+// At(kScalar) directly whenever the host supports AVX2.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,9 +81,11 @@ class EpsScanProperty : public ::testing::Test {
  protected:
   // Runs one randomized comparison: scalar vs `level` on identical input,
   // from an `offset`-element-unaligned base, checking count, payload, and
-  // that nothing was written at or past index n.
+  // that nothing was written at or past index n. With `at_point`, eps2 is
+  // the squared distance of one random point, so that point sits exactly on
+  // the boundary.
   void Check(simd::Level level, std::mt19937* rng, size_t n, size_t offset,
-             double coord_scale) {
+             double coord_scale, bool at_point = false) {
     std::uniform_real_distribution<double> coord(-coord_scale, coord_scale);
     // Slack before (alignment offset) and after (overrun detection).
     std::vector<double> xs(offset + n), ys(offset + n);
@@ -97,7 +99,14 @@ class EpsScanProperty : public ::testing::Test {
     const double qy = coord(*rng);
     // eps2 spans "matches nothing" to "matches everything".
     std::uniform_real_distribution<double> frac(0.0, 2.0);
-    const double eps2 = frac(*rng) * coord_scale * coord_scale;
+    double eps2 = frac(*rng) * coord_scale * coord_scale;
+    if (at_point && n > 0) {
+      const size_t j = offset + std::uniform_int_distribution<size_t>(
+                                    0, n - 1)(*rng);
+      const double dx = xs[j] - qx;
+      const double dy = ys[j] - qy;
+      eps2 = dx * dx + dy * dy;
+    }
 
     constexpr size_t kPad = 16;
     std::vector<uint32_t> want(n + kPad, kSentinel);
@@ -147,6 +156,21 @@ TEST_F(EpsScanProperty, MatchesScalarOnExtremeCoordinates) {
     for (const double scale : {1e-12, 1e-3, 1e6, 1e150, 1e300}) {
       for (int it = 0; it < 50; ++it) {
         Check(level, &rng, 37, it % 4, scale);
+      }
+    }
+  }
+}
+
+// A point exactly at eps must come out the same in the scalar oracle, the
+// vector body and the tail. A build that contracts `dx*dx + dy*dy` into a
+// fused multiply-add rounds that sum differently in some of them and flips
+// such points; the build passes -ffp-contract=off to rule that out.
+TEST_F(EpsScanProperty, MatchesScalarAtExactEps) {
+  std::mt19937 rng(20261018);
+  for (simd::Level level : SupportedVectorLevels()) {
+    for (size_t n = 1; n <= 40; ++n) {
+      for (int it = 0; it < 200; ++it) {
+        Check(level, &rng, n, it % 4, 100.0, /*at_point=*/true);
       }
     }
   }
