@@ -1,16 +1,15 @@
-// Kernel microbenches for the runtime-dispatched SIMD layer: neighbor-scan
-// throughput (Mpts/s), sorted-set intersection (Melem/s), and CRC-32C
-// (GB/s), each measured at the scalar oracle level and at the dispatched
-// level of this machine. Each loop runs once untimed to warm up, then
-// kRepetitions times; a row records the fastest repetition and its
-// throughput, which is far steadier across runs on a shared host than one
-// timing. Rows land in the --json flow keyed by the machine-independent
-// store names "scalar" and "dispatched" (the concrete level is an extra
-// field), so bench_compare.py can track them PR over PR on any runner.
+// Kernel microbenches for the runtime-dispatched SIMD layer's two kernels:
+// neighbor-scan throughput (Mpts/s) and CRC-32C (GB/s), each measured at
+// the scalar oracle level and at the dispatched level of this machine.
+// Each loop runs once untimed to warm up, then kRepetitions times; a row
+// records the fastest repetition and its throughput, which is far steadier
+// across runs on a shared host than one timing. Rows land in the --json
+// flow keyed by the machine-independent store names "scalar" and
+// "dispatched" (the concrete level is an extra field), so bench_compare.py
+// can track them PR over PR on any runner.
 // Before timing, every dispatched kernel is checked against the scalar
 // oracle on the bench inputs — a wrong kernel fails the bench, it does not
 // post fast numbers.
-#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -94,56 +93,6 @@ Measurement RunEpsScan(const simd::Kernels& k, const EpsWorkload& w) {
   return m;
 }
 
-// A pool of set pairs, and the pair each repetition intersects. Replaying
-// one pair would time how well the branch predictor learns its one merge
-// sequence, which moves with code placement; a seeded random draw from the
-// pool gives every repetition fresh branches.
-struct SetWorkload {
-  std::vector<std::vector<uint32_t>> a, b;
-  std::vector<uint32_t> order;
-  size_t max_size = 0;
-};
-
-SetWorkload MakeSetWorkload() {
-  SetWorkload w;
-  std::mt19937 rng(42);
-  std::uniform_int_distribution<uint32_t> value(0, 16383);
-  auto draw = [&] {
-    std::vector<uint32_t> v(6000);
-    for (auto& x : v) x = value(rng);
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-    return v;
-  };
-  constexpr size_t kPairs = 16;
-  for (size_t p = 0; p < kPairs; ++p) {
-    w.a.push_back(draw());
-    w.b.push_back(draw());
-    w.max_size = std::max({w.max_size, w.a.back().size(), w.b.back().size()});
-  }
-  std::uniform_int_distribution<uint32_t> pick(0, kPairs - 1);
-  w.order.resize(3000);
-  for (auto& p : w.order) p = pick(rng);
-  return w;
-}
-
-Measurement RunIntersect(const simd::Kernels& k, const SetWorkload& w) {
-  std::vector<uint32_t> out(w.max_size + simd::kMaxLaneSlack);
-  double elems = 0.0;
-  Measurement m;
-  Stopwatch sw;
-  for (const uint32_t p : w.order) {
-    g_sink = g_sink + k.intersect(w.a[p].data(), w.a[p].size(),
-                                  w.b[p].data(), w.b[p].size(), out.data());
-  }
-  m.seconds = sw.ElapsedSeconds();
-  for (const uint32_t p : w.order) {
-    elems += static_cast<double>(w.a[p].size() + w.b[p].size());
-  }
-  m.throughput = elems / m.seconds / 1e6;  // Melem/s
-  return m;
-}
-
 struct CrcWorkload {
   std::vector<uint8_t> data;
   int reps = 0;
@@ -174,7 +123,7 @@ Measurement RunCrc(const simd::Kernels& k, const CrcWorkload& w) {
 // Differential sanity on the bench inputs: the dispatched kernels must
 // agree with the scalar oracle before their numbers mean anything.
 void CheckAgainstOracle(const simd::Kernels& k, const EpsWorkload& eps,
-                        const SetWorkload& sets, const CrcWorkload& crc) {
+                        const CrcWorkload& crc) {
   const simd::Kernels& oracle = simd::At(simd::Level::kScalar);
   std::vector<uint32_t> got(eps.xs.size()), want(eps.xs.size());
   for (size_t q = 0; q < eps.qx.size(); ++q) {
@@ -185,18 +134,6 @@ void CheckAgainstOracle(const simd::Kernels& k, const EpsWorkload& eps,
     const size_t got_n =
         k.eps_scan(eps.xs.data(), eps.ys.data(), eps.ids.data(),
                    eps.xs.size(), eps.qx[q], eps.qy[q], eps.eps2, got.data());
-    K2_CHECK(got_n == want_n);
-    for (size_t j = 0; j < got_n; ++j) K2_CHECK(got[j] == want[j]);
-  }
-  got.assign(sets.max_size + simd::kMaxLaneSlack, 0);
-  want.assign(got.size(), 0);
-  for (size_t p = 0; p < sets.a.size(); ++p) {
-    const std::vector<uint32_t>& a = sets.a[p];
-    const std::vector<uint32_t>& b = sets.b[p];
-    const size_t want_n =
-        oracle.intersect(a.data(), a.size(), b.data(), b.size(), want.data());
-    const size_t got_n =
-        k.intersect(a.data(), a.size(), b.data(), b.size(), got.data());
     K2_CHECK(got_n == want_n);
     for (size_t j = 0; j < got_n; ++j) K2_CHECK(got[j] == want[j]);
   }
@@ -227,11 +164,10 @@ int Main(int argc, char** argv) {
             << ")\n";
 
   const EpsWorkload eps = MakeEpsWorkload();
-  const SetWorkload sets = MakeSetWorkload();
   const CrcWorkload crc = MakeCrcWorkload();
   const simd::Kernels& scalar = simd::At(simd::Level::kScalar);
   const simd::Kernels& dispatched = simd::Active();
-  CheckAgainstOracle(dispatched, eps, sets, crc);
+  CheckAgainstOracle(dispatched, eps, crc);
 
   TablePrinter table({"kernel", "unit", "scalar", "dispatched", "speedup"});
 
@@ -245,17 +181,6 @@ int Main(int argc, char** argv) {
   Record("eps_scan", "dispatched", active, eps_disp, speedup, "mpts_per_s");
   table.AddRow({"eps_scan", "Mpts/s", Fmt(eps_scalar.throughput, 1),
                 Fmt(eps_disp.throughput, 1), Fmt(speedup, 2) + "x"});
-
-  const Measurement int_scalar =
-      Fastest([&] { return RunIntersect(scalar, sets); });
-  const Measurement int_disp =
-      Fastest([&] { return RunIntersect(dispatched, sets); });
-  speedup = int_disp.throughput / int_scalar.throughput;
-  Record("intersect", "scalar", simd::Level::kScalar, int_scalar, 1.0,
-         "melem_per_s");
-  Record("intersect", "dispatched", active, int_disp, speedup, "melem_per_s");
-  table.AddRow({"intersect", "Melem/s", Fmt(int_scalar.throughput, 1),
-                Fmt(int_disp.throughput, 1), Fmt(speedup, 2) + "x"});
 
   const Measurement crc_scalar =
       Fastest([&] { return RunCrc(scalar, crc); });

@@ -13,6 +13,12 @@ exit 1 — when:
   * a baseline record has no match in the fresh snapshot;
   * convoy counts differ (mining output is deterministic at equal scale:
     any drift is a correctness bug, no tolerance);
+  * a logical work counter differs: io_stats.points_read,
+    io_stats.point_queries, io_stats.scanned_points or
+    validation_reclusterings. These count what the miner read and
+    re-clustered, not how long it took, so they are as deterministic as
+    the convoys and gated exactly; a field absent on either side is
+    skipped;
   * a record's wall time exceeds baseline * tolerance (default 2.0,
     override with --tolerance or K2_BENCH_TIME_TOL), ignoring records
     where both sides are under --min-ms (default 5 ms, pure noise);
@@ -83,6 +89,19 @@ def percentile_fields(base, live):
     return sorted(fields)
 
 
+EXACT_FIELDS = ("io_stats.points_read", "io_stats.point_queries",
+                "io_stats.scanned_points", "validation_reclusterings")
+
+
+def dotted(rec, path):
+    """The value at a dotted path into a record, or None when absent."""
+    for part in path.split("."):
+        if not isinstance(rec, dict):
+            return None
+        rec = rec.get(part)
+    return rec
+
+
 PHASE_FIELDS = ("benchmark_ms", "candidates_ms", "hwmt_ms", "merge_ms",
                 "extend_right_ms", "extend_left_ms", "validation_ms")
 
@@ -150,6 +169,11 @@ def main():
             failures.append(
                 f"{tag}: convoy count drifted {base.get('convoys')} -> "
                 f"{live.get('convoys')} (must be exact)")
+        for name in EXACT_FIELDS:
+            base_v, live_v = dotted(base, name), dotted(live, name)
+            if base_v is not None and live_v is not None and base_v != live_v:
+                failures.append(f"{tag}: {name} drifted {base_v} -> {live_v} "
+                                "(must be exact)")
         for field in percentile_fields(base, live):
             base_p = float(base[field])
             live_p = float(live[field])

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for scripts/bench_compare.py's mining-phase gate.
+"""Unit tests for scripts/bench_compare.py's mining-phase and exact-counter
+gates.
 
 Each case writes a baseline and a fresh snapshot of one k/2-hop record to a
 temp directory and runs the guard on them, as CI does.
@@ -58,6 +59,36 @@ class PhaseFieldTest(unittest.TestCase):
         code, out = compare(record(merge_ms=10.0), record())
         self.assertEqual(code, 0, out)
         code, out = compare(record(), record(merge_ms=100.0))
+        self.assertEqual(code, 0, out)
+
+
+class ExactCounterTest(unittest.TestCase):
+    def test_drifted_counter_fails(self):
+        code, out = compare(record(io_stats={"points_read": 100}),
+                            record(io_stats={"points_read": 101}))
+        self.assertEqual(code, 1, out)
+        self.assertIn("io_stats.points_read drifted 100 -> 101", out)
+        code, out = compare(record(validation_reclusterings=4385),
+                            record(validation_reclusterings=4384))
+        self.assertEqual(code, 1, out)
+        self.assertIn("validation_reclusterings drifted 4385 -> 4384", out)
+
+    def test_equal_counters_pass(self):
+        counters = {"points_read": 100, "point_queries": 90,
+                    "scanned_points": 10, "bytes_read": 5}
+        fresh = dict(counters, bytes_read=7)  # not an exact field
+        code, out = compare(
+            record(io_stats=counters, validation_reclusterings=3),
+            record(io_stats=fresh, validation_reclusterings=3))
+        self.assertEqual(code, 0, out)
+
+    def test_absent_counter_is_skipped(self):
+        # Absent on the fresh side, then on the baseline side.
+        code, out = compare(record(io_stats={"point_queries": 9}),
+                            record(io_stats={}))
+        self.assertEqual(code, 0, out)
+        code, out = compare(record(), record(validation_reclusterings=8,
+                                             io_stats={"points_read": 1}))
         self.assertEqual(code, 0, out)
 
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Runs the perf-snapshot benches (Fig. 8i phase breakdown, Fig. 8l
-# scalability, streaming ingest, partitioned shard sweep, catalog serving,
-# coordinate-free proximity mining, SIMD kernel microbenches) in --json
+# Runs the perf-snapshot benches (Fig. 8i phase breakdown, Fig. 7c
+# RDBMS-vs-LSM engines, Fig. 8l scalability, streaming ingest, partitioned
+# shard sweep, catalog serving, coordinate-free proximity mining, SIMD
+# kernel microbenches) in --json
 # mode and merges their records into one snapshot file, so MineK2Hop's
 # end-to-end wall time, the online miner's amortized per-tick cost, the
 # sharded miner's seam behaviour, the ConvoyCatalog's queries/sec, the
@@ -18,7 +19,8 @@ BUILD_DIR=${BUILD_DIR:-build}
 OUT=${1:-BENCH_k2hop.json}
 SCALE=${K2_BENCH_SCALE:-1}
 
-for bench in bench_fig8i_phases bench_fig8l_scalability bench_streaming \
+for bench in bench_fig8i_phases bench_fig7c_rdbms_vs_lsmt \
+             bench_fig8l_scalability bench_streaming \
              bench_partitioned bench_serving bench_serving_net \
              bench_proximity bench_kernels; do
   if [[ ! -x "$BUILD_DIR/bench/$bench" ]]; then
@@ -36,6 +38,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 K2_BENCH_SCALE=$SCALE "$BUILD_DIR/bench/bench_fig8i_phases" --json "$tmp/fig8i.json"
+K2_BENCH_SCALE=$SCALE "$BUILD_DIR/bench/bench_fig7c_rdbms_vs_lsmt" --json "$tmp/fig7c.json"
 K2_BENCH_SCALE=$SCALE "$BUILD_DIR/bench/bench_fig8l_scalability" --json "$tmp/fig8l.json"
 K2_BENCH_SCALE=$SCALE "$BUILD_DIR/bench/bench_streaming" --json "$tmp/streaming.json"
 K2_BENCH_SCALE=$SCALE "$BUILD_DIR/bench/bench_partitioned" --json "$tmp/partitioned.json"
@@ -44,7 +47,7 @@ K2_BENCH_SCALE=$SCALE "$BUILD_DIR/bench/bench_serving_net" --json "$tmp/serving_
 K2_BENCH_SCALE=$SCALE "$BUILD_DIR/bench/bench_proximity" --json "$tmp/proximity.json"
 K2_BENCH_SCALE=$SCALE "$BUILD_DIR/bench/bench_kernels" --json "$tmp/kernels.json"
 
-python3 - "$OUT" "$SCALE" "$tmp"/fig8i.json "$tmp"/fig8l.json "$tmp"/streaming.json "$tmp"/partitioned.json "$tmp"/serving.json "$tmp"/serving_net.json "$tmp"/proximity.json "$tmp"/kernels.json <<'EOF'
+python3 - "$OUT" "$SCALE" "$tmp"/fig8i.json "$tmp"/fig7c.json "$tmp"/fig8l.json "$tmp"/streaming.json "$tmp"/partitioned.json "$tmp"/serving.json "$tmp"/serving_net.json "$tmp"/proximity.json "$tmp"/kernels.json <<'EOF'
 import datetime
 import json
 import platform

@@ -67,31 +67,10 @@ void RunDbscan(std::span<const SnapshotPoint> points, double eps, int min_pts,
       BruteForceNeighbors(*scratch, points[i].x, points[i].y, eps, nbrs);
     }
   };
-  // Batched region query: fills flat CSR neighbor lists for a whole slice
-  // of the seed queue, so the grid's row segments stay cache-hot across
-  // queries that came from one neighborhood.
-  auto region_query_batch = [&](std::span<const uint32_t> queries,
-                                std::vector<uint32_t>* flat,
-                                std::vector<uint32_t>* offsets) {
-    if (use_grid) {
-      scratch->grid.NeighborsBatch(queries, eps, flat, offsets);
-      return;
-    }
-    flat->clear();
-    offsets->clear();
-    offsets->push_back(0);
-    for (const uint32_t q : queries) {
-      BruteForceNeighbors(*scratch, points[q].x, points[q].y, eps, flat);
-      offsets->push_back(static_cast<uint32_t>(flat->size()));
-    }
-  };
 
   scratch->visited.assign(n, 0);
   std::vector<uint32_t>& neighbors = scratch->neighbors;
   std::vector<uint32_t>& seeds = scratch->seeds;
-  std::vector<uint32_t>& batch = scratch->batch;
-  std::vector<uint32_t>& flat = scratch->nbr_flat;
-  std::vector<uint32_t>& offsets = scratch->nbr_offsets;
 
   for (size_t i = 0; i < n; ++i) {
     if (scratch->visited[i]) continue;
@@ -102,36 +81,19 @@ void RunDbscan(std::span<const SnapshotPoint> points, double eps, int min_pts,
     const int32_t cluster = out->num_clusters++;
     out->label[i] = cluster;
     seeds.assign(neighbors.begin(), neighbors.end());
-    // Batched ExpandCluster: each round takes the current tail of the seed
-    // queue, marks its unvisited points, batch-fills their neighbor lists,
-    // and appends the core points' neighbors. Labels are identical to the
-    // one-seed-at-a-time loop: every enqueued point gets this cluster (or
-    // keeps an earlier one), core-ness is a property of the point alone,
-    // and the set of points ever enqueued is the density-connected closure
-    // regardless of expansion order — visit marks and appends also happen
-    // in the same queue order as the classic loop.
-    for (size_t s = 0; s < seeds.size();) {
-      const size_t end = seeds.size();
-      batch.clear();
-      for (size_t t = s; t < end; ++t) {
-        const uint32_t j = seeds[t];
-        if (out->label[j] < 0) out->label[j] = cluster;
-        if (!scratch->visited[j]) {
-          scratch->visited[j] = 1;
-          batch.push_back(j);
-        }
+    // ExpandCluster, one seed at a time in queue order: a seed joins this
+    // cluster unless an earlier cluster already holds it (a border point
+    // goes to the first cluster that reaches it), and a seed visited for
+    // the first time is queried and, if core, enqueues its neighbours.
+    for (size_t s = 0; s < seeds.size(); ++s) {
+      const uint32_t j = seeds[s];
+      if (out->label[j] < 0) out->label[j] = cluster;
+      if (scratch->visited[j]) continue;
+      scratch->visited[j] = 1;
+      region_query(j, &neighbors);
+      if (neighbors.size() >= static_cast<size_t>(min_pts)) {
+        seeds.insert(seeds.end(), neighbors.begin(), neighbors.end());
       }
-      if (!batch.empty()) {
-        region_query_batch(batch, &flat, &offsets);
-        for (size_t b = 0; b < batch.size(); ++b) {
-          const uint32_t lo = offsets[b];
-          const uint32_t hi = offsets[b + 1];
-          if (hi - lo >= static_cast<uint32_t>(min_pts)) {
-            seeds.insert(seeds.end(), flat.begin() + lo, flat.begin() + hi);
-          }
-        }
-      }
-      s = end;
     }
   }
 }

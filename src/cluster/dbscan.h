@@ -10,6 +10,10 @@
 // working buffers; only the returned clusters are fresh allocations. The
 // scratch-free overloads reuse a thread-local scratch.
 //
+// A cluster grows from its first core point through a seed queue taken one
+// seed at a time, in queue order. That order decides which cluster a border
+// point within eps of two clusters' cores joins: the first to reach it.
+//
 // IsOneDbscanCluster answers the yes-or-no question behind almost every
 // re-clustering — is the whole set still one cluster? — with one 64-bit
 // neighbour mask per point and no scratch at all.
@@ -42,11 +46,6 @@ struct DbscanScratch {
   std::vector<uint32_t> seeds;
   DbscanLabels labels;
   std::vector<std::vector<ObjectId>> members;
-  // Batched-expansion buffers: the unvisited slice of the seed queue and
-  // the flat neighbor lists (CSR offsets) its region queries fill.
-  std::vector<uint32_t> batch;
-  std::vector<uint32_t> nbr_flat;
-  std::vector<uint32_t> nbr_offsets;
   // SoA mirror of small snapshots so the brute-force region query runs the
   // same dispatched eps-scan kernel as the grid path.
   std::vector<double> bf_xs, bf_ys;

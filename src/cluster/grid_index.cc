@@ -129,17 +129,4 @@ void GridIndex::NeighborsOf(double x, double y, double eps,
   }
 }
 
-void GridIndex::NeighborsBatch(std::span<const uint32_t> queries, double eps,
-                               std::vector<uint32_t>* flat,
-                               std::vector<uint32_t>* offsets) const {
-  flat->clear();
-  offsets->clear();
-  offsets->reserve(queries.size() + 1);
-  offsets->push_back(0);
-  for (const uint32_t q : queries) {
-    NeighborsOf(px_[q], py_[q], eps, flat);
-    offsets->push_back(static_cast<uint32_t>(flat->size()));
-  }
-}
-
 }  // namespace k2

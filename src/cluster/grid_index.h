@@ -8,8 +8,8 @@
 // counting-sorted into cells (`cell_starts_` / `point_ids_`), cells are
 // row-major with x as the minor dimension, and coordinates are kept as
 // structure-of-arrays (`xs_` / `ys_`) in CSR order. A neighborhood query
-// scans three contiguous row segments — no hashing, no per-cell vectors, and
-// the inner distance loop vectorizes.
+// scans three contiguous row segments — no hashing, no per-cell vectors —
+// each with one call of the dispatched eps_scan kernel.
 #ifndef K2_CLUSTER_GRID_INDEX_H_
 #define K2_CLUSTER_GRID_INDEX_H_
 
@@ -58,18 +58,6 @@ class GridIndex {
   /// Neighbors(): debug-CHECKed against the Build() cell size.
   void NeighborsOf(double x, double y, double eps,
                    std::vector<uint32_t>* out) const;
-
-  /// Batched Neighbors(): for each point index in `queries`, appends its
-  /// eps-neighborhood to `flat`; on return, query q's neighbors occupy
-  /// `[(*offsets)[q], (*offsets)[q + 1])` of `flat`. Both outputs are
-  /// overwritten (not appended to). Byte-identical to calling Neighbors()
-  /// per query — this exists so DBSCAN can fill a whole seed queue's
-  /// neighbor lists in one pass: consecutive seeds come from one
-  /// neighborhood, so the row segments they scan stay cache-hot across the
-  /// batch. Same `eps` contract as Neighbors().
-  void NeighborsBatch(std::span<const uint32_t> queries, double eps,
-                      std::vector<uint32_t>* flat,
-                      std::vector<uint32_t>* offsets) const;
 
   size_t num_points() const { return px_.size(); }
 

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <sstream>
-
-#include "common/simd.h"
 
 namespace k2 {
 
@@ -30,18 +29,16 @@ bool ObjectSet::Contains(ObjectId oid) const {
 }
 
 bool ObjectSet::IsSubsetOf(const ObjectSet& other) const {
-  return simd::Active().is_subset(ids_.data(), ids_.size(), other.ids_.data(),
-                                  other.ids_.size());
+  return ids_.size() <= other.ids_.size() &&
+         std::includes(other.ids_.begin(), other.ids_.end(), ids_.begin(),
+                       ids_.end());
 }
 
 ObjectSet ObjectSet::Intersect(const ObjectSet& a, const ObjectSet& b) {
-  // min(na, nb) result entries plus the kernel's compress-store slack.
-  std::vector<ObjectId> out(std::min(a.size(), b.size()) +
-                            simd::kMaxLaneSlack);
-  const size_t n = simd::Active().intersect(a.ids_.data(), a.size(),
-                                            b.ids_.data(), b.size(),
-                                            out.data());
-  out.resize(n);
+  std::vector<ObjectId> out;
+  out.reserve(std::min(a.size(), b.size()));
+  std::set_intersection(a.ids_.begin(), a.ids_.end(), b.ids_.begin(),
+                        b.ids_.end(), std::back_inserter(out));
   return FromSorted(std::move(out));
 }
 

@@ -1,7 +1,10 @@
 // ObjectSet: an immutable, sorted, duplicate-free set of object ids with
 // merge-based set algebra. The set-wise intersections of benchmark cluster
-// sets (paper Sec. 4.2) and every candidate-pruning step run through this
-// type, so it is kept deliberately small and cache-friendly.
+// sets (paper Sec. 4.2), the merge's intersection chains (Sec. 4.4) and the
+// maximal-set update of extension and validation (Sec. 4.5-4.6) run through
+// this type, so it is kept deliberately small and cache-friendly. Those sets
+// hold a handful of ids (a convoy needs only m of them), so the algebra is
+// two plain std merges.
 #ifndef K2_COMMON_OBJECT_SET_H_
 #define K2_COMMON_OBJECT_SET_H_
 
@@ -30,9 +33,11 @@ class ObjectSet {
   size_t size() const { return ids_.size(); }
   bool empty() const { return ids_.empty(); }
   bool Contains(ObjectId oid) const;
+  /// A size check, then one merge (std::includes); O(|a| + |b|).
   bool IsSubsetOf(const ObjectSet& other) const;
 
-  /// Merge-based intersection; O(|a| + |b|).
+  /// One merge (std::set_intersection) into a vector reserved at
+  /// min(|a|, |b|); O(|a| + |b|).
   static ObjectSet Intersect(const ObjectSet& a, const ObjectSet& b);
 
   const std::vector<ObjectId>& ids() const { return ids_; }

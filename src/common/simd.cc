@@ -1,6 +1,5 @@
 #include "common/simd.h"
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -36,35 +35,6 @@ size_t EpsScanScalar(const double* xs, const double* ys, const uint32_t* ids,
   return cnt;
 }
 
-size_t IntersectScalar(const uint32_t* a, size_t na, const uint32_t* b,
-                       size_t nb, uint32_t* out) {
-  size_t i = 0, j = 0, cnt = 0;
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out[cnt++] = a[i];
-      ++i;
-      ++j;
-    }
-  }
-  return cnt;
-}
-
-bool IsSubsetScalar(const uint32_t* a, size_t na, const uint32_t* b,
-                    size_t nb) {
-  if (na > nb) return false;
-  size_t j = 0;
-  for (size_t i = 0; i < na; ++i) {
-    while (j < nb && b[j] < a[i]) ++j;
-    if (j == nb || b[j] != a[i]) return false;
-    ++j;
-  }
-  return true;
-}
-
 uint32_t Crc32cScalar(const void* data, size_t n, uint32_t seed) {
   // Table-driven software CRC-32C (Castagnoli, reflected 0x82F63B78).
   static const auto table = [] {
@@ -87,53 +57,6 @@ uint32_t Crc32cScalar(const void* data, size_t n, uint32_t seed) {
 }
 
 #if K2_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// Galloping intersection for heavily skewed set sizes (the small set probes
-// the big one by exponential + binary search instead of merging through it).
-// Used by the AVX2 kernels; set results are unique, so this matches the
-// scalar merge byte-for-byte.
-// ---------------------------------------------------------------------------
-
-// Smallest index in [lo, ng) with g[index] >= v, assuming g sorted.
-size_t GallopLowerBound(const uint32_t* g, size_t ng, size_t lo, uint32_t v) {
-  size_t step = 1;
-  size_t hi = lo;
-  while (hi < ng && g[hi] < v) {
-    lo = hi + 1;
-    hi += step;
-    step *= 2;
-  }
-  hi = std::min(hi, ng);
-  return static_cast<size_t>(std::lower_bound(g + lo, g + hi, v) - g);
-}
-
-// Skew ratio beyond which probing beats block-merging.
-constexpr size_t kGallopRatio = 32;
-
-size_t IntersectGallop(const uint32_t* s, size_t ns, const uint32_t* g,
-                       size_t ng, uint32_t* out) {
-  size_t j = 0, cnt = 0;
-  for (size_t i = 0; i < ns && j < ng; ++i) {
-    j = GallopLowerBound(g, ng, j, s[i]);
-    if (j < ng && g[j] == s[i]) {
-      out[cnt++] = s[i];
-      ++j;
-    }
-  }
-  return cnt;
-}
-
-bool IsSubsetGallop(const uint32_t* a, size_t na, const uint32_t* b,
-                    size_t nb) {
-  size_t j = 0;
-  for (size_t i = 0; i < na; ++i) {
-    j = GallopLowerBound(b, nb, j, a[i]);
-    if (j == nb || b[j] != a[i]) return false;
-    ++j;
-  }
-  return true;
-}
 
 // ---------------------------------------------------------------------------
 // Compress-store lookup table: for an 8-bit match mask, the vpermd indices
@@ -281,7 +204,7 @@ __attribute__((target("sse4.2"))) uint32_t Crc32cHw(const void* data,
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 kernels
+// AVX2 eps_scan
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2,popcnt"))) size_t EpsScanAvx2(
@@ -321,122 +244,16 @@ __attribute__((target("avx2,popcnt"))) size_t EpsScanAvx2(
   return cnt;
 }
 
-// All-pairs equality mask of va against the 8 rotations of vb; returns the
-// 8-bit movemask on the va side. The rotations come from immediate-operand
-// shuffles only — one 128-bit lane swap plus six alignr — so the hot loop
-// issues no index-vector loads: rotating 8 dwords left by r is a 4r-byte
-// alignr over the (swapped, original) lane pair, and rotating by 4 is the
-// swap itself.
-__attribute__((target("avx2"))) inline unsigned MatchMask8(__m256i va,
-                                                           __m256i vb) {
-  const __m256i sw = _mm256_permute2x128_si256(vb, vb, 0x01);
-  __m256i cmp = _mm256_cmpeq_epi32(va, vb);
-  cmp = _mm256_or_si256(cmp,
-                        _mm256_cmpeq_epi32(va, _mm256_alignr_epi8(sw, vb, 4)));
-  cmp = _mm256_or_si256(cmp,
-                        _mm256_cmpeq_epi32(va, _mm256_alignr_epi8(sw, vb, 8)));
-  cmp = _mm256_or_si256(cmp,
-                        _mm256_cmpeq_epi32(va, _mm256_alignr_epi8(sw, vb, 12)));
-  cmp = _mm256_or_si256(cmp, _mm256_cmpeq_epi32(va, sw));
-  cmp = _mm256_or_si256(cmp,
-                        _mm256_cmpeq_epi32(va, _mm256_alignr_epi8(vb, sw, 4)));
-  cmp = _mm256_or_si256(cmp,
-                        _mm256_cmpeq_epi32(va, _mm256_alignr_epi8(vb, sw, 8)));
-  cmp = _mm256_or_si256(cmp,
-                        _mm256_cmpeq_epi32(va, _mm256_alignr_epi8(vb, sw, 12)));
-  return static_cast<unsigned>(
-      _mm256_movemask_ps(_mm256_castsi256_ps(cmp)));
-}
-
-__attribute__((target("avx2,popcnt"))) size_t IntersectAvx2(const uint32_t* a,
-                                                            size_t na,
-                                                            const uint32_t* b,
-                                                            size_t nb,
-                                                            uint32_t* out) {
-  if (na * kGallopRatio < nb) return IntersectGallop(a, na, b, nb, out);
-  if (nb * kGallopRatio < na) return IntersectGallop(b, nb, a, na, out);
-  size_t i = 0, j = 0, cnt = 0;
-  while (i + 8 <= na && j + 8 <= nb) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    const unsigned m = MatchMask8(va, vb);
-    if (m != 0) {
-      const __m256i perm = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(kCompress.lanes[m]));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + cnt),
-                          _mm256_permutevar8x32_epi32(va, perm));
-      cnt += static_cast<size_t>(__builtin_popcount(m));
-    }
-    const uint32_t amax = a[i + 7];
-    const uint32_t bmax = b[j + 7];
-    if (amax <= bmax) i += 8;
-    if (bmax <= amax) j += 8;
-  }
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out[cnt++] = a[i];
-      ++i;
-      ++j;
-    }
-  }
-  return cnt;
-}
-
-__attribute__((target("avx2,popcnt"))) bool IsSubsetAvx2(const uint32_t* a,
-                                                         size_t na,
-                                                         const uint32_t* b,
-                                                         size_t nb) {
-  if (na > nb) return false;
-  if (na * kGallopRatio < nb) return IsSubsetGallop(a, na, b, nb);
-  size_t i = 0, j = 0;
-  unsigned acc = 0;  // match bits of the in-flight a block
-  while (i + 8 <= na && j + 8 <= nb) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    acc |= MatchMask8(va, vb);
-    const uint32_t amax = a[i + 7];
-    const uint32_t bmax = b[j + 7];
-    if (amax <= bmax) {
-      // The block is fully resolved: later b values exceed bmax >= amax.
-      if (acc != 0xFFu) return false;
-      i += 8;
-      acc = 0;
-    }
-    if (bmax <= amax) j += 8;
-  }
-  for (unsigned l = 0; l < 8 && i + l < na; ++l) {
-    if (acc & (1u << l)) continue;
-    const uint32_t v = a[i + l];
-    while (j < nb && b[j] < v) ++j;
-    if (j == nb || b[j] != v) return false;
-    ++j;
-  }
-  i = std::min(i + 8, na);
-  return IsSubsetScalar(a + i, na - i, b + j, nb - j);
-}
-
 #endif  // K2_SIMD_X86
 
 // ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
 
-constexpr Kernels kScalarKernels = {
-    EpsScanScalar, IntersectScalar, IsSubsetScalar, Crc32cScalar,
-};
+constexpr Kernels kScalarKernels = {EpsScanScalar, Crc32cScalar};
 
 #if K2_SIMD_X86
-constexpr Kernels kAvx2Kernels = {
-    EpsScanAvx2, IntersectAvx2, IsSubsetAvx2, Crc32cHw,
-};
+constexpr Kernels kAvx2Kernels = {EpsScanAvx2, Crc32cHw};
 #endif
 
 Level DetectMaxLevel() {

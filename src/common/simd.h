@@ -1,8 +1,8 @@
-// Runtime-dispatched SIMD kernel layer for the library's hottest inner
-// loops: the SoA eps-distance scan behind every DBSCAN region query, the
-// sorted-set intersection and subset test behind the Sec. 4.2 candidate
-// pruning and the maximal-set update, and the CRC-32C guarding every
-// durable byte of the LSM write path.
+// Runtime-dispatched SIMD kernel layer for the two inner loops the mining
+// and storage traffic runs hot: the SoA eps-distance scan behind every
+// DBSCAN region query, and the CRC-32C guarding every durable byte of the
+// LSM write path. Object-set algebra is not here: convoy sets hold a few
+// ids, so ObjectSet runs plain sorted merges.
 //
 // Dispatch model: two levels. The CPU is probed once (first use); a CPU
 // with AVX2 (plus the SSE4.2 crc32 instruction and popcnt, which every
@@ -17,7 +17,7 @@
 // AVX2 variant must be *byte-identical* to it on every input — not
 // "close", not "equivalent up to order". tests/simd_test.cc enforces this
 // with randomized property suites across unaligned bases, all tail lengths
-// and adversarial set shapes; the differential miner suites then prove
+// and extreme coordinates; the differential miner suites then prove
 // convoy output is unchanged at both levels. The build passes
 // -ffp-contract=off, so no compiler fuses eps_scan's `dx*dx + dy*dy` into
 // an FMA in one table and not the other: a point exactly at eps must come
@@ -39,13 +39,6 @@ enum class Level : int {
   kAvx2 = 1,
 };
 
-/// Widest compress-store lane group any kernel uses (AVX2, 8 x u32). The
-/// intersect kernel may clobber up to this many entries past the returned
-/// count — a partially matched block is re-stored from a fresh base as the
-/// other side advances — so its out buffer needs this much slack beyond
-/// min(na, nb).
-inline constexpr size_t kMaxLaneSlack = 8;
-
 /// The dispatch table. All kernels are pure functions of their arguments —
 /// no hidden state — so tables can be compared against each other freely.
 struct Kernels {
@@ -58,17 +51,6 @@ struct Kernels {
   size_t (*eps_scan)(const double* xs, const double* ys, const uint32_t* ids,
                      size_t n, double qx, double qy, double eps2,
                      uint32_t* out);
-
-  /// Intersection of two sorted duplicate-free u32 arrays into `out`
-  /// (sorted, unique). Returns the output size (always <= min(na, nb)).
-  /// `out` must have room for min(na, nb) + kMaxLaneSlack entries — see
-  /// kMaxLaneSlack for why the slack is not optional.
-  size_t (*intersect)(const uint32_t* a, size_t na, const uint32_t* b,
-                      size_t nb, uint32_t* out);
-
-  /// True iff every element of `a` occurs in `b` (both sorted, unique).
-  bool (*is_subset)(const uint32_t* a, size_t na, const uint32_t* b,
-                    size_t nb);
 
   /// CRC-32C (Castagnoli) of `n` bytes, continuing from `seed` (0 = fresh;
   /// a previous return value extends the stream).

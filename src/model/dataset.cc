@@ -29,7 +29,7 @@ size_t SelectObjects(std::span<const PointRecord> tick,
   const size_t n = tick.size();
   size_t lo = 0;  // every record before lo has an oid below the next wanted
   for (ObjectId oid : objects) {
-    // Gallop to a bound `hi` whose record is >= oid, doubling the stride,
+    // Step to a bound `hi` whose record is >= oid, doubling the stride,
     // then binary-search the last stride.
     size_t hi = lo;
     for (size_t stride = 1; hi < n && tick[hi].oid < oid; stride *= 2) {

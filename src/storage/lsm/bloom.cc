@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 
+#include "common/check.h"
+
 namespace k2::lsm {
 
 BloomFilter::BloomFilter(size_t expected_keys, int bits_per_key) {
@@ -15,10 +17,9 @@ BloomFilter::BloomFilter(size_t expected_keys, int bits_per_key) {
   const size_t bits =
       std::bit_ceil(std::max<size_t>(kBlockBits, expected_keys * bits_per_key));
   words_.assign(bits / 64, 0);
-  blocked_ = true;
   // k = ln(2) * bits/key, clamped to a sane range.
   num_hashes_ = std::clamp(
-      static_cast<int>(std::round(bits_per_key * 0.6931)), 1, 12);
+      static_cast<int>(std::round(bits_per_key * 0.6931)), 1, kMaxHashes);
 }
 
 uint64_t BloomFilter::Mix(uint64_t key) {
@@ -29,28 +30,17 @@ uint64_t BloomFilter::Mix(uint64_t key) {
 }
 
 void BloomFilter::Add(uint64_t key) {
+  // Upper hash bits pick the block, lower bits walk inside it; the two
+  // streams are nearly independent, which keeps the per-block FP rate close
+  // to an unblocked filter of the same density.
   const uint64_t h = Mix(key);
   const uint64_t delta = (h >> 32) | 1;  // odd => cycles through all bits
   uint64_t bit = h;
-  if (blocked_) {
-    // Upper hash bits pick the block, lower bits walk inside it; the two
-    // streams are nearly independent, which keeps the per-block FP rate
-    // close to an unblocked filter of the same density.
-    const size_t block = (h >> 17) & (words_.size() / kBlockWords - 1);
-    uint64_t* word = words_.data() + block * kBlockWords;
-    for (int i = 0; i < num_hashes_; ++i) {
-      const size_t pos = bit & (kBlockBits - 1);
-      word[pos / 64] |= (1ULL << (pos % 64));
-      bit += delta;
-    }
-    return;
-  }
-  // Flat layout: only filters deserialized from pre-blocked-era files, kept
-  // probe-compatible with the binaries that wrote them.
-  const size_t nbits = num_bits();
+  const size_t block = (h >> 17) & (words_.size() / kBlockWords - 1);
+  uint64_t* word = words_.data() + block * kBlockWords;
   for (int i = 0; i < num_hashes_; ++i) {
-    const size_t pos = bit % nbits;
-    words_[pos / 64] |= (1ULL << (pos % 64));
+    const size_t pos = bit & (kBlockBits - 1);
+    word[pos / 64] |= (1ULL << (pos % 64));
     bit += delta;
   }
 }
@@ -60,30 +50,36 @@ bool BloomFilter::MayContain(uint64_t key) const {
   const uint64_t h = Mix(key);
   const uint64_t delta = (h >> 32) | 1;
   uint64_t bit = h;
-  if (blocked_) {
-    const size_t block = (h >> 17) & (words_.size() / kBlockWords - 1);
-    const uint64_t* word = words_.data() + block * kBlockWords;
-    for (int i = 0; i < num_hashes_; ++i) {
-      const size_t pos = bit & (kBlockBits - 1);
-      if ((word[pos / 64] & (1ULL << (pos % 64))) == 0) return false;
-      bit += delta;
-    }
-    return true;
-  }
-  const size_t nbits = num_bits();
+  const size_t block = (h >> 17) & (words_.size() / kBlockWords - 1);
+  const uint64_t* word = words_.data() + block * kBlockWords;
   for (int i = 0; i < num_hashes_; ++i) {
-    const size_t pos = bit % nbits;
-    if ((words_[pos / 64] & (1ULL << (pos % 64))) == 0) return false;
+    const size_t pos = bit & (kBlockBits - 1);
+    if ((word[pos / 64] & (1ULL << (pos % 64))) == 0) return false;
     bit += delta;
   }
   return true;
 }
 
+const char* BloomFilter::HeaderError(size_t num_words,
+                                    uint32_t num_hashes_word) {
+  const uint32_t hashes = num_hashes_word & ~kBlockedLayoutFlag;
+  if ((num_hashes_word & kBlockedLayoutFlag) == 0) {
+    return "blocked-layout flag missing";
+  }
+  if (num_words < kBlockWords || !std::has_single_bit(num_words)) {
+    return "word count not a power of two of at least 8";
+  }
+  if (hashes < 1 || hashes > static_cast<uint32_t>(kMaxHashes)) {
+    return "hash count outside 1-12";
+  }
+  return nullptr;
+}
+
 BloomFilter BloomFilter::FromWords(std::vector<uint64_t> words,
                                    uint32_t num_hashes_word) {
+  K2_CHECK(HeaderError(words.size(), num_hashes_word) == nullptr);
   BloomFilter f;
   f.words_ = std::move(words);
-  f.blocked_ = (num_hashes_word & kBlockedLayoutFlag) != 0;
   f.num_hashes_ = static_cast<int>(num_hashes_word & ~kBlockedLayoutFlag);
   return f;
 }

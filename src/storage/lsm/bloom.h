@@ -17,11 +17,14 @@ class BloomFilter {
   static constexpr size_t kBlockBits = 512;
   static constexpr size_t kBlockWords = kBlockBits / 64;
 
-  /// Flag OR-ed into the serialized num_hashes word (see num_hashes_for_disk)
-  /// marking the cache-line-blocked probe layout. Filters persisted before
-  /// the blocked layout existed carry a plain hash count and keep the flat
-  /// probe order on load.
+  /// Flag OR-ed into the serialized num_hashes word (see
+  /// num_hashes_for_disk) marking the cache-line-blocked probe layout, the
+  /// only layout there is. Every builder since the first blocked one has
+  /// written it; a header without it is rejected on open.
   static constexpr uint32_t kBlockedLayoutFlag = 0x80000000u;
+
+  /// Most probes per key the constructor chooses.
+  static constexpr int kMaxHashes = 12;
 
   BloomFilter() = default;
 
@@ -37,12 +40,19 @@ class BloomFilter {
   int num_hashes() const { return num_hashes_; }
   /// num_hashes with the layout flag, as written to disk.
   uint32_t num_hashes_for_disk() const {
-    return static_cast<uint32_t>(num_hashes_) |
-           (blocked_ ? kBlockedLayoutFlag : 0);
+    return static_cast<uint32_t>(num_hashes_) | kBlockedLayoutFlag;
   }
 
+  /// Why a serialized header (word count, raw on-disk num_hashes word) is
+  /// not one the constructor writes, or nullptr when it is: the layout flag
+  /// set, a power-of-two word count of at least kBlockWords, and
+  /// 1..kMaxHashes probes. Probing any other shape would read outside the
+  /// word array.
+  static const char* HeaderError(size_t num_words, uint32_t num_hashes_word);
+
   /// Rebuilds from a serialized word array; `num_hashes_word` is the raw
-  /// on-disk value, which carries the layout flag for blocked filters.
+  /// on-disk value. Requires HeaderError(words.size(), num_hashes_word) to
+  /// be nullptr.
   static BloomFilter FromWords(std::vector<uint64_t> words,
                                uint32_t num_hashes_word);
 
@@ -53,7 +63,6 @@ class BloomFilter {
 
   std::vector<uint64_t> words_;
   int num_hashes_ = 1;
-  bool blocked_ = false;
 };
 
 }  // namespace k2::lsm

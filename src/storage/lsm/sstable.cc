@@ -260,8 +260,12 @@ Result<std::unique_ptr<SSTable>> SSTable::Open(const std::string& path,
   if (meta_end - bloom_offset != 8 + uint64_t{num_words} * 8) {
     return Status::Invalid("SSTable bloom size mismatch in " + path);
   }
+  if (const char* bad = BloomFilter::HeaderError(num_words, num_hashes)) {
+    return Status::Invalid(std::string("SSTable bloom header invalid (") +
+                           bad + ") in " + path);
+  }
   std::vector<uint64_t> words(num_words);
-  if (num_words > 0) std::memcpy(words.data(), p, size_t{num_words} * 8);
+  std::memcpy(words.data(), p, size_t{num_words} * 8);
   file->bloom = BloomFilter::FromWords(std::move(words), num_hashes);
 
   if (!file->index.empty()) {

@@ -2,6 +2,13 @@
 // Result plumbing, RNG determinism, timers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
 #include "common/convoy.h"
 #include "common/object_set.h"
 #include "common/rng.h"
@@ -75,6 +82,121 @@ TEST(ObjectSetTest, HashDiffersForDifferentSets) {
 TEST(ObjectSetTest, DebugString) {
   EXPECT_EQ(ObjectSet::Of({3, 1}).DebugString(), "{1, 3}");
   EXPECT_EQ(ObjectSet().DebugString(), "{}");
+}
+
+// Sorted duplicate-free draw of up to `max_size` values from [0, universe).
+std::vector<ObjectId> RandomSet(std::mt19937* rng, size_t max_size,
+                                uint32_t universe) {
+  std::uniform_int_distribution<size_t> size_dist(0, max_size);
+  std::uniform_int_distribution<uint32_t> value_dist(0, universe - 1);
+  std::vector<ObjectId> v(size_dist(*rng));
+  for (auto& x : v) x = value_dist(*rng);
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+struct SetCase {
+  std::vector<ObjectId> a, b;
+  std::string tag;
+};
+
+std::vector<SetCase> AdversarialSetCases(std::mt19937* rng) {
+  std::vector<SetCase> cases;
+  // Overlap-heavy: both drawn from a universe barely larger than the sets.
+  for (int it = 0; it < 120; ++it) {
+    cases.push_back({RandomSet(rng, 64, 80), RandomSet(rng, 64, 80),
+                     "overlap-heavy"});
+  }
+  // Sparse: large universe, occasional matches.
+  for (int it = 0; it < 80; ++it) {
+    cases.push_back(
+        {RandomSet(rng, 128, 1 << 20), RandomSet(rng, 128, 1 << 20),
+         "sparse"});
+  }
+  // Disjoint by construction: a in even, b in odd values.
+  for (int it = 0; it < 40; ++it) {
+    SetCase c{RandomSet(rng, 64, 1000), RandomSet(rng, 64, 1000), "disjoint"};
+    for (auto& x : c.a) x *= 2;
+    for (auto& x : c.b) x = x * 2 + 1;
+    cases.push_back(std::move(c));
+  }
+  // Heavily skewed sizes, both directions.
+  for (int it = 0; it < 40; ++it) {
+    cases.push_back(
+        {RandomSet(rng, 4, 1 << 16), RandomSet(rng, 2000, 1 << 16),
+         "skewed-ab"});
+    cases.push_back(
+        {RandomSet(rng, 2000, 1 << 16), RandomSet(rng, 4, 1 << 16),
+         "skewed-ba"});
+  }
+  // Subset by construction: a is a sample of b.
+  for (int it = 0; it < 60; ++it) {
+    SetCase c;
+    c.b = RandomSet(rng, 200, 4000);
+    std::uniform_int_distribution<int> keep(0, 2);
+    for (ObjectId x : c.b) {
+      if (keep(*rng) == 0) c.a.push_back(x);
+    }
+    c.tag = "subset";
+    cases.push_back(std::move(c));
+  }
+  // Near-subset: one element of a perturbed off b.
+  for (int it = 0; it < 60; ++it) {
+    SetCase c;
+    c.b = RandomSet(rng, 200, 4000);
+    for (size_t j = 0; j < c.b.size(); j += 2) c.a.push_back(c.b[j]);
+    if (!c.a.empty()) {
+      std::uniform_int_distribution<size_t> pick(0, c.a.size() - 1);
+      c.a[pick(*rng)] += 1;  // may or may not still be in b
+      std::sort(c.a.begin(), c.a.end());
+      c.a.erase(std::unique(c.a.begin(), c.a.end()), c.a.end());
+    }
+    c.tag = "near-subset";
+    cases.push_back(std::move(c));
+  }
+  // Equal, empty-vs-nonempty, both-empty, single elements.
+  const auto fixed = RandomSet(rng, 100, 1000);
+  cases.push_back({fixed, fixed, "equal"});
+  cases.push_back({{}, fixed, "empty-a"});
+  cases.push_back({fixed, {}, "empty-b"});
+  cases.push_back({{}, {}, "both-empty"});
+  cases.push_back({{42}, fixed, "singleton"});
+  // Every small size pairing, the sizes the miners' convoy sets have.
+  for (size_t na = 0; na <= 20; ++na) {
+    for (size_t nb : {size_t{0}, size_t{7}, size_t{8}, size_t{9}, size_t{16},
+                      size_t{17}}) {
+      cases.push_back({RandomSet(rng, na, 32), RandomSet(rng, nb, 32),
+                       "small-sizes"});
+    }
+  }
+  return cases;
+}
+
+// The oracle asks a hash set about each id, so it shares no merge with the
+// std algorithms the implementation runs.
+TEST(ObjectSetTest, AlgebraMatchesMembershipOracle) {
+  std::mt19937 rng(789);
+  for (const SetCase& c : AdversarialSetCases(&rng)) {
+    const std::unordered_set<ObjectId> in_a(c.a.begin(), c.a.end());
+    const std::unordered_set<ObjectId> in_b(c.b.begin(), c.b.end());
+    std::vector<ObjectId> want;
+    for (ObjectId x : c.a) {
+      if (in_b.count(x) != 0) want.push_back(x);
+    }
+    const bool a_in_b = std::all_of(c.a.begin(), c.a.end(), [&](ObjectId x) {
+      return in_b.count(x) != 0;
+    });
+    const bool b_in_a = std::all_of(c.b.begin(), c.b.end(), [&](ObjectId x) {
+      return in_a.count(x) != 0;
+    });
+    const ObjectSet a = ObjectSet::FromSorted(c.a);
+    const ObjectSet b = ObjectSet::FromSorted(c.b);
+    EXPECT_EQ(ObjectSet::Intersect(a, b).ids(), want) << c.tag;
+    EXPECT_EQ(ObjectSet::Intersect(b, a).ids(), want) << c.tag;
+    EXPECT_EQ(a.IsSubsetOf(b), a_in_b) << c.tag;
+    EXPECT_EQ(b.IsSubsetOf(a), b_in_a) << c.tag;
+  }
 }
 
 // ---------------------------------------------------------------------------

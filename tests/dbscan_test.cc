@@ -1,13 +1,17 @@
 // Unit tests for the clustering substrate: grid index region queries,
-// DBSCAN semantics ((m,eps)-clusters of paper Def. 2) and the whole-set
-// check IsOneDbscanCluster against DBSCAN itself.
+// DBSCAN semantics ((m,eps)-clusters of paper Def. 2), DBSCAN's labels
+// against the eps-graph clusterer, and the whole-set check
+// IsOneDbscanCluster against DBSCAN itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "cluster/dbscan.h"
+#include "cluster/graph_core.h"
 #include "cluster/grid_index.h"
 #include "common/object_set.h"
 #include "common/rng.h"
@@ -278,6 +282,116 @@ TEST(DbscanTest, LargeEpsMergesEverything) {
   const auto clusters = Dbscan(pts, 100.0, 2);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(clusters[0].size(), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Labels, border points included, against the eps-graph clusterer
+// ---------------------------------------------------------------------------
+
+// A snapshot whose border points are contested. Core groups sit on one row,
+// 2*eps apart: each is a centre point (sometimes duplicated) with members
+// on the vertical line through it, at most eps away. Between neighbouring
+// centres sit midpoints exactly eps from both centres and farther from
+// every member, so at larger m a midpoint is a border point that two
+// groups reach. A few lattice points add noise. Coordinates are multiples
+// of eps/2, so every distance test is exact, and the order is shuffled, so
+// either group of a pair may start its cluster first.
+std::vector<SnapshotPoint> ContestedSnapshot(Rng* rng, double eps,
+                                             int max_groups) {
+  const double h = eps / 2.0;
+  const double base = h * static_cast<double>(rng->UniformInt(-1000, 1000));
+  std::vector<std::pair<double, double>> xy;
+  const int groups = 2 + static_cast<int>(rng->NextInt(max_groups - 1));
+  for (int g = 0; g < groups; ++g) {
+    const double cx = base + 2.0 * eps * g;
+    for (int64_t c = rng->UniformInt(1, 2); c > 0; --c) xy.push_back({cx, 0});
+    for (int64_t k = rng->UniformInt(1, 5); k > 0; --k) {
+      xy.push_back({cx, h * static_cast<double>(rng->UniformInt(-2, 2))});
+    }
+    if (g > 0) {
+      for (int64_t c = rng->UniformInt(1, 2); c > 0; --c) {
+        xy.push_back({cx - eps, 0});
+      }
+    }
+  }
+  for (int64_t k = rng->UniformInt(0, 3); k > 0; --k) {
+    xy.push_back(
+        {base + h * static_cast<double>(rng->UniformInt(-2, 4 * groups)),
+         h * static_cast<double>(rng->UniformInt(-4, 4))});
+  }
+  for (size_t i = xy.size(); i > 1; --i) {
+    std::swap(xy[i - 1], xy[rng->NextInt(i)]);
+  }
+  std::vector<SnapshotPoint> pts;
+  for (size_t i = 0; i < xy.size(); ++i) {
+    pts.push_back(
+        SnapshotPoint{static_cast<ObjectId>(i), xy[i].first, xy[i].second});
+  }
+  return pts;
+}
+
+// DbscanLabelled must give every point, border points included, the label
+// ClusterGraphLabelled gives it over the snapshot's eps-graph: the same
+// ascending start order and first-cluster-wins border rule on explicit
+// neighbourhoods. Covers the brute-force path (n <= 32) and the grid
+// (n > 32), m 2..6, and requires contested borders on both paths.
+TEST(DbscanLabelProperty, MatchesEpsGraphLabelsWithContestedBorders) {
+  Rng rng(20261020);
+  DbscanScratch scratch;
+  GraphClusterScratch graph;
+  DbscanLabels want;
+  size_t contested[2] = {0, 0};  // [grid path]
+  size_t snapshots[2] = {0, 0};
+  constexpr double kEps[] = {0.75, 1.0, 1.5, 2.0, 3.0};
+  for (int trial = 0; trial < 6000; ++trial) {
+    const double eps = kEps[trial % 5];
+    const int m = 2 + static_cast<int>(rng.NextInt(5));
+    const std::vector<SnapshotPoint> pts =
+        ContestedSnapshot(&rng, eps, trial % 2 == 0 ? 3 : 12);
+    const size_t n = pts.size();
+    // The eps-graph, self excluded, by eps_scan's expression.
+    graph.adj_offsets.assign(1, 0);
+    graph.adj.clear();
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        const double dx = pts[j].x - pts[i].x;
+        const double dy = pts[j].y - pts[i].y;
+        if (j != i && dx * dx + dy * dy <= eps * eps) {
+          graph.adj.push_back(static_cast<uint32_t>(j));
+        }
+      }
+      graph.adj_offsets.push_back(static_cast<uint32_t>(graph.adj.size()));
+    }
+    ClusterGraphLabelled(n, graph.adj_offsets, graph.adj, m, &graph, &want);
+    DbscanLabels got;
+    DbscanLabelled(pts, eps, m, &scratch, &got);
+    ASSERT_EQ(got.num_clusters, want.num_clusters)
+        << "trial " << trial << " n=" << n << " m=" << m;
+    ASSERT_EQ(got.label, want.label)
+        << "trial " << trial << " n=" << n << " m=" << m;
+
+    // A contested border point: not core, and reached by the cores of two
+    // different clusters.
+    auto is_core = [&](size_t i) {
+      return graph.adj_offsets[i + 1] - graph.adj_offsets[i] + 1 >=
+             static_cast<uint32_t>(m);
+    };
+    const int path = n > 32 ? 1 : 0;
+    ++snapshots[path];
+    for (size_t i = 0; i < n; ++i) {
+      if (is_core(i) || got.label[i] < 0) continue;
+      std::set<int32_t> reached_by;
+      for (uint32_t e = graph.adj_offsets[i]; e < graph.adj_offsets[i + 1];
+           ++e) {
+        if (is_core(graph.adj[e])) reached_by.insert(got.label[graph.adj[e]]);
+      }
+      if (reached_by.size() >= 2) ++contested[path];
+    }
+  }
+  for (int path = 0; path < 2; ++path) {
+    EXPECT_GT(snapshots[path], 1000u) << "path " << path;
+    EXPECT_GT(contested[path], 300u) << "path " << path;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 // LsmStore recovery basics plus a strided crash-matrix sweep. The exhaustive
 // every-failpoint sweep over all fixture families lives in
 // lsm_crash_differential_test.cc (slow tier).
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -397,6 +398,77 @@ TEST(SSTableCrashTest, OpenRejectsCorruptFilesWithNamedErrors) {
   WriteAll(dir + "/chop.sst", bytes.substr(0, bytes.size() - 1));
   IoStats stats;
   EXPECT_FALSE(lsm::SSTable::Open(dir + "/chop.sst", 1, &stats).ok());
+}
+
+// Rewrites the table at `path` with its bloom header replaced by
+// (num_hashes_word, num_words) — the words copied from the original, or
+// zero past its end — a footer moved to match and the meta CRC recomputed,
+// so only the header check can tell the file from a builder's.
+std::string WithBloomHeader(const std::string& bytes, uint32_t num_hashes_word,
+                            uint32_t num_words) {
+  const size_t footer_at = bytes.size() - 40;
+  uint64_t index_offset, bloom_offset;
+  std::memcpy(&index_offset, bytes.data() + footer_at, 8);
+  std::memcpy(&bloom_offset, bytes.data() + footer_at + 8, 8);
+  uint32_t old_words;
+  std::memcpy(&old_words, bytes.data() + bloom_offset + 4, 4);
+  std::string out = bytes.substr(0, bloom_offset);
+  out.append(reinterpret_cast<const char*>(&num_hashes_word), 4);
+  out.append(reinterpret_cast<const char*>(&num_words), 4);
+  const std::string old_bits = bytes.substr(bloom_offset + 8, old_words * 8);
+  out += old_bits.substr(0, std::min<size_t>(old_bits.size(), num_words * 8));
+  out.resize(bloom_offset + 8 + size_t{num_words} * 8, '\0');
+  const uint32_t crc =
+      Crc32c(out.data() + index_offset, out.size() - index_offset);
+  std::string footer = bytes.substr(footer_at);
+  std::memcpy(footer.data() + 24, &crc, 4);
+  return out + footer;
+}
+
+// Every builder writes the blocked-layout flag, a power-of-two word count
+// of at least 8 and 1-12 hashes. A header outside that passes the meta CRC
+// when its writer recomputed it, and probing it would read outside the word
+// array (3 words make the block mask words/8 - 1 wrap), so Open names it.
+TEST(SSTableCrashTest, OpenRejectsBloomHeadersTheBuilderCannotWrite) {
+  const std::string dir = CrashScratchDir("sst_bloom_header");
+  const std::string bytes =
+      ReadAll(BuildTable(Env::Default(), dir + "/t.sst", 400));
+  uint64_t bloom_offset;
+  std::memcpy(&bloom_offset, bytes.data() + bytes.size() - 32, 8);
+  uint32_t hashes, words;
+  std::memcpy(&hashes, bytes.data() + bloom_offset, 4);
+  std::memcpy(&words, bytes.data() + bloom_offset + 4, 4);
+  const uint32_t kFlag = lsm::BloomFilter::kBlockedLayoutFlag;
+  ASSERT_NE(hashes & kFlag, 0u);
+
+  // The rewrite itself is sound: the builder's own header still opens, and
+  // so does another header a builder could write.
+  WriteAll(dir + "/same.sst", WithBloomHeader(bytes, hashes, words));
+  IoStats stats;
+  ASSERT_TRUE(lsm::SSTable::Open(dir + "/same.sst", 1, &stats).ok());
+  WriteAll(dir + "/wider.sst", WithBloomHeader(bytes, kFlag | 12, words * 2));
+  ASSERT_TRUE(lsm::SSTable::Open(dir + "/wider.sst", 1, &stats).ok());
+
+  struct BadHeader {
+    uint32_t hashes, words;
+    const char* error;
+  };
+  const BadHeader bad[] = {
+      {hashes & ~kFlag, words, "blocked-layout flag missing"},
+      {kFlag | 7, 3, "word count not a power of two of at least 8"},
+      {kFlag | 7, 0, "word count not a power of two of at least 8"},
+      {kFlag | 7, 4, "word count not a power of two of at least 8"},
+      {kFlag | 7, 12, "word count not a power of two of at least 8"},
+      {kFlag | 0, words, "hash count outside 1-12"},
+      {kFlag | 13, words, "hash count outside 1-12"},
+      {kFlag | 0x7FFFFFFF, words, "hash count outside 1-12"},
+  };
+  for (const BadHeader& b : bad) {
+    SCOPED_TRACE(b.error);
+    WriteAll(dir + "/bad.sst", WithBloomHeader(bytes, b.hashes, b.words));
+    ExpectOpenFails(dir + "/bad.sst",
+                    std::string("SSTable bloom header invalid (") + b.error);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -113,16 +113,6 @@ TEST(BloomFilterTest, SerializationRoundTrip) {
   for (uint64_t k = 0; k < 100; ++k) EXPECT_TRUE(copy.MayContain(k * 31));
 }
 
-TEST(BloomFilterTest, LegacyFlatLayoutStaysReadable) {
-  // A filter persisted without the blocked-layout flag (pre-blocked-era
-  // file) must keep the flat probe order: build one via FromWords, Add
-  // through the flat path, and verify membership.
-  BloomFilter flat =
-      BloomFilter::FromWords(std::vector<uint64_t>(16, 0), 7);
-  for (uint64_t k = 0; k < 50; ++k) flat.Add(k * 131);
-  for (uint64_t k = 0; k < 50; ++k) EXPECT_TRUE(flat.MayContain(k * 131));
-}
-
 // ---------------------------------------------------------------------------
 // SSTable
 // ---------------------------------------------------------------------------

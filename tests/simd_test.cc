@@ -1,25 +1,18 @@
 // Property suites for the runtime-dispatched SIMD kernel layer: the AVX2
 // implementation of every kernel must be byte-identical to the scalar
 // oracle on randomized inputs covering unaligned bases, all tail lengths up
-// to well past 2x the 8-lane group, adversarial set shapes (overlap-heavy,
-// disjoint, skewed enough to take the gallop path, equal, empty), extreme
-// NaN-free coordinates, and points exactly at eps. Run under
-// K2_SIMD=scalar|avx2 the suites still pass: they pit At(kAvx2) against
-// At(kScalar) directly whenever the host supports AVX2.
+// to well past 2x the 8-lane group, extreme NaN-free coordinates, points
+// exactly at eps, and CRC streams across the interleave boundaries. Run
+// under K2_SIMD=scalar|avx2 the suites still pass: they pit At(kAvx2)
+// against At(kScalar) directly whenever the host supports AVX2.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <random>
-#include <string>
 #include <vector>
 
-#include "cluster/grid_index.h"
 #include "common/crc32c.h"
-#include "common/object_set.h"
 #include "common/simd.h"
-#include "common/types.h"
 
 namespace k2 {
 namespace {
@@ -30,18 +23,6 @@ std::vector<simd::Level> SupportedVectorLevels() {
   std::vector<simd::Level> levels;
   if (simd::Supported(simd::Level::kAvx2)) levels.push_back(simd::Level::kAvx2);
   return levels;
-}
-
-// Sorted duplicate-free draw of up to `max_size` values from [0, universe).
-std::vector<uint32_t> RandomSet(std::mt19937* rng, size_t max_size,
-                                uint32_t universe) {
-  std::uniform_int_distribution<size_t> size_dist(0, max_size);
-  std::uniform_int_distribution<uint32_t> value_dist(0, universe - 1);
-  std::vector<uint32_t> v(size_dist(*rng));
-  for (auto& x : v) x = value_dist(*rng);
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-  return v;
 }
 
 // ---------------------------------------------------------------------------
@@ -67,8 +48,6 @@ TEST(SimdDispatchTest, EveryLevelTableFullyPopulated) {
     if (!simd::Supported(level)) continue;
     const simd::Kernels& k = simd::At(level);
     EXPECT_NE(k.eps_scan, nullptr);
-    EXPECT_NE(k.intersect, nullptr);
-    EXPECT_NE(k.is_subset, nullptr);
     EXPECT_NE(k.crc32c, nullptr);
   }
 }
@@ -177,161 +156,6 @@ TEST_F(EpsScanProperty, MatchesScalarAtExactEps) {
 }
 
 // ---------------------------------------------------------------------------
-// intersect / is_subset
-// ---------------------------------------------------------------------------
-
-struct SetCase {
-  std::vector<uint32_t> a, b;
-  std::string tag;
-};
-
-std::vector<SetCase> AdversarialSetCases(std::mt19937* rng) {
-  std::vector<SetCase> cases;
-  // Overlap-heavy: both drawn from a universe barely larger than the sets.
-  for (int it = 0; it < 120; ++it) {
-    cases.push_back({RandomSet(rng, 64, 80), RandomSet(rng, 64, 80),
-                     "overlap-heavy"});
-  }
-  // Sparse: large universe, occasional matches.
-  for (int it = 0; it < 80; ++it) {
-    cases.push_back(
-        {RandomSet(rng, 128, 1 << 20), RandomSet(rng, 128, 1 << 20),
-         "sparse"});
-  }
-  // Disjoint by construction: a in even, b in odd values.
-  for (int it = 0; it < 40; ++it) {
-    SetCase c{RandomSet(rng, 64, 1000), RandomSet(rng, 64, 1000), "disjoint"};
-    for (auto& x : c.a) x *= 2;
-    for (auto& x : c.b) x = x * 2 + 1;
-    cases.push_back(std::move(c));
-  }
-  // Skewed hard enough to take the gallop path, both directions.
-  for (int it = 0; it < 40; ++it) {
-    cases.push_back(
-        {RandomSet(rng, 4, 1 << 16), RandomSet(rng, 2000, 1 << 16),
-         "gallop-ab"});
-    cases.push_back(
-        {RandomSet(rng, 2000, 1 << 16), RandomSet(rng, 4, 1 << 16),
-         "gallop-ba"});
-  }
-  // Subset by construction: a is a sample of b.
-  for (int it = 0; it < 60; ++it) {
-    SetCase c;
-    c.b = RandomSet(rng, 200, 4000);
-    std::uniform_int_distribution<int> keep(0, 2);
-    for (uint32_t x : c.b) {
-      if (keep(*rng) == 0) c.a.push_back(x);
-    }
-    c.tag = "subset";
-    cases.push_back(std::move(c));
-  }
-  // Near-subset: one element of a perturbed off b.
-  for (int it = 0; it < 60; ++it) {
-    SetCase c;
-    c.b = RandomSet(rng, 200, 4000);
-    for (size_t j = 0; j < c.b.size(); j += 2) c.a.push_back(c.b[j]);
-    if (!c.a.empty()) {
-      std::uniform_int_distribution<size_t> pick(0, c.a.size() - 1);
-      c.a[pick(*rng)] += 1;  // may or may not still be in b
-      std::sort(c.a.begin(), c.a.end());
-      c.a.erase(std::unique(c.a.begin(), c.a.end()), c.a.end());
-    }
-    c.tag = "near-subset";
-    cases.push_back(std::move(c));
-  }
-  // Equal, empty-vs-nonempty, both-empty, single elements.
-  const auto fixed = RandomSet(rng, 100, 1000);
-  cases.push_back({fixed, fixed, "equal"});
-  cases.push_back({{}, fixed, "empty-a"});
-  cases.push_back({fixed, {}, "empty-b"});
-  cases.push_back({{}, {}, "both-empty"});
-  cases.push_back({{42}, fixed, "singleton"});
-  // All tail lengths around the 8-lane block boundary.
-  for (size_t na = 0; na <= 20; ++na) {
-    for (size_t nb : {size_t{0}, size_t{7}, size_t{8}, size_t{9}, size_t{16},
-                      size_t{17}}) {
-      cases.push_back({RandomSet(rng, na, 32), RandomSet(rng, nb, 32),
-                       "tail-sweep"});
-    }
-  }
-  return cases;
-}
-
-TEST(SetKernelProperty, IntersectMatchesScalarOracle) {
-  std::mt19937 rng(123);
-  const auto cases = AdversarialSetCases(&rng);
-  for (simd::Level level : SupportedVectorLevels()) {
-    const simd::Kernels& k = simd::At(level);
-    const simd::Kernels& oracle = simd::At(simd::Level::kScalar);
-    for (const SetCase& c : cases) {
-      const size_t cap = std::min(c.a.size(), c.b.size());
-      constexpr size_t kPad = 16;
-      std::vector<uint32_t> want(cap + simd::kMaxLaneSlack + kPad, kSentinel);
-      std::vector<uint32_t> got(cap + simd::kMaxLaneSlack + kPad, kSentinel);
-      const size_t want_n = oracle.intersect(c.a.data(), c.a.size(),
-                                             c.b.data(), c.b.size(),
-                                             want.data());
-      const size_t got_n = k.intersect(c.a.data(), c.a.size(), c.b.data(),
-                                       c.b.size(), got.data());
-      ASSERT_EQ(got_n, want_n)
-          << "level=" << simd::LevelName(level) << " tag=" << c.tag;
-      ASSERT_LE(got_n, cap);
-      for (size_t j = 0; j < got_n; ++j) {
-        ASSERT_EQ(got[j], want[j])
-            << "level=" << simd::LevelName(level) << " tag=" << c.tag;
-      }
-      // Slack contract: writes stay within min(na, nb) + kMaxLaneSlack.
-      for (size_t j = cap + simd::kMaxLaneSlack; j < got.size(); ++j) {
-        ASSERT_EQ(got[j], kSentinel)
-            << "level=" << simd::LevelName(level) << " tag=" << c.tag
-            << " wrote past min(na, nb) + kMaxLaneSlack";
-      }
-    }
-  }
-}
-
-TEST(SetKernelProperty, SubsetMatchesScalarOracle) {
-  std::mt19937 rng(456);
-  const auto cases = AdversarialSetCases(&rng);
-  for (simd::Level level : SupportedVectorLevels()) {
-    const simd::Kernels& k = simd::At(level);
-    const simd::Kernels& oracle = simd::At(simd::Level::kScalar);
-    for (const SetCase& c : cases) {
-      ASSERT_EQ(k.is_subset(c.a.data(), c.a.size(), c.b.data(), c.b.size()),
-                oracle.is_subset(c.a.data(), c.a.size(), c.b.data(),
-                                 c.b.size()))
-          << "level=" << simd::LevelName(level) << " tag=" << c.tag
-          << " (a subset of b)";
-      ASSERT_EQ(k.is_subset(c.b.data(), c.b.size(), c.a.data(), c.a.size()),
-                oracle.is_subset(c.b.data(), c.b.size(), c.a.data(),
-                                 c.a.size()))
-          << "level=" << simd::LevelName(level) << " tag=" << c.tag
-          << " (b subset of a)";
-    }
-  }
-}
-
-// The public ObjectSet algebra rides the dispatched kernels; pin it against
-// the std:: reference algorithms on the same adversarial shapes.
-TEST(SetKernelProperty, ObjectSetAlgebraMatchesStdReference) {
-  std::mt19937 rng(789);
-  const auto cases = AdversarialSetCases(&rng);
-  for (const SetCase& c : cases) {
-    const ObjectSet a = ObjectSet::FromSorted(c.a);
-    const ObjectSet b = ObjectSet::FromSorted(c.b);
-    std::vector<uint32_t> want;
-    std::set_intersection(c.a.begin(), c.a.end(), c.b.begin(), c.b.end(),
-                          std::back_inserter(want));
-    EXPECT_EQ(ObjectSet::Intersect(a, b).ids(), want) << c.tag;
-    EXPECT_EQ(a.IsSubsetOf(b),
-              c.a.size() <= c.b.size() &&
-                  std::includes(c.b.begin(), c.b.end(), c.a.begin(),
-                                c.a.end()))
-        << c.tag;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // crc32c
 // ---------------------------------------------------------------------------
 
@@ -404,42 +228,6 @@ TEST(CrcKernelProperty, PublicEntryPointKnownAnswer) {
   EXPECT_EQ(Crc32c(zeros, sizeof(zeros)), 0x8A9136AAu);
   // "123456789" is the classic check value.
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
-}
-
-// ---------------------------------------------------------------------------
-// GridIndex::NeighborsBatch ≡ per-point Neighbors
-// ---------------------------------------------------------------------------
-
-TEST(NeighborsBatchProperty, EqualsPerPointNeighbors) {
-  std::mt19937 rng(44);
-  std::uniform_real_distribution<double> coord(0.0, 100.0);
-  for (int it = 0; it < 20; ++it) {
-    std::uniform_int_distribution<size_t> n_dist(1, 400);
-    const size_t n = n_dist(rng);
-    std::vector<SnapshotPoint> points(n);
-    for (size_t i = 0; i < n; ++i) {
-      points[i] = {static_cast<ObjectId>(i), coord(rng), coord(rng)};
-    }
-    const double eps = 3.0;
-    GridIndex grid(points, eps);
-
-    std::vector<uint32_t> queries;
-    std::uniform_int_distribution<int> pick(0, 2);
-    for (size_t i = 0; i < n; ++i) {
-      if (pick(rng) == 0) queries.push_back(static_cast<uint32_t>(i));
-    }
-
-    std::vector<uint32_t> flat, offsets;
-    grid.NeighborsBatch(queries, eps, &flat, &offsets);
-    ASSERT_EQ(offsets.size(), queries.size() + 1);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      std::vector<uint32_t> want;
-      grid.Neighbors(queries[q], eps, &want);
-      const std::vector<uint32_t> got(flat.begin() + offsets[q],
-                                      flat.begin() + offsets[q + 1]);
-      ASSERT_EQ(got, want) << "query " << q;
-    }
-  }
 }
 
 }  // namespace
