@@ -163,6 +163,7 @@ void RecordBenchRow(const std::string& miner, const std::string& store_name,
      << ",\"eps\":" << JsonNumber(params.eps) << "},\"wall_ms\":"
      << JsonNumber(seconds * 1e3) << ",\"convoys\":" << convoys
      << ",\"io_stats\":{\"points_read\":" << io.points_read()
+     << ",\"point_fetches\":" << io.point_fetches
      << ",\"point_queries\":" << io.point_queries
      << ",\"scanned_points\":" << io.scanned_points
      << ",\"bytes_read\":" << io.bytes_read << ",\"seeks\":" << io.seeks
@@ -297,6 +298,7 @@ MineOutcome RunK2(Store* store, const MiningParams& params, K2HopStats* stats,
       .Num("extend_right_ms", ms("extend-right"))
       .Num("extend_left_ms", ms("extend-left"))
       .Num("validation_ms", ms("validation"))
+      .Int("reclusterings", s->reclusterings)
       .Int("validation_reclusterings", s->validation.reclusterings);
   RecordMiningRun("k2hop", *store, params, outcome.seconds, outcome.convoys,
                   s->io, phases);

@@ -57,7 +57,8 @@ struct MineOutcome {
 
 /// Mines with MineK2Hop. Its --json record adds the Fig. 8i phase times
 /// (benchmark_ms, candidates_ms, hwmt_ms, merge_ms, extend_right_ms,
-/// extend_left_ms, validation_ms) and validation_reclusterings.
+/// extend_left_ms, validation_ms), reclusterings (every ReCluster call of
+/// the run) and validation_reclusterings (validation's share).
 MineOutcome RunK2(Store* store, const MiningParams& params,
                   K2HopStats* stats = nullptr,
                   const K2HopOptions& options = {});

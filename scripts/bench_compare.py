@@ -14,8 +14,9 @@ exit 1 — when:
   * convoy counts differ (mining output is deterministic at equal scale:
     any drift is a correctness bug, no tolerance);
   * a logical work counter differs: io_stats.points_read,
-    io_stats.point_queries, io_stats.scanned_points or
-    validation_reclusterings. These count what the miner read and
+    io_stats.point_fetches, io_stats.point_queries,
+    io_stats.scanned_points, reclusterings or validation_reclusterings.
+    These count what the miner read, in how many store calls, and what it
     re-clustered, not how long it took, so they are as deterministic as
     the convoys and gated exactly; a field absent on either side is
     skipped;
@@ -89,8 +90,9 @@ def percentile_fields(base, live):
     return sorted(fields)
 
 
-EXACT_FIELDS = ("io_stats.points_read", "io_stats.point_queries",
-                "io_stats.scanned_points", "validation_reclusterings")
+EXACT_FIELDS = ("io_stats.points_read", "io_stats.point_fetches",
+                "io_stats.point_queries", "io_stats.scanned_points",
+                "reclusterings", "validation_reclusterings")
 
 
 def dotted(rec, path):

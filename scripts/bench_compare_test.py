@@ -73,6 +73,16 @@ class ExactCounterTest(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("validation_reclusterings drifted 4385 -> 4384", out)
 
+    def test_drifted_fetch_and_recluster_counts_fail(self):
+        code, out = compare(record(io_stats={"point_fetches": 47531}),
+                            record(io_stats={"point_fetches": 76965}))
+        self.assertEqual(code, 1, out)
+        self.assertIn("io_stats.point_fetches drifted 47531 -> 76965", out)
+        code, out = compare(record(reclusterings=76965),
+                            record(reclusterings=76966))
+        self.assertEqual(code, 1, out)
+        self.assertIn("reclusterings drifted 76965 -> 76966", out)
+
     def test_equal_counters_pass(self):
         counters = {"points_read": 100, "point_queries": 90,
                     "scanned_points": 10, "bytes_read": 5}
@@ -89,6 +99,15 @@ class ExactCounterTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
         code, out = compare(record(), record(validation_reclusterings=8,
                                              io_stats={"points_read": 1}))
+        self.assertEqual(code, 0, out)
+
+    def test_ledger_without_the_new_counters_is_skipped(self):
+        # A ledger written before point_fetches and reclusterings existed
+        # still compares against a fresh snapshot that carries them.
+        code, out = compare(
+            record(io_stats={"point_queries": 9}, validation_reclusterings=3),
+            record(io_stats={"point_queries": 9, "point_fetches": 4},
+                   reclusterings=12, validation_reclusterings=3))
         self.assertEqual(code, 0, out)
 
 

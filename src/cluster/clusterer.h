@@ -43,6 +43,8 @@ struct SnapshotScratch {
   std::vector<SnapshotPoint> points;
   DbscanScratch dbscan;
   GraphClusterScratch graph;
+  /// ReCluster calls made through this scratch (cluster/store_clustering.h).
+  uint64_t reclusterings = 0;
 };
 
 /// Interface of one snapshot-clustering substrate. Thread-compatible:

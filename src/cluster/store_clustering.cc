@@ -26,6 +26,7 @@ Result<std::vector<ObjectSet>> ReCluster(Store* store, Timestamp t,
                                          const ObjectSet& objects,
                                          const MiningParams& params,
                                          SnapshotScratch* scratch) {
+  ++scratch->reclusterings;
   return ResolveClusterer(params)->ReCluster(store, t, objects, params,
                                              scratch);
 }

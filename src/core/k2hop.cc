@@ -6,10 +6,66 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/check.h"
 #include "common/parallel_for.h"
 #include "core/snapshot_slots.h"
 
 namespace k2 {
+
+namespace {
+
+/// HWMT's one-tick view: one fetch of a set of objects at a tick, after
+/// which GetPoints at that tick answers any subset of the set from the
+/// fetched points, charging no IoStats (the fetch was charged to the store
+/// it read). Reads at other ticks go to the store.
+class FetchedTick final : public Store {
+ public:
+  explicit FetchedTick(Store* store) : store_(store) {}
+
+  /// Reads `objects` (which must outlive the next Fetch) at `t`, once.
+  Status Fetch(Timestamp t, const ObjectSet& objects) {
+    tick_ = t;
+    objects_ = &objects;
+    return store_->GetPoints(t, objects, &points_);
+  }
+
+  std::string name() const override { return store_->name(); }
+  Status BulkLoad(const Dataset&) override {
+    return Status::Invalid("a fetched tick is read-only");
+  }
+  Status ScanTimestamp(Timestamp t, std::vector<SnapshotPoint>* out) override {
+    return store_->ScanTimestamp(t, out);
+  }
+  Status GetPoints(Timestamp t, const ObjectSet& objects,
+                   std::vector<SnapshotPoint>* out) override {
+    if (t != tick_) return store_->GetPoints(t, objects, out);
+    K2_DCHECK(std::includes(objects_->begin(), objects_->end(),
+                            objects.begin(), objects.end()));
+    out->clear();
+    auto it = points_.begin();
+    for (ObjectId oid : objects) {
+      it = std::lower_bound(
+          it, points_.end(), oid,
+          [](const SnapshotPoint& p, ObjectId o) { return p.oid < o; });
+      if (it == points_.end()) break;
+      if (it->oid == oid) out->push_back(*it++);
+    }
+    return Status::OK();
+  }
+  TimeRange time_range() const override { return store_->time_range(); }
+  const std::vector<Timestamp>& timestamps() const override {
+    return store_->timestamps();
+  }
+  uint64_t num_points() const override { return store_->num_points(); }
+
+ private:
+  Store* store_;
+  Timestamp tick_ = kInvalidTimestamp;
+  const ObjectSet* objects_ = nullptr;
+  std::vector<SnapshotPoint> points_;  // in oid order
+};
+
+}  // namespace
 
 std::string K2HopStats::DebugString() const {
   std::ostringstream os;
@@ -125,15 +181,35 @@ Result<std::vector<ObjectSet>> HwmtSpanning(
   }
   if (verify_right_benchmark) order.insert(order.begin(), b_right);
 
+  // The surviving sets are pairwise disjoint: candidates intersect two
+  // benchmark partitions, and ReCluster splits a set into disjoint
+  // clusters. So one fetch of their union per probed tick reads exactly the
+  // keys one fetch per set would, and each ReCluster reads its set from it.
+  ObjectSet all;  // the union of `surviving`
+  FetchedTick fetched(store);
   // whole[i]: surviving[i] is still a whole candidate. Clusters are subsets
   // of the set re-clustered, so one of equal size is that set itself.
   std::vector<char> whole(surviving.size(), 1);
   for (Timestamp t : order) {
+    // A tick's clusters are subsets of the sets re-clustered, so the union
+    // changed only if the sizes no longer add up to it.
+    size_t total = 0;
+    for (const ObjectSet& s : surviving) total += s.size();
+    if (total != all.size()) {
+      std::vector<ObjectId> ids;
+      ids.reserve(total);
+      for (const ObjectSet& s : surviving) {
+        ids.insert(ids.end(), s.begin(), s.end());
+      }
+      all = ObjectSet(std::move(ids));
+    }
+    K2_RETURN_NOT_OK(fetched.Fetch(t, all));
     std::vector<ObjectSet> next;
     std::vector<char> next_whole;
     for (size_t i = 0; i < surviving.size(); ++i) {
-      K2_ASSIGN_OR_RETURN(std::vector<ObjectSet> clusters,
-                          ReCluster(store, t, surviving[i], params, scratch));
+      K2_ASSIGN_OR_RETURN(
+          std::vector<ObjectSet> clusters,
+          ReCluster(&fetched, t, surviving[i], params, scratch));
       for (ObjectSet& c : clusters) {
         next_whole.push_back(whole[i] && c.size() == surviving[i].size());
         next.push_back(std::move(c));
@@ -481,6 +557,7 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
     result = std::move(merged);
   }
   s->io = slots.io();
+  s->reclusterings = slots.reclusterings();
   return result;
 }
 

@@ -85,6 +85,9 @@ struct K2HopStats {
   size_t stitch_replays = 0;  ///< shards whose fold continued carried state
   size_t adopted_folds = 0;   ///< shards whose fold started empty
   ValidationStats validation;
+  /// ReCluster calls of the whole run: HWMT, both extension walks and
+  /// validation (validation.reclusterings is its share).
+  uint64_t reclusterings = 0;
   IoStats io;               ///< store IO consumed by the run
   uint64_t total_points = 0;  ///< rows in the store
 
@@ -142,6 +145,11 @@ std::vector<ShardPlan> PlanShards(const std::vector<Timestamp>& benchmarks,
 /// HWMT (Algorithm 2): verifies candidates at every tick strictly inside
 /// (b_left, b_right); when `verify_right_benchmark`, b_right is probed too
 /// (used by the no-pruning ablation). Returns the surviving object sets.
+/// The candidates must be pairwise disjoint, as the clusters of one tick
+/// and their intersections are; then so are the sets surviving each tick.
+/// Each probed tick is read with one GetPoints call for the union of the
+/// surviving sets, and each set is re-clustered from that fetch, so the
+/// store sees the same keys as one call per set would make.
 /// `scratch` (optional) makes repeated calls allocation-free. `proven`
 /// (optional) receives one run per candidate that survives whole: it was
 /// re-clustered to exactly itself at every probed tick.

@@ -76,6 +76,12 @@ Result<std::vector<Convoy>> SnapshotSlots::Validate(
       });
 }
 
+uint64_t SnapshotSlots::reclusterings() const {
+  uint64_t total = 0;
+  for (const SlotState& s : slots_) total += s.slot.scratch.reclusterings;
+  return total;
+}
+
 IoStats SnapshotSlots::io() const {
   IoStats total = IoStats::Delta(store_->io_stats(), store_before_);
   for (const SlotState& s : slots_) {

@@ -75,6 +75,9 @@ class SnapshotSlots {
   /// snapshot's reads since it was opened (snapshot setup excluded).
   IoStats io() const;
 
+  /// ReCluster calls made through the slots' scratches since construction.
+  uint64_t reclusterings() const;
+
  private:
   struct SlotState {
     Slot slot;

@@ -42,6 +42,7 @@ Status GetDeltaMainPoints(BPlusTree* tree, const Dataset& delta,
                           const ObjectSet& objects,
                           std::vector<SnapshotPoint>* out, IoStats* stats) {
   out->clear();
+  ++stats->point_fetches;
   stats->point_queries += objects.size();
   if (TickInDelta(*tree, tree_range, t)) {
     const size_t hits = SelectObjects(delta.Snapshot(t), objects, out);

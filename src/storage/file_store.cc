@@ -62,6 +62,7 @@ Status GetFlatFilePoints(std::FILE* file, const std::string& path,
                          std::vector<PointRecord>* scratch, IoStats* stats) {
   out->clear();
   if (file == nullptr) return Status::Invalid("FileStore not loaded");
+  ++stats->point_fetches;
   stats->point_queries += objects.size();
   auto it = std::lower_bound(timestamps.begin(), timestamps.end(), t);
   if (it == timestamps.end() || *it != t) return Status::OK();

@@ -26,6 +26,21 @@ void AppendRaw(std::string* out, const void* data, size_t n) {
   out->append(static_cast<const char*>(data), n);
 }
 
+// Entry fields of a packed block, loaded through memcpy: a block read in
+// place has no alignment guarantee for its 8-byte fields.
+uint64_t EntryKey(const char* block, size_t i) {
+  uint64_t key;
+  std::memcpy(&key, block + i * kEntrySize, 8);
+  return key;
+}
+
+LsmValue EntryValue(const char* block, size_t i) {
+  LsmValue value;
+  std::memcpy(&value.x, block + i * kEntrySize + 8, 8);
+  std::memcpy(&value.y, block + i * kEntrySize + 16, 8);
+  return value;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -273,9 +288,9 @@ Result<std::unique_ptr<SSTable>> SSTable::Open(const std::string& path,
     file->max_key = file->index.back().last_key;
   }
 
-  // Tables are immutable once built: map the whole file read-only so block
-  // fetches are page-cache copies instead of syscalls. On mapping failure
-  // the descriptor stays as the pread fallback path.
+  // Tables are immutable once built: map the whole file read-only so blocks
+  // are read in place, with no syscall and no copy. On mapping failure the
+  // descriptor stays as the pread fallback path.
   void* map = mmap(nullptr, static_cast<size_t>(file_size), PROT_READ,
                    MAP_PRIVATE, file->fd, 0);
   if (map != MAP_FAILED) {
@@ -291,16 +306,32 @@ std::unique_ptr<SSTable> SSTable::NewReader(IoStats* stats) const {
   return reader;
 }
 
-Result<const std::vector<SSTable::Entry>*> SSTable::GetBlock(size_t b) {
+size_t SSTable::BlockFor(uint64_t key) const {
+  const std::vector<IndexEntry>& index = file_->index;
+  return static_cast<size_t>(
+      std::partition_point(
+          index.begin(), index.end(),
+          [key](const IndexEntry& e) { return e.last_key < key; }) -
+      index.begin());
+}
+
+SSTable::BlockRef SSTable::Resident(const CachedBlock& cb) const {
+  const File& file = *file_;
+  const IndexEntry& e = file.index[static_cast<size_t>(cb.index)];
+  return BlockRef{file.map != nullptr ? file.map + e.offset : cb.owned.data(),
+                  e.count};
+}
+
+Result<SSTable::BlockRef> SSTable::GetBlock(size_t b) {
   if (CachedBlock* cb = FindCached(b)) {
     cb->last_used = ++cache_clock_;
     if (stats_ != nullptr) ++stats_->pages_cached;
-    return &cb->entries;
+    return Resident(*cb);
   }
   return LoadBlock(b);
 }
 
-Result<const std::vector<SSTable::Entry>*> SSTable::LoadBlock(size_t b) {
+Result<SSTable::BlockRef> SSTable::LoadBlock(size_t b) {
   // Evict the least recently used slot (empty slots sort first).
   CachedBlock* victim = &cache_[0];
   for (CachedBlock& cb : cache_) {
@@ -309,19 +340,14 @@ Result<const std::vector<SSTable::Entry>*> SSTable::LoadBlock(size_t b) {
   const File& file = *file_;
   const IndexEntry& e = file.index[b];
   victim->index = -1;  // invalid while being overwritten
-  victim->entries.resize(e.count);
-  // Entry mirrors the on-disk block byte-for-byte, so the block decodes
-  // with a single copy straight into the entry array.
-  static_assert(sizeof(Entry) == kEntrySize &&
-                std::is_trivially_copyable_v<Entry>);
   const size_t nbytes = e.count * kEntrySize;
   if (file.map != nullptr) {
     if (e.offset + nbytes > file.map_size) {
       return Status::IOError("block out of mapped range on " + file.path);
     }
-    std::memcpy(victim->entries.data(), file.map + e.offset, nbytes);
   } else {
-    K2_RETURN_NOT_OK(PreadFully(file.fd, victim->entries.data(), nbytes,
+    victim->owned.resize(nbytes);
+    K2_RETURN_NOT_OK(PreadFully(file.fd, victim->owned.data(), nbytes,
                                 e.offset, file.path, "block"));
   }
   if (stats_ != nullptr) {
@@ -334,54 +360,72 @@ Result<const std::vector<SSTable::Entry>*> SSTable::LoadBlock(size_t b) {
   last_fetched_block_ = static_cast<int64_t>(b);
   victim->index = static_cast<int64_t>(b);
   victim->last_used = ++cache_clock_;
-  return &victim->entries;
+  return Resident(*victim);
 }
 
-Result<bool> SSTable::Get(uint64_t key, LsmValue* value, bool use_bloom) {
-  if (!Overlaps(key, key)) return false;
+Result<size_t> SSTable::MultiGet(PointBatch* batch, bool use_bloom) {
+  const std::vector<uint64_t>& keys = batch->keys;
+  size_t i = 0;
+  while (i < keys.size() && batch->found[i]) ++i;
+  if (i == keys.size() || !Overlaps(keys[i], keys.back())) return size_t{0};
+  // The one index search, for the first pending key. Every later key lies
+  // in that block or a later one.
   const std::vector<IndexEntry>& index = file_->index;
-  // Binary search the resident index for the block whose last_key >= key.
-  size_t lo = 0, hi = index.size();
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (index[mid].last_key < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo == index.size() || index[lo].first_key > key) return false;
-  // The bloom filter gates only the block fetch: when the candidate block
-  // is already cached, probing the block directly is cheaper than probing
-  // the filter — and the point queries of one GetPoints batch land in the
-  // same block almost every time.
-  const std::vector<Entry>* entries;
-  if (CachedBlock* cb = FindCached(lo)) {
-    cb->last_used = ++cache_clock_;
-    if (stats_ != nullptr) ++stats_->pages_cached;
-    entries = &cb->entries;
-  } else {
-    if (use_bloom && !file_->bloom.MayContain(key)) {
-      if (stats_ != nullptr) {
-        ++stats_->bloom_negative;
-        ChargeTier(&stats_->tier_bloom_skipped);
+  size_t b = BlockFor(keys[i]);
+  int64_t cursor_block = -1;  // the block `block` and `pos` point into
+  BlockRef block;             // its entries; data == nullptr until resident
+  uint32_t pos = 0;           // first entry not yet passed
+  size_t hits = 0;
+  for (; i < keys.size(); ++i) {
+    if (batch->found[i]) continue;
+    const uint64_t key = keys[i];
+    while (b < index.size() && index[b].last_key < key) ++b;
+    if (b == index.size()) break;            // past the table's last key
+    if (index[b].first_key > key) continue;  // between two blocks
+    if (static_cast<int64_t>(b) != cursor_block) {
+      cursor_block = static_cast<int64_t>(b);
+      block = BlockRef{};
+      pos = 0;
+      if (CachedBlock* cb = FindCached(b)) {
+        cb->last_used = ++cache_clock_;
+        if (stats_ != nullptr) ++stats_->pages_cached;
+        block = Resident(*cb);
       }
-      return false;
     }
-    K2_ASSIGN_OR_RETURN(entries, LoadBlock(lo));
+    if (block.data == nullptr) {
+      // The bloom filter gates only the block fetch: once the block is
+      // resident, searching it is cheaper than probing the filter.
+      if (use_bloom && !file_->bloom.MayContain(key)) {
+        if (stats_ != nullptr) {
+          ++stats_->bloom_negative;
+          ChargeTier(&stats_->tier_bloom_skipped);
+        }
+        continue;
+      }
+      K2_ASSIGN_OR_RETURN(block, LoadBlock(b));
+    }
+    if (stats_ != nullptr) {
+      ++stats_->sstables_touched;
+      ChargeTier(&stats_->tier_sstables_touched);
+    }
+    // Binary search of the entries the cursor has not passed.
+    uint32_t hi = block.count;
+    while (pos < hi) {
+      const uint32_t mid = pos + (hi - pos) / 2;
+      if (EntryKey(block.data, mid) < key) {
+        pos = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (pos < block.count && EntryKey(block.data, pos) == key) {
+      batch->values[i] = EntryValue(block.data, pos);
+      batch->found[i] = 1;
+      ++hits;
+      ++pos;
+    }
   }
-  if (stats_ != nullptr) {
-    ++stats_->sstables_touched;
-    ChargeTier(&stats_->tier_sstables_touched);
-  }
-  auto it = std::lower_bound(
-      entries->begin(), entries->end(), key,
-      [](const Entry& entry, uint64_t k) { return entry.key < k; });
-  if (it != entries->end() && it->key == key) {
-    *value = it->value;
-    return true;
-  }
-  return false;
+  return hits;
 }
 
 Status SSTable::Scan(uint64_t lo, uint64_t hi,
@@ -391,23 +435,15 @@ Status SSTable::Scan(uint64_t lo, uint64_t hi,
     ++stats_->sstables_touched;
     ChargeTier(&stats_->tier_sstables_touched);
   }
-  // First block that can contain lo.
   const std::vector<IndexEntry>& index = file_->index;
-  size_t b = 0, b_hi = index.size();
-  while (b < b_hi) {
-    const size_t mid = (b + b_hi) / 2;
-    if (index[mid].last_key < lo) {
-      b = mid + 1;
-    } else {
-      b_hi = mid;
-    }
-  }
-  for (; b < index.size() && index[b].first_key <= hi; ++b) {
-    K2_ASSIGN_OR_RETURN(const std::vector<Entry>* entries, GetBlock(b));
-    for (const Entry& entry : *entries) {
-      if (entry.key < lo) continue;
-      if (entry.key > hi) return Status::OK();
-      fn(entry.key, entry.value);
+  for (size_t b = BlockFor(lo);
+       b < index.size() && index[b].first_key <= hi; ++b) {
+    K2_ASSIGN_OR_RETURN(const BlockRef block, GetBlock(b));
+    for (uint32_t i = 0; i < block.count; ++i) {
+      const uint64_t key = EntryKey(block.data, i);
+      if (key < lo) continue;
+      if (key > hi) return Status::OK();
+      fn(key, EntryValue(block.data, i));
     }
   }
   return Status::OK();

@@ -39,6 +39,23 @@ inline constexpr uint64_t kSstMagic = 0x6b32686f70737374ULL;  // "k2hopsst"
 inline constexpr uint32_t kSstFormatVersion = 2;
 inline constexpr size_t kBlockEntries = 170;  // 24 B/entry -> ~4 KiB blocks
 
+/// One sorted multi-get: the keys to resolve, ascending, and per key
+/// whether a source has answered it and with what value. The store resolves
+/// a batch source by source, newest first, so a key that a newer source
+/// answered is never looked up in an older one.
+struct PointBatch {
+  std::vector<uint64_t> keys;
+  std::vector<uint8_t> found;
+  std::vector<LsmValue> values;
+
+  /// Makes `n` pending slots; the caller fills `keys`.
+  void Reset(size_t n) {
+    keys.resize(n);
+    found.assign(n, 0);
+    values.resize(n);
+  }
+};
+
 /// Writes one SSTable; Add() must be called in strictly increasing key order.
 /// Nothing appears under the final path until Finish() has fsynced and
 /// renamed the temporary file; a crash mid-build leaves at most a `.tmp`
@@ -89,9 +106,9 @@ class SSTableBuilder {
 ///
 /// The immutable part of an open table — its mapping (or descriptor), block
 /// index and bloom filter — is shared by every handle NewReader() makes from
-/// it. Each handle keeps only its own block cache, LRU clock and IO sink, so
-/// one handle serves one thread at a time while distinct handles read the
-/// same table concurrently without locks.
+/// it. Each handle keeps only its own LRU of resident blocks and IO sink,
+/// so one handle serves one thread at a time while distinct handles read
+/// the same table concurrently without locks.
 class SSTable {
  public:
   /// Opens the table, reading only its footer and metadata. `stats` (may be
@@ -107,9 +124,15 @@ class SSTable {
   /// co-owns, so it may outlive this handle). Same seq and tier.
   std::unique_ptr<SSTable> NewReader(IoStats* stats) const;
 
-  /// Point lookup; returns true when found. `use_bloom = false` bypasses the
-  /// bloom filter (ablation benchmark).
-  Result<bool> Get(uint64_t key, LsmValue* value, bool use_bloom = true);
+  /// Resolves the batch's pending keys against this table in one forward
+  /// pass: one search of the block index for the first pending key, then
+  /// forward steps through the blocks and their entries. Sets `found` and
+  /// `values` for every pending key the table holds and returns how many.
+  /// The bloom filter is probed only for a key whose block is not resident;
+  /// `use_bloom = false` bypasses it (ablation benchmark). sstables_touched
+  /// and bloom_negative count per key, as a lookup of each key alone would;
+  /// a block the batch finds resident counts one pages_cached.
+  Result<size_t> MultiGet(PointBatch* batch, bool use_bloom = true);
 
   /// Visits entries with lo <= key <= hi in key order.
   Status Scan(uint64_t lo, uint64_t hi,
@@ -165,22 +188,26 @@ class SSTable {
   SSTable(std::shared_ptr<const File> file, uint64_t seq, IoStats* stats)
       : file_(std::move(file)), seq_(seq), stats_(stats) {}
 
-  /// In-memory mirror of one on-disk entry: key + x + y, 24 bytes with no
-  /// padding, so whole blocks decode with a single read.
-  struct Entry {
-    uint64_t key;
-    LsmValue value;
-  };
-
-  /// Small per-handle LRU block cache (the HBase-block-cache analogue of the
-  /// paper's LSMT engine). One snapshot tick spans a handful of blocks and
-  /// the mining loops re-probe the same tick once per candidate, so a few
-  /// resident blocks turn almost all of those repeat reads into hits.
+  /// Small per-handle LRU of resident block numbers (the HBase-block-cache
+  /// analogue of the paper's LSMT engine). A mapped table's blocks are read
+  /// where the mapping holds them, so a slot only marks its block resident;
+  /// an unmapped table's slot owns the bytes pread for it. One snapshot
+  /// tick spans a handful of blocks, and the pruned path reads the same
+  /// ticks again for HWMT, the walks and validation, so a few resident
+  /// blocks absorb most of those repeat reads. The LRU keeps pages_read,
+  /// bytes_read, seeks and the bloom gating meaning what a block cache
+  /// would make them mean.
   static constexpr size_t kCachedBlocks = 8;
   struct CachedBlock {
     int64_t index = -1;       // block number, -1 = empty slot
     uint64_t last_used = 0;   // LRU clock value
-    std::vector<Entry> entries;
+    std::vector<char> owned;  // the block's bytes when the file is unmapped
+  };
+
+  /// One block's packed 24-byte entries, wherever they are held.
+  struct BlockRef {
+    const char* data = nullptr;
+    uint32_t count = 0;
   };
 
   /// Returns the cache slot holding block `b`, or nullptr on a miss.
@@ -191,14 +218,21 @@ class SSTable {
     return nullptr;
   }
 
-  /// Cache-miss path: copies block `b` out of the read-only mmap of the
-  /// immutable table file (no syscalls; the copy also keeps the entry array
-  /// aligned and type-safe), falling back to pread on the shared descriptor
-  /// when the file could not be mapped. Evicts the LRU slot.
-  Result<const std::vector<Entry>*> LoadBlock(size_t b);
+  /// The only block that can hold `key`: the first whose last key is
+  /// >= `key`, or the block count if there is none.
+  size_t BlockFor(uint64_t key) const;
+
+  /// The entries of the resident block in `cb`.
+  BlockRef Resident(const CachedBlock& cb) const;
+
+  /// Cache-miss path: makes block `b` resident in the LRU slot, charging
+  /// one page read. A mapped block stays in the read-only mapping of the
+  /// immutable table file (no syscall, no copy); an unmapped one is pread
+  /// on the shared descriptor into the slot's own buffer.
+  Result<BlockRef> LoadBlock(size_t b);
 
   /// FindCached + LoadBlock, with hit/miss accounting.
-  Result<const std::vector<Entry>*> GetBlock(size_t b);
+  Result<BlockRef> GetBlock(size_t b);
 
   std::shared_ptr<const File> file_;
   CachedBlock cache_[kCachedBlocks];

@@ -75,37 +75,8 @@ Status LsmScanTimestamp(const MemtableT* const* mems, size_t num_mems,
   return Status::OK();
 }
 
-template <typename MemtableT>
-Status LsmGetPoints(const MemtableT* const* mems, size_t num_mems,
-                    const std::vector<SSTable*>& tables, bool use_bloom,
-                    Timestamp t, const ObjectSet& objects,
-                    std::vector<SnapshotPoint>* out, IoStats* stats) {
-  out->clear();
-  stats->point_queries += objects.size();
-  for (ObjectId oid : objects) {
-    const uint64_t key = MakeKey(t, oid);
-    LsmValue value;
-    bool found = false;
-    for (size_t i = 0; i < num_mems; ++i) {
-      if (!mems[i]->empty() && mems[i]->Get(key, &value)) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      for (SSTable* table : tables) {
-        K2_ASSIGN_OR_RETURN(found, table->Get(key, &value, use_bloom));
-        if (found) break;
-      }
-    }
-    if (found) out->push_back(SnapshotPoint{oid, value.x, value.y});
-  }
-  stats->point_hits += out->size();
-  return Status::OK();
-}
-
 /// Frozen memtable: the SkipList contents as one sorted run, exposing the
-/// subset of the SkipList read API the shared helpers use.
+/// read API the shared helpers use.
 class SortedRun {
  public:
   void Add(uint64_t key, const LsmValue& value) {
@@ -114,13 +85,24 @@ class SortedRun {
 
   bool empty() const { return rows_.empty(); }
 
-  bool Get(uint64_t key, LsmValue* value) const {
-    auto it = std::lower_bound(
-        rows_.begin(), rows_.end(), key,
-        [](const auto& row, uint64_t k) { return row.first < k; });
-    if (it == rows_.end() || it->first != key) return false;
-    *value = it->second;
-    return true;
+  /// Resolves the batch's pending keys in one forward walk over the run;
+  /// returns how many it found.
+  size_t MultiGet(lsm::PointBatch* batch) const {
+    size_t hits = 0;
+    auto it = rows_.begin();
+    for (size_t i = 0; i < batch->keys.size() && it != rows_.end(); ++i) {
+      if (batch->found[i]) continue;
+      it = std::lower_bound(
+          it, rows_.end(), batch->keys[i],
+          [](const auto& row, uint64_t k) { return row.first < k; });
+      if (it != rows_.end() && it->first == batch->keys[i]) {
+        batch->values[i] = it->second;
+        batch->found[i] = 1;
+        ++hits;
+        ++it;
+      }
+    }
+    return hits;
   }
 
   template <typename Fn>
@@ -134,6 +116,59 @@ class SortedRun {
  private:
   std::vector<std::pair<uint64_t, LsmValue>> rows_;
 };
+
+/// The live memtable keeps its per-key probes.
+size_t MultiGet(const lsm::SkipList& mem, lsm::PointBatch* batch) {
+  size_t hits = 0;
+  for (size_t i = 0; i < batch->keys.size(); ++i) {
+    if (!batch->found[i] && mem.Get(batch->keys[i], &batch->values[i])) {
+      batch->found[i] = 1;
+      ++hits;
+    }
+  }
+  return hits;
+}
+
+size_t MultiGet(const SortedRun& mem, lsm::PointBatch* batch) {
+  return mem.MultiGet(batch);
+}
+
+/// One tick's keys in oid order are sorted, so a call is one sorted batch,
+/// resolved source by source, newest first: a key that a newer source
+/// answered is never looked up in an older one. `batch` is the handle's
+/// reusable scratch.
+template <typename MemtableT>
+Status LsmGetPoints(const MemtableT* const* mems, size_t num_mems,
+                    const std::vector<SSTable*>& tables, bool use_bloom,
+                    Timestamp t, const ObjectSet& objects,
+                    std::vector<SnapshotPoint>* out, IoStats* stats,
+                    lsm::PointBatch* batch) {
+  out->clear();
+  ++stats->point_fetches;
+  stats->point_queries += objects.size();
+  const std::vector<ObjectId>& oids = objects.ids();
+  batch->Reset(oids.size());
+  for (size_t i = 0; i < oids.size(); ++i) {
+    batch->keys[i] = MakeKey(t, oids[i]);
+  }
+  size_t pending = oids.size();
+  for (size_t i = 0; i < num_mems && pending > 0; ++i) {
+    if (!mems[i]->empty()) pending -= MultiGet(*mems[i], batch);
+  }
+  for (size_t j = 0; j < tables.size() && pending > 0; ++j) {
+    K2_ASSIGN_OR_RETURN(const size_t hits,
+                        tables[j]->MultiGet(batch, use_bloom));
+    pending -= hits;
+  }
+  for (size_t i = 0; i < oids.size(); ++i) {
+    if (batch->found[i]) {
+      out->push_back(
+          SnapshotPoint{oids[i], batch->values[i].x, batch->values[i].y});
+    }
+  }
+  stats->point_hits += out->size();
+  return Status::OK();
+}
 
 /// Read-only view over the immutable table files: per-snapshot SSTable
 /// readers (own block caches and stats over the parent's shared mappings,
@@ -167,7 +202,7 @@ class LsmReadSnapshot final : public Store {
                    std::vector<SnapshotPoint>* out) override {
     const SortedRun* mem = &memtable_;
     return LsmGetPoints(&mem, 1, flat_, use_bloom_, t, objects, out,
-                        &io_stats_);
+                        &io_stats_, &batch_);
   }
   TimeRange time_range() const override {
     if (timestamps_.empty()) return TimeRange{0, -1};
@@ -182,6 +217,7 @@ class LsmReadSnapshot final : public Store {
   std::vector<std::unique_ptr<SSTable>> tables_;
   std::vector<SSTable*> flat_;  // newest first, mirrors the parent's order
   SortedRun memtable_;
+  lsm::PointBatch batch_;  // GetPoints scratch
   bool use_bloom_;
   std::vector<Timestamp> timestamps_;
   uint64_t num_points_;
@@ -822,7 +858,7 @@ Status LsmStore::GetPoints(Timestamp t, const ObjectSet& objects,
   }
   const size_t n = CollectMemsLocked(mems);
   return LsmGetPoints(mems, n, flat_newest_first_, options_.use_bloom, t,
-                      objects, out, &io_stats_);
+                      objects, out, &io_stats_, &get_batch_);
 }
 
 Result<std::unique_ptr<Store>> LsmStore::CreateReadSnapshot() {

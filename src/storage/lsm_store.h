@@ -228,6 +228,8 @@ class LsmStore final : public Store {
 
   /// Reused per-Append WAL record serialization buffer.
   std::string wal_scratch_ K2_GUARDED_BY(mu_);
+  /// Reused GetPoints batch: keys, found flags and values.
+  lsm::PointBatch get_batch_ K2_GUARDED_BY(mu_);
 };
 
 }  // namespace k2

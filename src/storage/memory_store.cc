@@ -24,6 +24,7 @@ Status GetDatasetPoints(const Dataset& dataset, Timestamp t,
                         const ObjectSet& objects,
                         std::vector<SnapshotPoint>* out, IoStats* stats) {
   out->clear();
+  ++stats->point_fetches;
   stats->point_queries += objects.size();
   const size_t hits = SelectObjects(dataset.Snapshot(t), objects, out);
   stats->point_hits += hits;

@@ -38,6 +38,7 @@ std::string IoStats::DebugString() const {
   std::ostringstream os;
   os << "IoStats{scans=" << snapshot_scans
      << ", scanned_points=" << scanned_points
+     << ", point_fetches=" << point_fetches
      << ", point_queries=" << point_queries << ", point_hits=" << point_hits
      << ", bytes_read=" << bytes_read << ", seeks=" << seeks
      << ", pages_read=" << pages_read << ", pages_cached=" << pages_cached
@@ -57,6 +58,7 @@ IoStats IoStats::Delta(const IoStats& after, const IoStats& before) {
   IoStats d;
   d.snapshot_scans = after.snapshot_scans - before.snapshot_scans;
   d.scanned_points = after.scanned_points - before.scanned_points;
+  d.point_fetches = after.point_fetches - before.point_fetches;
   d.point_queries = after.point_queries - before.point_queries;
   d.point_hits = after.point_hits - before.point_hits;
   d.bytes_read = after.bytes_read - before.bytes_read;
@@ -77,6 +79,7 @@ IoStats IoStats::Delta(const IoStats& after, const IoStats& before) {
 void IoStats::Accumulate(const IoStats& other) {
   snapshot_scans += other.snapshot_scans;
   scanned_points += other.scanned_points;
+  point_fetches += other.point_fetches;
   point_queries += other.point_queries;
   point_hits += other.point_hits;
   bytes_read += other.bytes_read;

@@ -22,14 +22,19 @@ namespace k2 {
 struct IoStats {
   uint64_t snapshot_scans = 0;   ///< ScanTimestamp calls.
   uint64_t scanned_points = 0;   ///< Rows returned by snapshot scans.
+  uint64_t point_fetches = 0;    ///< GetPoints calls.
   uint64_t point_queries = 0;    ///< (t, oid) lookups issued.
   uint64_t point_hits = 0;       ///< Rows found by point lookups.
   uint64_t bytes_read = 0;       ///< Bytes fetched from the medium.
   uint64_t seeks = 0;            ///< Random repositionings of the medium.
   uint64_t pages_read = 0;       ///< Buffer-pool misses (page stores).
-  uint64_t pages_cached = 0;     ///< Buffer-pool hits (page stores).
-  uint64_t bloom_negative = 0;   ///< LSM lookups short-circuited by bloom.
-  uint64_t sstables_touched = 0; ///< LSM tables consulted.
+  /// Buffer-pool hits (page stores). An LSM GetPoints batch counts a
+  /// resident block once, however many of its keys the block answers.
+  uint64_t pages_cached = 0;
+  uint64_t bloom_negative = 0;   ///< LSM key lookups short-circuited by bloom.
+  /// LSM tables consulted: one per (key, table) whose block a point read
+  /// searched, batched or not, and one per table a scan reads.
+  uint64_t sstables_touched = 0;
 
   /// Per-tier LSM read fan-out: entry [t] counts events against tier-t
   /// SSTables (tier 0 = fresh flushes; higher tiers = older, compacted

@@ -3,6 +3,8 @@
 // HWMT run, and the Fig. 5 / Table 3 merge.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "baselines/gold.h"
 #include "cluster/store_clustering.h"
 #include "common/rng.h"
@@ -241,6 +243,116 @@ TEST(HwmtTest, AdjacentBenchmarksHaveNoInterior) {
   auto spanning = HwmtSpanning(store.get(), {2, 2, 1.0}, 0, 1, cc);
   ASSERT_TRUE(spanning.ok());
   EXPECT_EQ(spanning.value(), cc);
+}
+
+// A memory store that records the tick and size of every GetPoints call.
+class FetchCountingStore final : public Store {
+ public:
+  explicit FetchCountingStore(Dataset dataset) : inner_(std::move(dataset)) {}
+  std::string name() const override { return "fetch-counting"; }
+  Status BulkLoad(const Dataset& dataset) override {
+    return inner_.BulkLoad(dataset);
+  }
+  Status ScanTimestamp(Timestamp t, std::vector<SnapshotPoint>* out) override {
+    Status status = inner_.ScanTimestamp(t, out);
+    io_stats_ = inner_.io_stats();
+    return status;
+  }
+  Status GetPoints(Timestamp t, const ObjectSet& objects,
+                   std::vector<SnapshotPoint>* out) override {
+    fetches.emplace_back(t, objects.size());
+    Status status = inner_.GetPoints(t, objects, out);
+    io_stats_ = inner_.io_stats();
+    return status;
+  }
+  TimeRange time_range() const override { return inner_.time_range(); }
+  const std::vector<Timestamp>& timestamps() const override {
+    return inner_.timestamps();
+  }
+  uint64_t num_points() const override { return inner_.num_points(); }
+
+  std::vector<std::pair<Timestamp, size_t>> fetches;
+
+ private:
+  MemoryStore inner_;
+};
+
+// The default clusterer, recording every ReCluster call (one thread only).
+class RecordingClusterer final : public SnapshotClusterer {
+ public:
+  std::string name() const override { return "recording"; }
+  Status ValidateParams(const MiningParams& params) const override {
+    return DefaultClusterer()->ValidateParams(params);
+  }
+  Result<std::vector<ObjectSet>> Cluster(
+      Store* store, Timestamp t, const MiningParams& params,
+      SnapshotScratch* scratch, Mutex* store_mu = nullptr) const override {
+    return DefaultClusterer()->Cluster(store, t, params, scratch, store_mu);
+  }
+  Result<std::vector<ObjectSet>> ReCluster(
+      Store* store, Timestamp t, const ObjectSet& objects,
+      const MiningParams& params, SnapshotScratch* scratch,
+      Mutex* store_mu = nullptr) const override {
+    calls.emplace_back(t, objects);
+    return DefaultClusterer()->ReCluster(store, t, objects, params, scratch,
+                                         store_mu);
+  }
+
+  mutable std::vector<std::pair<Timestamp, ObjectSet>> calls;
+};
+
+TEST(HwmtTest, OneFetchPerProbedTickForTheUnionOfTheSurvivingSets) {
+  // While candidates survive, HWMT reads each probed tick with one
+  // GetPoints call whose keys are exactly the sets it re-clusters there.
+  size_t folded_ticks = 0;  // ticks that re-clustered more than one set
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    RandomWalkSpec spec;
+    spec.num_objects = 30;
+    spec.num_ticks = 40;
+    spec.area = 24.0;
+    spec.step = 3.0;
+    spec.seed = seed;
+    FetchCountingStore store(GenerateRandomWalk(spec));
+    RecordingClusterer clusterer;
+    MiningParams params{3, 8, 6.0};
+    params.clusterer = &clusterer;
+    const std::vector<Timestamp> b =
+        BenchmarkPoints(store.time_range(), params.k);
+    std::vector<std::vector<ObjectSet>> clusters;
+    for (Timestamp t : b) {
+      auto c = ClusterSnapshot(&store, t, params);
+      ASSERT_TRUE(c.ok());
+      clusters.push_back(c.MoveValue());
+    }
+    for (size_t w = 0; w + 1 < b.size(); ++w) {
+      store.fetches.clear();
+      clusterer.calls.clear();
+      auto spanning =
+          HwmtSpanning(&store, params, b[w], b[w + 1],
+                       CandidateClusters(clusters[w], clusters[w + 1],
+                                         params.m));
+      ASSERT_TRUE(spanning.ok());
+      // (tick, Σ|S|) over the ReCluster calls, grouped by tick in order.
+      std::vector<std::pair<Timestamp, size_t>> want;
+      std::set<ObjectId> tick_objects;
+      size_t tick_sets = 0;
+      for (const auto& [t, set] : clusterer.calls) {
+        if (want.empty() || want.back().first != t) {
+          want.emplace_back(t, 0);
+          tick_objects.clear();
+          tick_sets = 0;
+        }
+        want.back().second += set.size();
+        for (ObjectId oid : set) {
+          EXPECT_TRUE(tick_objects.insert(oid).second)
+              << "sets re-clustered at tick " << t << " overlap";
+        }
+        if (++tick_sets == 2) ++folded_ticks;
+      }
+      EXPECT_EQ(store.fetches, want) << "seed " << seed << ", window " << w;
+    }
+  }
+  EXPECT_GT(folded_ticks, 0u) << "weak test input";
 }
 
 // ---------------------------------------------------------------------------
@@ -620,6 +732,38 @@ TEST(K2HopTest, ResultsAreIdenticalForEveryThreadCount) {
   }
 }
 
+TEST(K2HopTest, CountsEveryReClusterCallAndEveryFetch) {
+  RandomWalkSpec spec;
+  spec.num_objects = 24;
+  spec.num_ticks = 40;
+  spec.area = 24.0;
+  spec.step = 3.0;
+  spec.seed = 19;
+  FetchCountingStore store(GenerateRandomWalk(spec));
+  RecordingClusterer clusterer;
+  MiningParams params{3, 6, 7.0};
+  params.clusterer = &clusterer;
+  K2HopOptions options;
+  options.num_threads = 1;
+  K2HopStats stats;
+  auto mined = MineK2Hop(&store, params, options, &stats);
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  ASSERT_FALSE(mined.value().empty()) << "weak test input";
+
+  EXPECT_EQ(stats.reclusterings, clusterer.calls.size());
+  EXPECT_GT(stats.reclusterings, stats.validation.reclusterings);
+  EXPECT_EQ(stats.io.point_fetches, store.fetches.size());
+  // HWMT reads the sets of a tick with one fetch, so there are fewer
+  // fetches than re-clusterings, but every re-clustered key is read once.
+  EXPECT_LT(stats.io.point_fetches, stats.reclusterings);
+  uint64_t fetched_keys = 0;
+  for (const auto& [t, keys] : store.fetches) fetched_keys += keys;
+  uint64_t reclustered_keys = 0;
+  for (const auto& [t, set] : clusterer.calls) reclustered_keys += set.size();
+  EXPECT_EQ(fetched_keys, reclustered_keys);
+  EXPECT_EQ(stats.io.point_queries, fetched_keys);
+}
+
 // Every phase reads through per-slot store snapshots when num_threads > 1,
 // and shards share those slots. On every engine and for one and three
 // shards, the convoys, the Table-5 IO counters, the validation counters and
@@ -662,6 +806,8 @@ TEST_P(K2HopEveryStoreTest, ConvoysAndCountersIdenticalForEveryThreadCount) {
       EXPECT_EQ(got.io.scanned_points, want.io.scanned_points);
       EXPECT_EQ(got.io.point_queries, want.io.point_queries);
       EXPECT_EQ(got.io.point_hits, want.io.point_hits);
+      EXPECT_EQ(got.io.point_fetches, want.io.point_fetches);
+      EXPECT_EQ(got.reclusterings, want.reclusterings);
       EXPECT_EQ(got.validation.candidates_in, want.validation.candidates_in);
       EXPECT_EQ(got.validation.fc_accepted, want.validation.fc_accepted);
       EXPECT_EQ(got.validation.split_rounds, want.validation.split_rounds);

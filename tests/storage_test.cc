@@ -2,6 +2,7 @@
 // like the in-memory oracle for scans and point reads, and must account IO.
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -10,6 +11,7 @@
 
 #include <fstream>
 
+#include "common/rng.h"
 #include "gen/synthetic.h"
 #include "storage/file_store.h"
 #include "storage/lsm_store.h"
@@ -184,6 +186,174 @@ TEST(IoStatsTierTest, LsmReadFanOutSplitsByTier) {
   EXPECT_EQ(std::accumulate(stats.tier_bloom_skipped.begin(),
                             stats.tier_bloom_skipped.end(), uint64_t{0}),
             stats.bloom_negative);
+}
+
+// ---------------------------------------------------------------------------
+// LSM sorted multi-get against a std::map oracle
+// ---------------------------------------------------------------------------
+
+constexpr Timestamp kOracleTicks = 24;
+constexpr ObjectId kOracleOids = 80;
+
+using PointOracle =
+    std::map<std::pair<Timestamp, ObjectId>, std::pair<double, double>>;
+
+// One random Put on a small (tick, oid) grid, so that about a third of the
+// puts overwrite a key written earlier, into whatever source holds it now.
+void PutRandomPoint(LsmStore* store, PointOracle* oracle, Rng* rng) {
+  const Timestamp t = static_cast<Timestamp>(rng->NextInt(kOracleTicks));
+  const ObjectId oid = static_cast<ObjectId>(rng->NextInt(kOracleOids));
+  const double x = rng->Uniform(-100.0, 100.0);
+  const double y = rng->Uniform(-100.0, 100.0);
+  ASSERT_TRUE(store->Put(t, oid, x, y).ok());
+  (*oracle)[{t, oid}] = {x, y};
+}
+
+// A tick inside the data or up to two ticks outside it.
+Timestamp RandomProbeTick(Rng* rng) {
+  return static_cast<Timestamp>(rng->UniformInt(-2, kOracleTicks + 1));
+}
+
+// A sorted probe set: empty, a run of adjacent oids (whose keys straddle
+// blocks and tables), or a scattered draw that includes absent oids; a
+// quarter also carry an oid beyond every table's key range.
+ObjectSet RandomProbe(Rng* rng) {
+  std::vector<ObjectId> ids;
+  switch (rng->NextInt(4)) {
+    case 0:
+      break;
+    case 1: {
+      const ObjectId lo = static_cast<ObjectId>(rng->NextInt(kOracleOids));
+      const ObjectId len = static_cast<ObjectId>(1 + rng->NextInt(40));
+      for (ObjectId oid = lo; oid < lo + len; ++oid) ids.push_back(oid);
+      break;
+    }
+    default: {
+      const size_t n = 1 + rng->NextInt(12);
+      for (size_t i = 0; i < n; ++i) {
+        ids.push_back(static_cast<ObjectId>(rng->NextInt(kOracleOids + 20)));
+      }
+    }
+  }
+  if (rng->NextInt(4) == 0) ids.push_back(4000000000u);
+  return ObjectSet(std::move(ids));
+}
+
+std::vector<SnapshotPoint> OracleRead(const PointOracle& oracle, Timestamp t,
+                                      const ObjectSet& probe) {
+  std::vector<SnapshotPoint> want;
+  for (ObjectId oid : probe) {
+    const auto it = oracle.find({t, oid});
+    if (it != oracle.end()) {
+      want.push_back(SnapshotPoint{oid, it->second.first, it->second.second});
+    }
+  }
+  return want;
+}
+
+// One GetPoints through `store`, compared with the oracle; the call must
+// count one fetch, |probe| queries and one hit per point found.
+void ExpectMatchesOracle(Store* store, const PointOracle& oracle,
+                         Timestamp t, const ObjectSet& probe) {
+  const IoStats before = store->io_stats();
+  std::vector<SnapshotPoint> got;
+  ASSERT_TRUE(store->GetPoints(t, probe, &got).ok());
+  const std::vector<SnapshotPoint> want = OracleRead(oracle, t, probe);
+  EXPECT_EQ(got, want) << "tick " << t << ", probe of " << probe.size();
+  const IoStats delta = IoStats::Delta(store->io_stats(), before);
+  EXPECT_EQ(delta.point_fetches, 1u);
+  EXPECT_EQ(delta.point_queries, probe.size());
+  EXPECT_EQ(delta.point_hits, want.size());
+}
+
+TEST(LsmPointBatchTest, MatchesMapOracleInEverySource) {
+  for (bool background : {false, true}) {
+    for (bool bloom : {true, false}) {
+      SCOPED_TRACE(std::string("background=") + (background ? "on" : "off") +
+                   " bloom=" + (bloom ? "on" : "off"));
+      LsmStore::Options options;
+      options.memtable_limit = 64;
+      options.tier_fanout = 2;
+      options.use_bloom = bloom;
+      options.background_compaction = background;
+      LsmStore store(ScratchDir(std::string("lsm_batch_oracle_") +
+                                (background ? "bg" : "fg") +
+                                (bloom ? "_bloom" : "")),
+                     options);
+      PointOracle oracle;
+      Rng rng(7);
+      // Reads between the puts meet the memtables (pending ones too, while
+      // the background worker flushes) as well as the tables.
+      for (int i = 0; i < 1500; ++i) {
+        PutRandomPoint(&store, &oracle, &rng);
+        if (i % 10 == 0) {
+          ExpectMatchesOracle(&store, oracle, RandomProbeTick(&rng),
+                              RandomProbe(&rng));
+        }
+      }
+      ASSERT_GT(store.memtable_entries(), 0u);
+      ASSERT_GT(store.num_tiers(), 2u);  // compacted tiers hold data
+      ASSERT_GT(store.num_sstables(), 2u);
+
+      for (int i = 0; i < 300; ++i) {
+        ExpectMatchesOracle(&store, oracle, RandomProbeTick(&rng),
+                            RandomProbe(&rng));
+      }
+      // A snapshot freezes the active memtable into a sorted run.
+      auto snapshot = store.CreateReadSnapshot();
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+      for (int i = 0; i < 300; ++i) {
+        ExpectMatchesOracle(snapshot.value().get(), oracle,
+                            RandomProbeTick(&rng), RandomProbe(&rng));
+      }
+    }
+  }
+}
+
+TEST(LsmPointBatchTest, ConcurrentSnapshotsMatchTheOracle) {
+  // Snapshots of one store share its table mappings, block indexes and
+  // bloom filters; each keeps its own block LRU and batch scratch. Run
+  // under TSan in CI.
+  LsmStore::Options options;
+  options.memtable_limit = 64;
+  options.tier_fanout = 2;
+  LsmStore store(ScratchDir("lsm_batch_concurrent"), options);
+  PointOracle oracle;
+  Rng rng(11);
+  for (int i = 0; i < 1500; ++i) PutRandomPoint(&store, &oracle, &rng);
+
+  constexpr int kReaders = 4;
+  std::vector<std::unique_ptr<Store>> snapshots;
+  for (int r = 0; r < kReaders; ++r) {
+    auto snapshot = store.CreateReadSnapshot();
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    snapshots.push_back(snapshot.MoveValue());
+  }
+  std::vector<int> mismatches(kReaders, 0);
+  std::vector<uint64_t> queries(kReaders, 0);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      Rng draw(100 + static_cast<uint64_t>(r));
+      std::vector<SnapshotPoint> got;
+      for (int i = 0; i < 400; ++i) {
+        const Timestamp t = RandomProbeTick(&draw);
+        const ObjectSet probe = RandomProbe(&draw);
+        queries[r] += probe.size();
+        if (!snapshots[r]->GetPoints(t, probe, &got).ok() ||
+            got != OracleRead(oracle, t, probe)) {
+          ++mismatches[r];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(mismatches[r], 0) << "reader " << r;
+    EXPECT_EQ(snapshots[r]->io_stats().point_fetches, 400u) << "reader " << r;
+    EXPECT_EQ(snapshots[r]->io_stats().point_queries, queries[r])
+        << "reader " << r;
+  }
 }
 
 TEST_P(StoreConformanceTest, BulkLoadReplacesContent) {
