@@ -1,7 +1,11 @@
 // Table 5 — k/2-hop data pruning performance: min/max points processed and
 // pruning percentage over a grid of mining parameters, for all three
 // datasets. The paper reports >99 % pruning in most cases on the larger
-// datasets.
+// datasets. "Processed" is what this miner reads (K2HopStats::
+// points_processed: a union fetch reads a point once per tick and group,
+// and a proof reads nothing); "probed" is the paper's accounting, which
+// reads every set asked at every tick (K2HopStats::probed_points, plus the
+// benchmark scans).
 #include <limits>
 
 #include "bench/harness.h"
@@ -15,6 +19,8 @@ struct PruningRow {
   uint64_t total = 0;
   uint64_t min_processed = std::numeric_limits<uint64_t>::max();
   uint64_t max_processed = 0;
+  uint64_t min_probed = std::numeric_limits<uint64_t>::max();
+  uint64_t max_probed = 0;
 };
 
 PruningRow Measure(const Dataset& data, const std::string& tag,
@@ -27,6 +33,9 @@ PruningRow Measure(const Dataset& data, const std::string& tag,
     RunK2(store.get(), params, &stats);
     row.min_processed = std::min(row.min_processed, stats.points_processed());
     row.max_processed = std::max(row.max_processed, stats.points_processed());
+    const uint64_t probed = stats.io.scanned_points + stats.probed_points;
+    row.min_probed = std::min(row.min_probed, probed);
+    row.max_probed = std::max(row.max_probed, probed);
   }
   return row;
 }
@@ -55,21 +64,21 @@ int main() {
   const PruningRow tdrive = Measure(TDrive(), "tdrive", tdrive_grid);
   const PruningRow brinkhoff = Measure(Brinkhoff(), "brinkhoff", brinkhoff_grid);
 
-  TablePrinter table({"", "Trucks", "T-Drive", "Brinkhoff"});
-  table.AddRow({"Total Number of Points", std::to_string(trucks.total),
-                std::to_string(tdrive.total), std::to_string(brinkhoff.total)});
-  table.AddRow({"Min Points Processed", std::to_string(trucks.min_processed),
-                std::to_string(tdrive.min_processed),
-                std::to_string(brinkhoff.min_processed)});
-  table.AddRow({"Max Points Processed", std::to_string(trucks.max_processed),
-                std::to_string(tdrive.max_processed),
-                std::to_string(brinkhoff.max_processed)});
-  table.AddRow({"Min Pruning", Pct(trucks.max_processed, trucks.total),
-                Pct(tdrive.max_processed, tdrive.total),
-                Pct(brinkhoff.max_processed, brinkhoff.total)});
-  table.AddRow({"Max Pruning", Pct(trucks.min_processed, trucks.total),
-                Pct(tdrive.min_processed, tdrive.total),
-                Pct(brinkhoff.min_processed, brinkhoff.total)});
+  TablePrinter table({"", "Total Points", "Min Processed", "Min Probed",
+                      "Max Processed", "Max Probed", "Min Pruning",
+                      "Max Pruning"});
+  const auto add = [&](const char* name, const PruningRow& row) {
+    table.AddRow({name, std::to_string(row.total),
+                  std::to_string(row.min_processed),
+                  std::to_string(row.min_probed),
+                  std::to_string(row.max_processed),
+                  std::to_string(row.max_probed),
+                  Pct(row.max_processed, row.total),
+                  Pct(row.min_processed, row.total)});
+  };
+  add("Trucks", trucks);
+  add("T-Drive", tdrive);
+  add("Brinkhoff", brinkhoff);
   table.Print();
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <iomanip>
 #include <numeric>
 #include <sstream>
+#include <tuple>
 
 #include "baselines/dcm.h"
 #include "baselines/spare.h"
@@ -278,16 +279,63 @@ std::unique_ptr<Store> BuildStore(StoreKind kind, const Dataset& data,
   return store;
 }
 
+namespace {
+
+/// The median of `v` (the upper one of an even count).
+double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+/// The logical counters of a mine: they depend on the data and the
+/// parameters only, so every mine of a row must repeat them.
+auto ExactCounters(const K2HopStats& s) {
+  return std::make_tuple(
+      s.io.snapshot_scans, s.io.scanned_points, s.io.point_fetches,
+      s.io.point_queries, s.io.point_hits, s.reclusterings, s.probed_points,
+      s.candidate_clusters, s.spanning_convoys, s.merged_convoys,
+      s.prevalidation_convoys, s.validation.reclusterings,
+      s.validation.proven_ticks, s.validation.split_rounds);
+}
+
+}  // namespace
+
 MineOutcome RunK2(Store* store, const MiningParams& params, K2HopStats* stats,
                   const K2HopOptions& options) {
+  // One mine is too noisy on a shared host, so a row is the median of
+  // kMines. The convoys and every logical counter must repeat exactly.
+  constexpr int kMines = 5;
+  static const char* const kPhases[] = {
+      "benchmark",    "candidates",  "HWMT",      "merge",
+      "extend-right", "extend-left", "validation"};
+  std::vector<K2HopStats> runs(kMines);
+  std::vector<double> seconds(kMines);
+  std::vector<Convoy> convoys;
+  for (int i = 0; i < kMines; ++i) {
+    Stopwatch sw;
+    auto result = MineK2Hop(store, params, options, &runs[i]);
+    seconds[i] = sw.ElapsedSeconds();
+    K2_CHECK(result.ok());
+    if (i == 0) {
+      convoys = result.MoveValue();
+    } else {
+      K2_CHECK(result.value() == convoys);
+      K2_CHECK(ExactCounters(runs[i]) == ExactCounters(runs[0]));
+    }
+  }
+  // The first mine's stats, with the median phase times. Its physical IO
+  // counters are those of a mine on a cold handle, as before.
+  K2HopStats* s = stats != nullptr ? stats : &runs[0];
+  if (stats != nullptr) *stats = runs[0];
+  s->phases = PhaseTimer();
+  for (const char* phase : kPhases) {
+    std::vector<double> times;
+    for (const K2HopStats& run : runs) times.push_back(run.phases.Get(phase));
+    s->phases.Add(phase, Median(std::move(times)));
+  }
   MineOutcome outcome;
-  K2HopStats local;
-  K2HopStats* s = stats != nullptr ? stats : &local;
-  Stopwatch sw;
-  auto result = MineK2Hop(store, params, options, s);
-  outcome.seconds = sw.ElapsedSeconds();
-  K2_CHECK(result.ok());
-  outcome.convoys = result.value().size();
+  outcome.seconds = Median(seconds);
+  outcome.convoys = convoys.size();
   // Fig. 8i's phases, flat, so the ledger shows where a mine spent its time.
   const auto ms = [&](const char* phase) { return s->phases.Get(phase) * 1e3; };
   JsonFields phases;
@@ -299,7 +347,8 @@ MineOutcome RunK2(Store* store, const MiningParams& params, K2HopStats* stats,
       .Num("extend_left_ms", ms("extend-left"))
       .Num("validation_ms", ms("validation"))
       .Int("reclusterings", s->reclusterings)
-      .Int("validation_reclusterings", s->validation.reclusterings);
+      .Int("validation_reclusterings", s->validation.reclusterings)
+      .Int("probed_points", s->probed_points);
   RecordMiningRun("k2hop", *store, params, outcome.seconds, outcome.convoys,
                   s->io, phases);
   return outcome;

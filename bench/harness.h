@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/vcoda.h"
 #include "core/k2hop.h"
+#include "core/vcoda.h"
 #include "gen/brinkhoff.h"
 #include "model/dataset.h"
 #include "storage/store.h"
@@ -55,10 +55,14 @@ struct MineOutcome {
   std::string note;       ///< e.g. "mem-budget" for a modelled OOM
 };
 
-/// Mines with MineK2Hop. Its --json record adds the Fig. 8i phase times
-/// (benchmark_ms, candidates_ms, hwmt_ms, merge_ms, extend_right_ms,
-/// extend_left_ms, validation_ms), reclusterings (every ReCluster call of
-/// the run) and validation_reclusterings (validation's share).
+/// Mines with MineK2Hop five times and reports the median wall time; the
+/// convoys and every logical counter must repeat across the five (checked).
+/// `stats` gets the first mine's counters and the median phase times. Its
+/// --json record adds the Fig. 8i phase times (benchmark_ms, candidates_ms,
+/// hwmt_ms, merge_ms, extend_right_ms, extend_left_ms, validation_ms, each
+/// the median), reclusterings (every ReCluster call of the run),
+/// validation_reclusterings (validation's share) and probed_points (the
+/// paper's points-processed accounting, K2HopStats::probed_points).
 MineOutcome RunK2(Store* store, const MiningParams& params,
                   K2HopStats* stats = nullptr,
                   const K2HopOptions& options = {});

@@ -92,7 +92,8 @@ def percentile_fields(base, live):
 
 EXACT_FIELDS = ("io_stats.points_read", "io_stats.point_fetches",
                 "io_stats.point_queries", "io_stats.scanned_points",
-                "reclusterings", "validation_reclusterings")
+                "reclusterings", "validation_reclusterings",
+                "probed_points")
 
 
 def dotted(rec, path):

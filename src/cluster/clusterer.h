@@ -45,6 +45,9 @@ struct SnapshotScratch {
   GraphClusterScratch graph;
   /// ReCluster calls made through this scratch (cluster/store_clustering.h).
   uint64_t reclusterings = 0;
+  /// Σ|S| over the (t, S) that k/2-hop's HWMT and extension walks asked
+  /// through this scratch, however they were answered (K2HopStats).
+  uint64_t probed_points = 0;
 };
 
 /// Interface of one snapshot-clustering substrate. Thread-compatible:

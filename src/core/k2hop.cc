@@ -1,6 +1,7 @@
 #include "core/k2hop.h"
 
 #include <algorithm>
+#include <deque>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -12,61 +13,6 @@
 
 namespace k2 {
 
-namespace {
-
-/// HWMT's one-tick view: one fetch of a set of objects at a tick, after
-/// which GetPoints at that tick answers any subset of the set from the
-/// fetched points, charging no IoStats (the fetch was charged to the store
-/// it read). Reads at other ticks go to the store.
-class FetchedTick final : public Store {
- public:
-  explicit FetchedTick(Store* store) : store_(store) {}
-
-  /// Reads `objects` (which must outlive the next Fetch) at `t`, once.
-  Status Fetch(Timestamp t, const ObjectSet& objects) {
-    tick_ = t;
-    objects_ = &objects;
-    return store_->GetPoints(t, objects, &points_);
-  }
-
-  std::string name() const override { return store_->name(); }
-  Status BulkLoad(const Dataset&) override {
-    return Status::Invalid("a fetched tick is read-only");
-  }
-  Status ScanTimestamp(Timestamp t, std::vector<SnapshotPoint>* out) override {
-    return store_->ScanTimestamp(t, out);
-  }
-  Status GetPoints(Timestamp t, const ObjectSet& objects,
-                   std::vector<SnapshotPoint>* out) override {
-    if (t != tick_) return store_->GetPoints(t, objects, out);
-    K2_DCHECK(std::includes(objects_->begin(), objects_->end(),
-                            objects.begin(), objects.end()));
-    out->clear();
-    auto it = points_.begin();
-    for (ObjectId oid : objects) {
-      it = std::lower_bound(
-          it, points_.end(), oid,
-          [](const SnapshotPoint& p, ObjectId o) { return p.oid < o; });
-      if (it == points_.end()) break;
-      if (it->oid == oid) out->push_back(*it++);
-    }
-    return Status::OK();
-  }
-  TimeRange time_range() const override { return store_->time_range(); }
-  const std::vector<Timestamp>& timestamps() const override {
-    return store_->timestamps();
-  }
-  uint64_t num_points() const override { return store_->num_points(); }
-
- private:
-  Store* store_;
-  Timestamp tick_ = kInvalidTimestamp;
-  const ObjectSet* objects_ = nullptr;
-  std::vector<SnapshotPoint> points_;  // in oid order
-};
-
-}  // namespace
-
 std::string K2HopStats::DebugString() const {
   std::ostringstream os;
   os << "K2HopStats{benchmarks=" << benchmark_points
@@ -76,8 +22,30 @@ std::string K2HopStats::DebugString() const {
      << ", prevalidation=" << prevalidation_convoys << ", shards=" << shards
      << " (seams crossed " << seams_crossed << ")"
      << ", points_processed=" << points_processed() << "/" << total_points
+     << " (probed " << probed_points << ")"
      << " (pruned " << pruning_ratio() * 100.0 << "%)}";
   return os.str();
+}
+
+std::vector<Timestamp> BinarySubdivisionOrder(TimeRange range) {
+  std::vector<Timestamp> order;
+  if (range.empty()) return order;
+  order.push_back(range.start);
+  if (range.end != range.start) order.push_back(range.end);
+  // BFS over segments; the midpoint of each segment is emitted, then the two
+  // halves are queued. Every interior tick is the midpoint of exactly one
+  // segment of the subdivision.
+  std::deque<TimeRange> queue{range};
+  while (!queue.empty()) {
+    const TimeRange seg = queue.front();
+    queue.pop_front();
+    if (seg.end - seg.start < 2) continue;
+    const Timestamp mid = seg.start + (seg.end - seg.start) / 2;
+    order.push_back(mid);
+    queue.push_back({seg.start, mid});
+    queue.push_back({mid, seg.end});
+  }
+  return order;
 }
 
 std::vector<Timestamp> BenchmarkPoints(TimeRange range, int k) {
@@ -161,7 +129,8 @@ Result<std::vector<ObjectSet>> HwmtSpanning(
     Store* store, const MiningParams& params, Timestamp b_left,
     Timestamp b_right, const std::vector<ObjectSet>& candidates,
     bool binary_order, bool verify_right_benchmark,
-    SnapshotScratch* scratch, std::vector<ProvenRun>* proven) {
+    SnapshotScratch* scratch, std::vector<ProvenRun>* proven,
+    const ProofBook* book) {
   std::vector<ObjectSet> surviving = candidates;
   if (surviving.empty()) return surviving;
   std::optional<SnapshotScratch> local_scratch;
@@ -181,51 +150,66 @@ Result<std::vector<ObjectSet>> HwmtSpanning(
   }
   if (verify_right_benchmark) order.insert(order.begin(), b_right);
 
+  // Per surviving set: its proven ticks in the book, and the probed ticks
+  // at which it was answered exactly itself. Those become its proof runs
+  // when it splits or dies, or when the window ends.
+  const auto find = [&](const ObjectSet& s) {
+    return book != nullptr ? book->Find(s) : std::span<const TimeRange>();
+  };
+  std::vector<std::span<const TimeRange>> known;
+  for (const ObjectSet& s : surviving) known.push_back(find(s));
+  std::vector<std::vector<Timestamp>> whole(surviving.size());
+  const auto report = [&](const ObjectSet& set, std::vector<Timestamp>* ticks) {
+    if (proven == nullptr || ticks->empty()) return;
+    std::sort(ticks->begin(), ticks->end());
+    size_t b = 0;
+    for (size_t e = 1; e <= ticks->size(); ++e) {
+      if (e < ticks->size() && (*ticks)[e] == (*ticks)[e - 1] + 1) continue;
+      proven->push_back(ProvenRun{set, {(*ticks)[b], (*ticks)[e - 1]}});
+      b = e;
+    }
+  };
+
   // The surviving sets are pairwise disjoint: candidates intersect two
   // benchmark partitions, and ReCluster splits a set into disjoint
-  // clusters. So one fetch of their union per probed tick reads exactly the
-  // keys one fetch per set would, and each ReCluster reads its set from it.
-  ObjectSet all;  // the union of `surviving`
-  FetchedTick fetched(store);
-  // whole[i]: surviving[i] is still a whole candidate. Clusters are subsets
-  // of the set re-clustered, so one of equal size is that set itself.
-  std::vector<char> whole(surviving.size(), 1);
+  // clusters. So the probe's one fetch per tick reads exactly the keys one
+  // fetch per set would.
+  TickProbe probe;
+  std::vector<TickProbe::Ask> asks;
+  std::vector<TickProbe::Answer> answers;
   for (Timestamp t : order) {
-    // A tick's clusters are subsets of the sets re-clustered, so the union
-    // changed only if the sizes no longer add up to it.
-    size_t total = 0;
-    for (const ObjectSet& s : surviving) total += s.size();
-    if (total != all.size()) {
-      std::vector<ObjectId> ids;
-      ids.reserve(total);
-      for (const ObjectSet& s : surviving) {
-        ids.insert(ids.end(), s.begin(), s.end());
-      }
-      all = ObjectSet(std::move(ids));
+    asks.clear();
+    for (size_t i = 0; i < surviving.size(); ++i) {
+      asks.push_back(TickProbe::Ask{&surviving[i], known[i]});
+      scratch->probed_points += surviving[i].size();
     }
-    K2_RETURN_NOT_OK(fetched.Fetch(t, all));
+    answers.resize(asks.size());
+    K2_RETURN_NOT_OK(probe.Run(store, t, asks, params, scratch, answers));
     std::vector<ObjectSet> next;
-    std::vector<char> next_whole;
+    std::vector<std::span<const TimeRange>> next_known;
+    std::vector<std::vector<Timestamp>> next_whole;
     for (size_t i = 0; i < surviving.size(); ++i) {
-      K2_ASSIGN_OR_RETURN(
-          std::vector<ObjectSet> clusters,
-          ReCluster(&fetched, t, surviving[i], params, scratch));
-      for (ObjectSet& c : clusters) {
-        next_whole.push_back(whole[i] && c.size() == surviving[i].size());
+      if (answers[i].whole) {
+        whole[i].push_back(t);
+        next.push_back(std::move(surviving[i]));
+        next_known.push_back(known[i]);
+        next_whole.push_back(std::move(whole[i]));
+        continue;
+      }
+      report(surviving[i], &whole[i]);
+      for (ObjectSet& c : answers[i].clusters) {
+        next_known.push_back(find(c));
         next.push_back(std::move(c));
+        next_whole.emplace_back();
       }
     }
-    if (next.empty()) return next;  // no spanning convoy in this window
     surviving = std::move(next);
+    known = std::move(next_known);
     whole = std::move(next_whole);
+    if (surviving.empty()) return surviving;  // no spanning convoy here
   }
-  if (proven != nullptr && !order.empty()) {
-    // The probed ticks: the interior, plus b_right when it was verified.
-    const TimeRange probed{b_left + 1,
-                           verify_right_benchmark ? b_right : b_right - 1};
-    for (size_t i = 0; i < surviving.size(); ++i) {
-      if (whole[i]) proven->push_back(ProvenRun{surviving[i], probed});
-    }
+  for (size_t i = 0; i < surviving.size(); ++i) {
+    report(surviving[i], &whole[i]);
   }
   std::sort(surviving.begin(), surviving.end());
   return surviving;
@@ -300,82 +284,200 @@ void AddEarliest(SpanningConvoyMerger::StartMap* map, ObjectSet set,
 
 }  // namespace
 
-ConvoyExtensionWalk::ConvoyExtensionWalk(const Convoy& seed, int dir)
-    : dir_(dir),
-      other_side_(dir > 0 ? seed.start : seed.end),
-      next_t_(dir > 0 ? seed.end + 1 : seed.start - 1),
-      frontier_{Branch{seed.objects}} {}
+void WalkGroup::Start(const Convoy& seed) {
+  Walk walk;
+  walk.other_side = dir_ > 0 ? seed.start : seed.end;
+  walk.next_t = dir_ > 0 ? seed.end + 1 : seed.start - 1;
+  walk.branches.push_back(Branch{seed.objects, seed.objects.Hash()});
+  walks_.push_back(std::move(walk));
+  stale_ = true;
+}
 
-void ConvoyExtensionWalk::ReportRun(const Branch& branch, Timestamp last,
-                                    std::vector<ProvenRun>* proven) const {
+size_t WalkGroup::num_branches() const {
+  size_t n = 0;
+  for (const Walk& w : walks_) n += w.branches.size();
+  return n;
+}
+
+Timestamp WalkGroup::next_tick() const {
+  Timestamp t = kInvalidTimestamp;
+  for (const Walk& w : walks_) {
+    if (t == kInvalidTimestamp || (dir_ > 0 ? w.next_t < t : w.next_t > t)) {
+      t = w.next_t;
+    }
+  }
+  return t;
+}
+
+void WalkGroup::ReportRun(const Branch& branch, Timestamp last,
+                          std::vector<ProvenRun>* proven) const {
   if (proven == nullptr || branch.proven_from == kInvalidTimestamp) return;
   proven->push_back(ProvenRun{
       branch.objects, dir_ > 0 ? TimeRange{branch.proven_from, last}
                                : TimeRange{last, branch.proven_from}});
 }
 
-Status ConvoyExtensionWalk::Advance(Store* store, const MiningParams& params,
-                                    Timestamp upto,
-                                    std::vector<Convoy>* completed,
-                                    SnapshotScratch* scratch,
-                                    std::vector<ProvenRun>* proven) {
+void WalkGroup::Collect(Timestamp t, size_t walks, const ProofBook* book) {
+  asks_.clear();
+  ask_hashes_.clear();
+  size_t branches = 0;
+  for (const Walk& w : walks_) {
+    if (w.next_t == t) branches += w.branches.size();
+  }
+  size_t size = 16;
+  while (size < 2 * branches) size *= 2;
+  constexpr uint32_t kEmpty = ~uint32_t{0};
+  table_.assign(size, kEmpty);
+  for (Walk& w : walks_) {
+    if (w.next_t != t) continue;
+    for (Branch& b : w.branches) {
+      size_t slot = b.hash & (size - 1);
+      while (table_[slot] != kEmpty &&
+             (ask_hashes_[table_[slot]] != b.hash ||
+              *asks_[table_[slot]].objects != b.objects)) {
+        slot = (slot + 1) & (size - 1);
+      }
+      if (table_[slot] == kEmpty) {
+        table_[slot] = static_cast<uint32_t>(asks_.size());
+        asks_.push_back(TickProbe::Ask{
+            &b.objects, book != nullptr ? book->Find(b.objects)
+                                        : std::span<const TimeRange>()});
+        ask_hashes_.push_back(b.hash);
+      }
+      b.ask = table_[slot];
+    }
+  }
+  asked_walks_ = walks;
+  stale_ = false;
+}
+
+void WalkGroup::Step(Walk* walk, Timestamp t,
+                     std::vector<ProvenRun>* proven) {
+  bool all_whole = true;
+  for (const Branch& b : walk->branches) all_whole &= answers_[b.ask].whole;
+  if (all_whole) {
+    // Every branch found itself: the runs go on, nothing moves.
+    for (Branch& b : walk->branches) {
+      if (b.proven_from == kInvalidTimestamp) b.proven_from = t;
+    }
+    return;
+  }
+  stale_ = true;
+  std::vector<Branch> next;
+  for (Branch& branch : walk->branches) {
+    const TickProbe::Answer& answer = answers_[branch.ask];
+    if (answer.whole) {
+      if (branch.proven_from == kInvalidTimestamp) branch.proven_from = t;
+      next.push_back(std::move(branch));
+      continue;
+    }
+    // Split-born children start unproven: only their parent was
+    // re-clustered at t.
+    for (const ObjectSet& c : answer.clusters) {
+      next.push_back(Branch{c, c.Hash()});
+    }
+    // The branch could not be extended in its current shape: emit it.
+    const Timestamp cur_end = t - dir_;
+    ReportRun(branch, cur_end, proven);
+    walk->done.push_back(
+        dir_ > 0 ? Convoy(std::move(branch.objects), walk->other_side, cur_end)
+                 : Convoy(std::move(branch.objects), cur_end,
+                          walk->other_side));
+  }
+  // All branches of one walk share other_side, so deduplication is by
+  // object set alone. A child equal to a branch that found itself is that
+  // branch, and keeps its run.
+  std::sort(next.begin(), next.end(), [](const Branch& a, const Branch& b) {
+    if (a.objects != b.objects) return a.objects < b.objects;
+    return (a.proven_from != kInvalidTimestamp) >
+           (b.proven_from != kInvalidTimestamp);
+  });
+  next.erase(std::unique(next.begin(), next.end(),
+                         [](const Branch& a, const Branch& b) {
+                           return a.objects == b.objects;
+                         }),
+             next.end());
+  walk->branches = std::move(next);
+}
+
+Status WalkGroup::Advance(Store* store, const MiningParams& params,
+                          Timestamp upto, std::vector<Convoy>* completed,
+                          SnapshotScratch* scratch,
+                          std::vector<ProvenRun>* proven,
+                          const ProofBook* book) {
   std::optional<SnapshotScratch> local_scratch;
   if (scratch == nullptr) scratch = &local_scratch.emplace();
-  while (!frontier_.empty() && (dir_ > 0 ? next_t_ <= upto : next_t_ >= upto)) {
-    const Timestamp t = next_t_;
-    std::vector<Branch> next;
-    for (Branch& branch : frontier_) {
-      K2_ASSIGN_OR_RETURN(std::vector<ObjectSet> clusters,
-                          ReCluster(store, t, branch.objects, params, scratch));
-      bool found_self = false;
-      for (ObjectSet& c : clusters) {
-        Branch child{std::move(c)};
-        if (child.objects == branch.objects) {
-          // ReCluster returned exactly {objects}: the run goes on. A
-          // split-born child starts unproven, as only its parent was
-          // re-clustered at t.
-          found_self = true;
-          child.proven_from = branch.proven_from == kInvalidTimestamp
-                                  ? t
-                                  : branch.proven_from;
-        }
-        next.push_back(std::move(child));
-      }
-      if (!found_self) {
-        // The branch could not be extended in its current shape: emit it.
-        const Timestamp cur_end = t - dir_;
-        ReportRun(branch, cur_end, proven);
-        completed->push_back(
-            dir_ > 0 ? Convoy(std::move(branch.objects), other_side_, cur_end)
-                     : Convoy(std::move(branch.objects), cur_end, other_side_));
+  const auto before = [&](Timestamp a, Timestamp b) {
+    return dir_ > 0 ? a < b : a > b;
+  };
+  stale_ = true;  // the book may have changed since the last call
+  while (true) {
+    // The earliest pending tick, and how many walks are there.
+    Timestamp t = kInvalidTimestamp;
+    size_t at_t = 0;
+    for (const Walk& w : walks_) {
+      if (w.branches.empty()) continue;
+      if (at_t == 0 || before(w.next_t, t)) {
+        t = w.next_t;
+        at_t = 1;
+      } else if (w.next_t == t) {
+        ++at_t;
       }
     }
-    // All branches of one walk share other_side_, so deduplication is by
-    // object set alone.
-    std::sort(next.begin(), next.end(), [](const Branch& a, const Branch& b) {
-      return a.objects < b.objects;
-    });
-    next.erase(std::unique(next.begin(), next.end(),
-                           [](const Branch& a, const Branch& b) {
-                             return a.objects == b.objects;
-                           }),
-               next.end());
-    frontier_ = std::move(next);
-    next_t_ += dir_;
+    if (at_t == 0 || before(upto, t)) break;
+    // Walks only ever join the tick (a late walk catching up) or leave it
+    // (a walk whose branches all died, which is a change too), so the
+    // count tells whether asks_ still covers exactly the walks at t.
+    if (stale_ || at_t != asked_walks_) Collect(t, at_t, book);
+    answers_.resize(asks_.size());
+    K2_RETURN_NOT_OK(probe_.Run(store, t, asks_, params, scratch, answers_));
+    for (Walk& w : walks_) {
+      if (w.branches.empty() || w.next_t != t) continue;
+      for (const Branch& b : w.branches) {
+        scratch->probed_points += b.objects.size();
+      }
+      Step(&w, t, proven);
+      w.next_t += dir_;
+    }
   }
+  // Hand the pieces out walk by walk, and drop the walks that died.
+  size_t keep = 0;
+  for (size_t i = 0; i < walks_.size(); ++i) {
+    Walk& w = walks_[i];
+    for (Convoy& c : w.done) completed->push_back(std::move(c));
+    w.done.clear();
+    if (w.branches.empty()) continue;
+    if (keep != i) walks_[keep] = std::move(w);
+    ++keep;
+  }
+  if (keep != walks_.size()) stale_ = true;
+  walks_.resize(keep);
   return Status::OK();
 }
 
-void ConvoyExtensionWalk::Flush(Timestamp limit,
-                                std::vector<Convoy>* completed,
-                                std::vector<ProvenRun>* proven) {
-  for (Branch& branch : frontier_) {
-    ReportRun(branch, next_t_ - dir_, proven);
-    completed->push_back(
-        dir_ > 0 ? Convoy(std::move(branch.objects), other_side_, limit)
-                 : Convoy(std::move(branch.objects), limit, other_side_));
+void WalkGroup::Flush(Timestamp limit, std::vector<Convoy>* completed,
+                      std::vector<ProvenRun>* proven) {
+  for (Walk& w : walks_) {
+    for (Branch& branch : w.branches) {
+      ReportRun(branch, w.next_t - dir_, proven);
+      completed->push_back(
+          dir_ > 0 ? Convoy(std::move(branch.objects), w.other_side, limit)
+                   : Convoy(std::move(branch.objects), limit, w.other_side));
+    }
   }
-  frontier_.clear();
+  walks_.clear();
+  stale_ = true;
+}
+
+void WalkGroup::AddOpenRuns(ProofBook* book) const {
+  for (const Walk& w : walks_) {
+    for (const Branch& b : w.branches) {
+      if (b.proven_from == kInvalidTimestamp) continue;
+      const Timestamp last = w.next_t - dir_;
+      book->Add(b.objects, dir_ > 0 ? TimeRange{b.proven_from, last}
+                                    : TimeRange{last, b.proven_from});
+    }
+  }
 }
 
 Result<std::vector<Convoy>> ExtendRight(Store* store,
@@ -398,8 +500,10 @@ namespace {
 
 /// Steps 1–3 — benchmark clustering, candidate clusters, HWMT — over one
 /// shard's slice of the benchmark grid. Fills `spanning->at(w)` with the
-/// spanning convoys of the window [benchmarks[w], benchmarks[w+1]], adds
-/// HWMT's proofs to `book` and the phase times and window counters to `s`.
+/// spanning convoys of the window [benchmarks[w], benchmarks[w+1]]. HWMT
+/// adds its proofs to `book` after the phase; it does not read the book,
+/// which holds only earlier shards' HWMT runs and so never covers a tick
+/// of this shard's windows. The phase times and window counters go to `s`.
 /// Benchmark points and windows fan out over `slots`; results are gathered
 /// by index, so the output is identical for every slot count.
 // k2-lint: allow(validate-mining-params): a pipeline stage, not an entry:
@@ -558,6 +662,7 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
   }
   s->io = slots.io();
   s->reclusterings = slots.reclusterings();
+  s->probed_points = slots.probed_points() + s->validation.probed_points;
   return result;
 }
 

@@ -3,16 +3,18 @@
 // objects: candidate clusters (set-wise intersection of adjacent benchmark
 // cluster sets), HWMT verification inside hop-windows, DCM merge across
 // windows, right/left extension to exact lifespans, and recursive FC
-// validation.
+// validation (core/validation.h).
 //
-// HWMT and the extension walks re-cluster candidate sets anyway, and every
-// call that returns exactly {S} proves S connected at that tick. They
-// report these proofs as ProvenRuns: HWMT the window interior of each
-// candidate that never split, a walk the contiguous run of ticks on which
-// a branch found itself (never its birth tick: a branch born from a split
-// was only re-clustered as part of its parent there). The run's ProofBook
-// (core/proof_book.h) collects them, and FC validation skips the proven
-// ticks.
+// HWMT, the extension walks and FC validation re-cluster candidate sets one
+// tick at a time through one probe path (core/tick_probe.h): a tick's sets
+// are read with one fetch, each distinct set is re-clustered once, and a
+// (t, S) that the run's ProofBook (core/proof_book.h) proves is answered
+// {S} without a read. Every call that returns exactly {S} proves S
+// connected at that tick, and HWMT and the walks report these proofs as
+// ProvenRuns: HWMT the whole-answered ticks of every set it probed, a walk
+// the contiguous run of ticks on which a branch found itself (never its
+// birth tick: a branch born from a split was only re-clustered as part of
+// its parent there).
 //
 // MineK2Hop is the one batch miner. With K2HopOptions::num_shards > 1 it
 // mines the timeline as contiguous time shards of hop-windows, the
@@ -28,13 +30,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/validation.h"
 #include "cluster/store_clustering.h"
 #include "common/convoy.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/types.h"
 #include "core/proof_book.h"
+#include "core/tick_probe.h"
+#include "core/validation.h"
 #include "storage/store.h"
 
 namespace k2 {
@@ -88,13 +91,19 @@ struct K2HopStats {
   /// ReCluster calls of the whole run: HWMT, both extension walks and
   /// validation (validation.reclusterings is its share).
   uint64_t reclusterings = 0;
+  /// The paper's accounting of points processed outside benchmarks:
+  /// Σ|S| over every (t, S) that HWMT, each walk's branches and each
+  /// validated candidate asked, however it was answered (a proof, a shared
+  /// answer or a read). Table 5 prints it beside points_processed().
+  uint64_t probed_points = 0;
   IoStats io;               ///< store IO consumed by the run
   uint64_t total_points = 0;  ///< rows in the store
 
-  /// The paper's "points processed" (Table 5). Validation reads that a
-  /// proof made unnecessary (ValidationStats::proven_ticks) are not
-  /// counted, so this falls below what the paper's accounting, which reads
-  /// every validated tick, would give.
+  /// The paper's "points processed" (Table 5), as this miner reads them: a
+  /// union fetch reads a point once per (tick, group) however many of the
+  /// group's sets hold it, and a proven (t, S) reads nothing. So this falls
+  /// below probed_points, the paper's accounting, which reads every set
+  /// asked at every tick.
   uint64_t points_processed() const { return io.points_read(); }
   /// Fraction of the dataset never touched (Table 5's pruning %).
   double pruning_ratio() const { return PruningRatio(io, total_points); }
@@ -108,6 +117,12 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
                                       K2HopStats* stats = nullptr);
 
 // --- individual phases, exposed for tests and ablations -------------------
+
+/// HWMT's tick probe order: range endpoints first, then recursive
+/// midpoints in BFS (level) order; every tick of the range appears exactly
+/// once. "The chance of objects being coincidentally together in adjacent
+/// timestamps is higher than ... in distant timestamps" (Sec. 4.3).
+std::vector<Timestamp> BinarySubdivisionOrder(TimeRange range);
 
 /// Benchmark ticks start + i*⌊k/2⌋ covering the store's range.
 std::vector<Timestamp> BenchmarkPoints(TimeRange range, int k);
@@ -147,18 +162,22 @@ std::vector<ShardPlan> PlanShards(const std::vector<Timestamp>& benchmarks,
 /// (used by the no-pruning ablation). Returns the surviving object sets.
 /// The candidates must be pairwise disjoint, as the clusters of one tick
 /// and their intersections are; then so are the sets surviving each tick.
-/// Each probed tick is read with one GetPoints call for the union of the
-/// surviving sets, and each set is re-clustered from that fetch, so the
-/// store sees the same keys as one call per set would make.
-/// `scratch` (optional) makes repeated calls allocation-free. `proven`
-/// (optional) receives one run per candidate that survives whole: it was
-/// re-clustered to exactly itself at every probed tick.
+/// Each probed tick goes through one TickProbe call: a set that `book`
+/// (optional: the online miner's live book, which holds what the right
+/// walks running ahead of the window proved) proves there is answered
+/// without a read, and the others are read with one GetPoints call for
+/// their union, so the store sees the same keys as one call per set would
+/// make. `scratch` (optional) makes
+/// repeated calls allocation-free. `proven` (optional) receives, for every
+/// set HWMT probed, the runs of consecutive probed ticks at which it was
+/// answered exactly itself, whether it survived, split or died later.
 Result<std::vector<ObjectSet>> HwmtSpanning(
     Store* store, const MiningParams& params, Timestamp b_left,
     Timestamp b_right, const std::vector<ObjectSet>& candidates,
     bool binary_order = true, bool verify_right_benchmark = false,
     SnapshotScratch* scratch = nullptr,
-    std::vector<ProvenRun>* proven = nullptr);
+    std::vector<ProvenRun>* proven = nullptr,
+    const ProofBook* book = nullptr);
 
 /// DCM merge (Sec. 4.4): folds per-window spanning convoys left to right
 /// into maximal spanning convoys. `spanning[i]` spans
@@ -202,63 +221,106 @@ class SpanningConvoyMerger {
   StartMap active_;
 };
 
-/// Resumable tick-by-tick extension of one convoy (Algorithm 3 and its
-/// mirror — the inner loop of ExtendRight / ExtendLeft). `dir` = +1 walks
-/// from seed.end toward larger ticks, -1 from seed.start toward smaller
-/// ticks. Advance() consumes ticks up to a bound and may be called again
-/// with a larger bound as more final ticks become available (the online
-/// miner suspends right-walks at the ingest frontier and resumes them per
-/// appended tick). Branches whose objects stop clustering together are
-/// appended to `*completed` as finished convoys; Flush() closes the
-/// surviving branches at the dataset boundary.
+/// Extension walks in lockstep (Algorithm 3 and its mirror — the inner
+/// loop of ExtendRight / ExtendLeft). Start(seed) begins a walk: `dir` = +1
+/// walks from seed.end toward larger ticks, -1 from seed.start toward
+/// smaller ticks. A walk's branches are the object sets still clustering
+/// together; at each tick the group asks its TickProbe once for every
+/// distinct branch set of the walks there, so walks whose branches hold the
+/// same objects share one answer and the tick is read with one fetch. A
+/// lone walk is a group of one, and its answers are the same as in any
+/// group: each (t, S) answer depends on the store and the book only.
+///
+/// Advance() consumes ticks up to a bound and may be called again with a
+/// larger bound as more final ticks become available (the online miner
+/// suspends its walks at the ingest frontier and resumes them per appended
+/// tick). Start() may add walks between calls, also behind the others: the
+/// group always probes the earliest pending tick, so a late walk catches
+/// up alone and then moves with the rest. Branches whose objects stop
+/// clustering together are appended to `*completed` as finished convoys,
+/// walk by walk in start order; Flush() closes the surviving branches at
+/// the dataset boundary.
 ///
 /// When a branch ends (in Advance() or Flush()), the contiguous run of
-/// ticks on which it found itself — ReCluster returned exactly its own
-/// objects — is appended to `*proven` (optional), if it has one. A branch
-/// born from a split at tick t has not found itself at t.
-class ConvoyExtensionWalk {
+/// ticks on which it found itself — its answer was exactly its own objects
+/// — is appended to `*proven` (optional), if it has one. A branch born from
+/// a split at tick t has not found itself at t. `book` (optional) is read,
+/// never written, and must not change during an Advance() call.
+class WalkGroup {
  public:
-  ConvoyExtensionWalk(const Convoy& seed, int dir);
+  explicit WalkGroup(int dir) : dir_(dir) {}
 
-  bool done() const { return frontier_.empty(); }
-  /// The next tick Advance() will probe.
-  Timestamp next_tick() const { return next_t_; }
-  size_t num_branches() const { return frontier_.size(); }
+  void Start(const Convoy& seed);
 
-  /// Probes ticks from next_tick() through `upto` (inclusive, in walk
-  /// direction), stopping early once every branch has died.
+  bool done() const { return walks_.empty(); }
+  /// Walks with a live branch.
+  size_t size() const { return walks_.size(); }
+  size_t num_branches() const;
+  /// The earliest tick (in walk order) that Advance() will probe;
+  /// kInvalidTimestamp when done().
+  Timestamp next_tick() const;
+
+  /// Probes ticks through `upto` (inclusive, in walk direction), stopping
+  /// early once every branch has died. Walks that died are dropped.
   Status Advance(Store* store, const MiningParams& params, Timestamp upto,
                  std::vector<Convoy>* completed,
                  SnapshotScratch* scratch = nullptr,
-                 std::vector<ProvenRun>* proven = nullptr);
+                 std::vector<ProvenRun>* proven = nullptr,
+                 const ProofBook* book = nullptr);
 
   /// Closes every surviving branch at `limit` (the dataset boundary); the
-  /// walk is done() afterwards.
+  /// group is done() afterwards.
   void Flush(Timestamp limit, std::vector<Convoy>* completed,
              std::vector<ProvenRun>* proven = nullptr);
+
+  /// Adds the run of every live branch that has found itself so far, from
+  /// its first found tick through the last probed one, to `book`: the
+  /// online miner's live book sees the walks' proofs before they end.
+  void AddOpenRuns(ProofBook* book) const;
 
  private:
   struct Branch {
     ObjectSet objects;
+    size_t hash = 0;  ///< objects.Hash(), for the per-tick deduplication
     /// First tick (in walk order) of the branch's current run of
     /// found-itself ticks; kInvalidTimestamp before the first one.
     Timestamp proven_from = kInvalidTimestamp;
+    uint32_t ask = 0;  ///< index of its set in asks_
+  };
+  struct Walk {
+    Timestamp other_side;  ///< fixed boundary on the non-walking side
+    Timestamp next_t;
+    std::vector<Branch> branches;  ///< live branches, sorted by objects
+    std::vector<Convoy> done;      ///< pieces not yet handed out
   };
 
+  /// Rebuilds asks_: the distinct branch sets of the `walks` walks at `t`,
+  /// with their proven ticks in `book`.
+  void Collect(Timestamp t, size_t walks, const ProofBook* book);
+  /// Applies the tick's answers to one walk at `t`.
+  void Step(Walk* walk, Timestamp t, std::vector<ProvenRun>* proven);
   /// Appends the branch's run, which ends at `last`, to `*proven`.
   void ReportRun(const Branch& branch, Timestamp last,
                  std::vector<ProvenRun>* proven) const;
 
   int dir_;
-  Timestamp other_side_;  ///< fixed boundary on the non-walking side
-  Timestamp next_t_;
-  std::vector<Branch> frontier_;  ///< live branches, sorted by objects
+  std::vector<Walk> walks_;  ///< in start order
+  /// The distinct branch sets of the walks asked at the current tick. They
+  /// stay valid while no branch set changes, no walk joins or leaves the
+  /// tick, and the book does not change (so each Advance() starts anew).
+  std::vector<TickProbe::Ask> asks_;
+  std::vector<size_t> ask_hashes_;
+  std::vector<TickProbe::Answer> answers_;
+  std::vector<uint32_t> table_;  ///< open addressing over asks_
+  size_t asked_walks_ = 0;       ///< walks whose branches asks_ holds
+  bool stale_ = true;
+  TickProbe probe_;
 };
 
 /// Algorithm 3 and its mirror: extends each convoy tick-by-tick until its
 /// objects stop clustering together; splits continue as smaller convoys.
-/// ExtendLeft adds the walks' proofs to `book` (optional), as the online
-/// miner's left walks do.
+/// ExtendLeft's walks read `book` (optional) and add their proofs to it
+/// afterwards, as the online miner's left walks do.
 Result<std::vector<Convoy>> ExtendRight(Store* store,
                                         const MiningParams& params,
                                         const std::vector<Convoy>& convoys,

@@ -61,15 +61,21 @@ Status OnlineK2HopMiner::AppendTick(Timestamp t,
                            std::to_string(frontier_));
   }
   Stopwatch tick_sw;
-  std::stable_sort(points.begin(), points.end(),
-                   [](const SnapshotPoint& a, const SnapshotPoint& b) {
-                     return a.oid < b.oid;
-                   });
-  points.erase(std::unique(points.begin(), points.end(),
-                           [](const SnapshotPoint& a, const SnapshotPoint& b) {
-                             return a.oid == b.oid;
-                           }),
-               points.end());
+  // The wire path sends ticks strictly increasing by oid already.
+  if (std::adjacent_find(points.begin(), points.end(),
+                         [](const SnapshotPoint& a, const SnapshotPoint& b) {
+                           return a.oid >= b.oid;
+                         }) != points.end()) {
+    std::stable_sort(points.begin(), points.end(),
+                     [](const SnapshotPoint& a, const SnapshotPoint& b) {
+                       return a.oid < b.oid;
+                     });
+    points.erase(std::unique(points.begin(), points.end(),
+                             [](const SnapshotPoint& a, const SnapshotPoint& b) {
+                               return a.oid == b.oid;
+                             }),
+                 points.end());
+  }
   if (points.empty()) {
     // A tick nobody reported at is not part of the dataset (it neither
     // advances the frontier nor ends up in the store); batch mining over
@@ -154,12 +160,15 @@ Status OnlineK2HopMiner::CloseWindow(Timestamp b_left, Timestamp b_right,
   std::vector<ObjectSet> spanning;
   if (!candidates.empty()) {
     ++stats_.hop_windows_mined;
+    // The right walks run ahead of the window close: HWMT reads what they
+    // have proved so far.
+    walks_.AddOpenRuns(&book_);
     std::vector<ProvenRun> proven;
     K2_RETURN_NOT_OK(Mined("HWMT", [&]() -> Status {
       auto result = HwmtSpanning(store_, params_, b_left, b_right, candidates,
                                  /*binary_order=*/true,
                                  /*verify_right_benchmark=*/false, &scratch_,
-                                 &proven);
+                                 &proven, &book_);
       K2_RETURN_NOT_OK(result.status());
       spanning = result.MoveValue();
       return Status::OK();
@@ -176,30 +185,22 @@ Status OnlineK2HopMiner::CloseWindow(Timestamp b_left, Timestamp b_right,
   stats_.merged_convoys += died.size();
   for (Convoy& v : died) {
     ++stats_.walks_started;
-    walks_.emplace_back(v, +1);
+    walks_.Start(v);
   }
   return Status::OK();
 }
 
 Status OnlineK2HopMiner::AdvanceWalks(Timestamp upto) {
-  if (walks_.empty()) return Status::OK();
+  if (walks_.done()) return Status::OK();
   std::vector<Convoy> completed;
   std::vector<ProvenRun> proven;
   K2_RETURN_NOT_OK(Mined("extend-right", [&]() -> Status {
-    size_t keep = 0;
-    for (size_t i = 0; i < walks_.size(); ++i) {
-      K2_RETURN_NOT_OK(walks_[i].Advance(store_, params_, upto, &completed,
-                                         &scratch_, &proven));
-      if (!walks_[i].done()) {
-        if (keep != i) walks_[keep] = std::move(walks_[i]);
-        ++keep;
-      }
-    }
-    walks_.erase(walks_.begin() + static_cast<ptrdiff_t>(keep), walks_.end());
-    return Status::OK();
+    return walks_.Advance(store_, params_, upto, &completed, &scratch_,
+                          &proven, &book_);
   }));
   stats_.open_walks_peak = std::max(stats_.open_walks_peak, walks_.size());
   book_.Add(proven);
+  if (!completed.empty()) walks_.AddOpenRuns(&book_);  // for the left walks
   for (Convoy& c : completed) {
     K2_RETURN_NOT_OK(OnRightResult(std::move(c)));
   }
@@ -252,14 +253,18 @@ Result<const std::vector<Convoy>*> OnlineK2HopMiner::ValidatedPieces(
   K2_RETURN_NOT_OK(Mined("validation", [&]() -> Status {
     ValidationStats vs;
     SnapshotSlots slots(store_, 1);
-    auto result = slots.Validate(params_, {f}, book_, &vs);
+    std::vector<ProvenRun> proven;
+    auto result = slots.Validate(params_, {f}, book_, &vs,
+                                 /*recursive=*/true, &proven);
     K2_RETURN_NOT_OK(result.status());
     pieces = result.MoveValue();
+    book_.Add(proven);
     stats_.validation.candidates_in += vs.candidates_in;
     stats_.validation.fc_accepted += vs.fc_accepted;
     stats_.validation.split_rounds += vs.split_rounds;
     stats_.validation.reclusterings += vs.reclusterings;
     stats_.validation.proven_ticks += vs.proven_ticks;
+    stats_.validation.probed_points += vs.probed_points;
     return Status::OK();
   }));
   it = validate_cache_.emplace(f, std::move(pieces)).first;
@@ -293,7 +298,7 @@ Result<std::vector<Convoy>> OnlineK2HopMiner::Finalize() {
   stats_.merged_convoys += died.size();
   for (Convoy& v : died) {
     ++stats_.walks_started;
-    walks_.emplace_back(v, +1);
+    walks_.Start(v);
   }
   Status s = AdvanceWalks(frontier_);
   if (!s.ok()) return fail(std::move(s));
@@ -302,8 +307,7 @@ Result<std::vector<Convoy>> OnlineK2HopMiner::Finalize() {
   //    them at the dataset boundary, as batch ExtendRight does at range.end.
   std::vector<Convoy> open;
   std::vector<ProvenRun> proven;
-  for (ConvoyExtensionWalk& w : walks_) w.Flush(frontier_, &open, &proven);
-  walks_.clear();
+  walks_.Flush(frontier_, &open, &proven);
   book_.Add(proven);
   stats_.open_convoys = open.size();
   for (Convoy& c : open) {

@@ -10,8 +10,9 @@
 //   * each hop-window is mined (CandidateClusters + HwmtSpanning) the
 //     moment its right benchmark lands;
 //   * spanning convoys fold through a SpanningConvoyMerger; merged convoys
-//     that die start resumable right-extension walks (ConvoyExtensionWalk)
-//     which advance with the frontier and suspend when they catch up;
+//     that die start right-extension walks in one WalkGroup, which advances
+//     all open walks in lockstep with the frontier and suspends them when
+//     they catch up;
 //   * a walk that completes strictly before the frontier yields convoys
 //     whose left-extension and FC validation touch only final ticks, so
 //     they are computed eagerly and emitted as *closed* convoys.
@@ -156,14 +157,16 @@ class OnlineK2HopMiner {
   std::vector<ObjectSet> prev_benchmark_clusters_;
 
   SpanningConvoyMerger merger_;
-  std::vector<ConvoyExtensionWalk> walks_;
+  WalkGroup walks_{+1};  ///< every open right walk, in start order
   /// Deduplicated completed right-extension results, consumed by the
   /// Finalize barriers.
   std::set<Convoy> right_seen_;
 
   std::map<Convoy, std::vector<Convoy>> left_cache_;
   std::map<Convoy, std::vector<Convoy>> validate_cache_;
-  /// What HWMT and the walks proved so far; lives as long as the caches.
+  /// What HWMT, the walks and validation proved so far, read and written
+  /// live (the right walks' runs are added as they grow); lives as long as
+  /// the caches.
   ProofBook book_;
 
   std::vector<Convoy> closed_;

@@ -4,10 +4,10 @@
 
 namespace k2 {
 
-void ProofBook::Add(const ProvenRun& run) {
-  if (run.ticks.empty()) return;
-  std::vector<TimeRange>& ranges = ranges_[run.objects];
-  TimeRange merged = run.ticks;
+void ProofBook::Add(const ObjectSet& objects, TimeRange ticks) {
+  if (ticks.empty()) return;
+  std::vector<TimeRange>& ranges = ranges_[objects];
+  TimeRange merged = ticks;
   // The first range that overlaps or touches the new one, then every
   // following range that does; they fold into one.
   auto first = std::lower_bound(

@@ -3,9 +3,18 @@
 // tick t to S is one cluster, which is all that FC validation (Sec. 4.6)
 // asks of each tick of a candidate's lifespan. HWMT and the extension
 // walks make such calls anyway; the ProofBook keeps what they proved,
-// keyed by object set, so validation answers those ticks without a store
-// read. Keying by set (not carrying proofs on Convoy) lets them survive
-// every MaximalConvoySet fold and cache between the phases.
+// keyed by object set. Keying by set (not carrying proofs on Convoy) lets
+// them survive every MaximalConvoySet fold and cache between the phases.
+//
+// A phase that reads the book asks it through its TickProbe
+// (core/tick_probe.h): a proven (t, S) is answered {S} without a store
+// read. In batch, the two extension phases and validation read the book
+// that the earlier phases built, and HWMT and the walks add their own
+// proofs after their phase, so the book never changes while a phase runs.
+// Batch HWMT does not read the book: it holds only earlier shards' HWMT
+// runs then, which never cover a tick of a later shard's windows. The
+// online miner is single-threaded and reads and writes its book live, and
+// its HWMT reads what the right walks running ahead of the window proved.
 //
 // Only an exact {S} answer is a proof. A cluster that ReCluster returns
 // for a superset of S proves nothing about S on its own: DBSCAN restricted
@@ -37,13 +46,16 @@ struct ProvenRun {
 /// depend on the order of the Add calls.
 class ProofBook {
  public:
-  void Add(const ProvenRun& run);
+  /// Copies `objects` only the first time the set is added.
+  void Add(const ObjectSet& objects, TimeRange ticks);
+  void Add(const ProvenRun& run) { Add(run.objects, run.ticks); }
   void Add(const std::vector<ProvenRun>& runs) {
     for (const ProvenRun& run : runs) Add(run);
   }
 
   /// The proven ticks of exactly `objects`: sorted ranges, pairwise
-  /// disjoint and non-adjacent; empty when nothing is proven.
+  /// disjoint and non-adjacent; empty when nothing is proven. The span
+  /// stays valid until the next Add.
   std::span<const TimeRange> Find(const ObjectSet& objects) const;
 
  private:

@@ -1,6 +1,7 @@
 #include "core/snapshot_slots.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/parallel_for.h"
 #include "core/k2hop.h"
@@ -39,14 +40,35 @@ Status SnapshotSlots::ForEach(
 Result<std::vector<Convoy>> SnapshotSlots::Extend(
     const MiningParams& params, const std::vector<Convoy>& seeds,
     Timestamp limit, int dir, ProofBook* book) {
-  std::vector<std::vector<Convoy>> completed(seeds.size());
-  std::vector<std::vector<ProvenRun>> proven(seeds.size());
-  K2_RETURN_NOT_OK(ForEach(seeds.size(), [&](Slot& slot, size_t i) -> Status {
-    std::vector<ProvenRun>* runs = book != nullptr ? &proven[i] : nullptr;
-    ConvoyExtensionWalk walk(seeds[i], dir);
-    K2_RETURN_NOT_OK(walk.Advance(slot.store, params, limit, &completed[i],
-                                  &slot.scratch, runs));
-    walk.Flush(limit, &completed[i], runs);
+  // Groups: the seeds that share a start tick, in seed order within a
+  // group; the largest groups run first, so the slots finish together.
+  std::vector<uint32_t> order(seeds.size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  const auto start = [&](uint32_t i) {
+    return dir > 0 ? seeds[i].end : seeds[i].start;
+  };
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return start(a) < start(b);
+  });
+  std::vector<std::span<const uint32_t>> groups;
+  for (size_t b = 0, e = 0; b < order.size(); b = e) {
+    while (e < order.size() && start(order[e]) == start(order[b])) ++e;
+    groups.emplace_back(order.data() + b, e - b);
+  }
+  std::stable_sort(groups.begin(), groups.end(),
+                   [](std::span<const uint32_t> a, std::span<const uint32_t> b) {
+                     return a.size() > b.size();
+                   });
+
+  std::vector<std::vector<Convoy>> completed(groups.size());
+  std::vector<std::vector<ProvenRun>> proven(groups.size());
+  K2_RETURN_NOT_OK(ForEach(groups.size(), [&](Slot& slot, size_t g) -> Status {
+    std::vector<ProvenRun>* runs = book != nullptr ? &proven[g] : nullptr;
+    WalkGroup group(dir);
+    for (uint32_t i : groups[g]) group.Start(seeds[i]);
+    K2_RETURN_NOT_OK(group.Advance(slot.store, params, limit, &completed[g],
+                                   &slot.scratch, runs, book));
+    group.Flush(limit, &completed[g], runs);
     return Status::OK();
   }));
   if (book != nullptr) {
@@ -61,24 +83,25 @@ Result<std::vector<Convoy>> SnapshotSlots::Extend(
 
 Result<std::vector<Convoy>> SnapshotSlots::Validate(
     const MiningParams& params, std::vector<Convoy> candidates,
-    const ProofBook& book, ValidationStats* stats) {
+    const ProofBook& book, ValidationStats* stats, bool recursive,
+    std::vector<ProvenRun>* proven) {
   return ValidateInRounds(
-      std::move(candidates), params, /*recursive=*/true, stats,
+      std::move(candidates), params, recursive, stats,
       [&](const std::vector<Convoy>& round,
           std::vector<FcCheck>* checks) -> Status {
-        return ForEach(round.size(), [&](Slot& slot, size_t i) -> Status {
-          K2_ASSIGN_OR_RETURN(
-              (*checks)[i],
-              CheckFullyConnected(slot.store, round[i], params, &slot.scratch,
-                                  book.Find(round[i].objects)));
-          return Status::OK();
-        });
+        return CheckRound(this, round, params, book, checks, proven);
       });
 }
 
 uint64_t SnapshotSlots::reclusterings() const {
   uint64_t total = 0;
   for (const SlotState& s : slots_) total += s.slot.scratch.reclusterings;
+  return total;
+}
+
+uint64_t SnapshotSlots::probed_points() const {
+  uint64_t total = 0;
+  for (const SlotState& s : slots_) total += s.slot.scratch.probed_points;
   return total;
 }
 

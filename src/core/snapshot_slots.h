@@ -7,11 +7,12 @@
 // thread is started and the slot reads the store itself, so the sequential
 // run is the same code.
 //
-// Per-item work (a benchmark point, a hop-window, a convoy's extension
-// walk, a validation candidate) is a deterministic function of the store's
-// content, so the slot it runs on cannot change it. Results are gathered by
+// Per-item work (a benchmark point, a hop-window, a group of extension
+// walks that share a start tick, a validation tick) is a deterministic
+// function of the store's content and of the ProofBook the earlier phases
+// built, so the slot it runs on cannot change it. Results are gathered by
 // item index and folded on the calling thread in index order, which keeps
-// the miners' output byte-identical for every thread count.
+// the miners' output and every counter identical for every thread count.
 #ifndef K2_CORE_SNAPSHOT_SLOTS_H_
 #define K2_CORE_SNAPSHOT_SLOTS_H_
 
@@ -19,12 +20,13 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/validation.h"
 #include "cluster/clusterer.h"
 #include "common/convoy.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/proof_book.h"
+#include "core/tick_probe.h"
+#include "core/validation.h"
 #include "storage/store.h"
 
 namespace k2 {
@@ -32,10 +34,11 @@ namespace k2 {
 class SnapshotSlots {
  public:
   /// What a task may touch: only the task currently running on the slot
-  /// does, so neither member needs a lock.
+  /// does, so no member needs a lock.
   struct Slot {
     Store* store = nullptr;  ///< the slot's read snapshot, or the store
     SnapshotScratch scratch;
+    TickProbe probe;
   };
 
   /// `threads` runners: the calling thread plus up to `threads - 1` threads
@@ -54,22 +57,28 @@ class SnapshotSlots {
   /// and the lowest-index failure is returned.
   Status ForEach(size_t n, const std::function<Status(Slot&, size_t)>& fn);
 
-  /// Extension to exact lifespans (Sec. 4.5): one ConvoyExtensionWalk per
-  /// seed toward `limit` (`dir` = +1 right, -1 left), folded in seed order
-  /// through a MaximalConvoySet. The walks' proofs are gathered by seed
-  /// index and added to `book` (optional) on the calling thread.
+  /// Extension to exact lifespans (Sec. 4.5) toward `limit` (`dir` = +1
+  /// right, -1 left). The seeds that share a start tick (seed.end + 1 for
+  /// right walks, seed.start - 1 for left walks) walk in lockstep as one
+  /// WalkGroup; the groups fan out over the slots, largest first, and their
+  /// pieces fold through a MaximalConvoySet. The walks read `book`
+  /// (optional); their proofs are gathered by group and added to it on the
+  /// calling thread after the phase.
   Result<std::vector<Convoy>> Extend(const MiningParams& params,
                                      const std::vector<Convoy>& seeds,
                                      Timestamp limit, int dir,
                                      ProofBook* book = nullptr);
 
-  /// Recursive FC validation (Sec. 4.6) with each round's candidates
-  /// checked concurrently (see ValidateInRounds). Each candidate's proven
-  /// ticks are looked up in `book` once, and the tasks only read it.
+  /// FC validation (Sec. 4.6) in rounds (ValidateInRounds), each round
+  /// checked tick-major with its ticks fanned out over the slots
+  /// (CheckRound). The tasks only read `book`; `proven` (optional) receives
+  /// the runs of ticks the rounds answered exactly {O}.
   Result<std::vector<Convoy>> Validate(const MiningParams& params,
                                        std::vector<Convoy> candidates,
                                        const ProofBook& book,
-                                       ValidationStats* stats);
+                                       ValidationStats* stats,
+                                       bool recursive = true,
+                                       std::vector<ProvenRun>* proven = nullptr);
 
   /// Store IO consumed since construction: the store's own delta plus each
   /// snapshot's reads since it was opened (snapshot setup excluded).
@@ -77,6 +86,8 @@ class SnapshotSlots {
 
   /// ReCluster calls made through the slots' scratches since construction.
   uint64_t reclusterings() const;
+  /// The slots' scratches' probed_points since construction.
+  uint64_t probed_points() const;
 
  private:
   struct SlotState {

@@ -1,4 +1,4 @@
-#include "baselines/vcoda.h"
+#include "core/vcoda.h"
 
 #include "baselines/cmc.h"
 #include "cluster/clusterer.h"

@@ -3,16 +3,16 @@
 // to fully connected ones. `corrected = true` is the paper's VCoDA* (the
 // recursive validation correction proposed in Sec. 1/4.6); `false` is the
 // original one-pass DCVal.
-#ifndef K2_BASELINES_VCODA_H_
-#define K2_BASELINES_VCODA_H_
+#ifndef K2_CORE_VCODA_H_
+#define K2_CORE_VCODA_H_
 
 #include <vector>
 
-#include "baselines/validation.h"
 #include "common/convoy.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/types.h"
+#include "core/validation.h"
 #include "storage/store.h"
 
 namespace k2 {
@@ -30,4 +30,4 @@ Result<std::vector<Convoy>> MineVcoda(Store* store, const MiningParams& params,
 
 }  // namespace k2
 
-#endif  // K2_BASELINES_VCODA_H_
+#endif  // K2_CORE_VCODA_H_

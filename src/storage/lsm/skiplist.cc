@@ -67,15 +67,6 @@ void SkipList::Put(uint64_t key, const LsmValue& value) {
   ++size_;
 }
 
-bool SkipList::Get(uint64_t key, LsmValue* value) const {
-  const Node* node = FindGreaterOrEqual(key);
-  if (node != nullptr && node->key == key) {
-    *value = node->value;
-    return true;
-  }
-  return false;
-}
-
 const SkipList::Node* SkipList::FindGreaterOrEqual(uint64_t key) const {
   const Node* node = head_;
   for (int i = max_level_ - 1; i >= 0; --i) {

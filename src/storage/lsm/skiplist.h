@@ -24,8 +24,44 @@ class SkipList {
   /// Inserts or overwrites.
   void Put(uint64_t key, const LsmValue& value);
 
-  /// Returns true and fills `*value` when present.
-  bool Get(uint64_t key, LsmValue* value) const;
+  /// Looks up the strictly increasing `keys` in one forward pass: each
+  /// search resumes from the previous key's predecessors (a finger search)
+  /// instead of the head, so a key costs O(log d) steps for a gap of d
+  /// entries. Skips key i when skip(i); calls found(i, value) for each key
+  /// present.
+  template <typename Skip, typename Found>
+  void GetSorted(const std::vector<uint64_t>& keys, Skip&& skip,
+                 Found&& found) const {
+    const Node* pred[kMaxLevel];
+    for (int i = 0; i < max_level_; ++i) pred[i] = head_;
+    // Of two nodes before the key, the one further along.
+    const auto later = [this](const Node* a, const Node* b) {
+      if (a == head_) return b;
+      if (b == head_) return a;
+      return a->key < b->key ? b : a;
+    };
+    for (size_t k = 0; k < keys.size(); ++k) {
+      if (skip(k)) continue;
+      const uint64_t key = keys[k];
+      // Climb while the level above still has a node before the key.
+      int level = 0;
+      while (level + 1 < max_level_ &&
+             pred[level + 1]->next[level + 1] != nullptr &&
+             pred[level + 1]->next[level + 1]->key < key) {
+        ++level;
+      }
+      const Node* node = head_;
+      for (int i = level; i >= 0; --i) {
+        node = later(node, pred[i]);
+        while (node->next[i] != nullptr && node->next[i]->key < key) {
+          node = node->next[i];
+        }
+        pred[i] = node;
+      }
+      const Node* at = node->next[0];
+      if (at != nullptr && at->key == key) found(k, at->value);
+    }
+  }
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

@@ -117,15 +117,16 @@ class SortedRun {
   std::vector<std::pair<uint64_t, LsmValue>> rows_;
 };
 
-/// The live memtable keeps its per-key probes.
+/// The live memtable: one forward pass of finger searches.
 size_t MultiGet(const lsm::SkipList& mem, lsm::PointBatch* batch) {
   size_t hits = 0;
-  for (size_t i = 0; i < batch->keys.size(); ++i) {
-    if (!batch->found[i] && mem.Get(batch->keys[i], &batch->values[i])) {
-      batch->found[i] = 1;
-      ++hits;
-    }
-  }
+  mem.GetSorted(
+      batch->keys, [&](size_t i) { return batch->found[i] != 0; },
+      [&](size_t i, const LsmValue& value) {
+        batch->values[i] = value;
+        batch->found[i] = 1;
+        ++hits;
+      });
   return hits;
 }
 

@@ -13,8 +13,8 @@
 #include "baselines/dcm.h"
 #include "baselines/gold.h"
 #include "baselines/spare.h"
-#include "baselines/vcoda.h"
 #include "core/k2hop.h"
+#include "core/vcoda.h"
 #include "gen/synthetic.h"
 #include "tests/test_util.h"
 

@@ -4,6 +4,7 @@
 // (the heavy randomized equivalence lives in online_differential_test.cc).
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/k2hop.h"
 #include "core/online.h"
 #include "gen/synthetic.h"
@@ -80,7 +81,7 @@ TEST(SpanningConvoyMergerTest, DeathSurfacesAtItsWindow) {
 }
 
 // ---------------------------------------------------------------------------
-// ConvoyExtensionWalk — suspended/resumed walks equal one-shot extension
+// WalkGroup of one walk — suspended/resumed walks equal one-shot extension
 // ---------------------------------------------------------------------------
 
 TEST(ConvoyExtensionWalkTest, ResumedAdvanceEqualsOneShotExtendRight) {
@@ -95,7 +96,8 @@ TEST(ConvoyExtensionWalkTest, ResumedAdvanceEqualsOneShotExtendRight) {
   ASSERT_TRUE(batch.ok());
 
   std::vector<Convoy> completed;
-  ConvoyExtensionWalk walk(seed, +1);
+  WalkGroup walk(+1);
+  walk.Start(seed);
   for (Timestamp upto = 4; upto <= 7; ++upto) {  // one tick at a time
     ASSERT_TRUE(
         walk.Advance(store.get(), params, upto, &completed, nullptr).ok());
@@ -109,7 +111,8 @@ TEST(ConvoyExtensionWalkTest, ResumedAdvanceEqualsOneShotExtendRight) {
 TEST(ConvoyExtensionWalkTest, SuspendsAtTheBoundAndReportsNextTick) {
   auto store = MakeMemStore(
       MakeTracks({std::vector<double>(10, 0.0), std::vector<double>(10, 0.5)}));
-  ConvoyExtensionWalk walk(C({0, 1}, 0, 2), +1);
+  WalkGroup walk(+1);
+  walk.Start(C({0, 1}, 0, 2));
   std::vector<Convoy> completed;
   ASSERT_TRUE(
       walk.Advance(store.get(), {2, 2, 1.0}, 5, &completed, nullptr).ok());
@@ -303,6 +306,45 @@ TEST(OnlineK2HopTest, EmitsClosedConvoyBeforeFinalize) {
   ASSERT_EQ(result.value().size(), 1u);
   EXPECT_EQ(result.value()[0], expected);
   EXPECT_EQ(miner.stats().open_convoys, 0u);
+}
+
+TEST(OnlineK2HopTest, ShuffledTickWithDuplicatesMinesAsItsSortedCopy) {
+  // AppendTick skips its sort for a tick already strictly increasing by
+  // oid, as the wire path sends them. Any other tick is normalized: the
+  // same tick shuffled, with repeated points, mines exactly as sorted.
+  RandomWalkSpec spec;
+  spec.num_objects = 24;
+  spec.num_ticks = 40;
+  spec.area = 24.0;
+  spec.step = 3.0;
+  spec.seed = 19;
+  const Dataset data = GenerateRandomWalk(spec);
+  const MiningParams params{3, 6, 7.0};
+  Rng rng(20261019);
+  MemoryStore sorted_store, messy_store;
+  OnlineK2HopMiner sorted(&sorted_store, params);
+  OnlineK2HopMiner messy(&messy_store, params);
+  for (Timestamp t : data.timestamps()) {
+    const std::vector<SnapshotPoint> points = SnapshotPoints(data, t);
+    ASSERT_TRUE(sorted.AppendTick(t, points).ok());
+    std::vector<SnapshotPoint> shuffled = points;
+    for (size_t i = 0; i < points.size(); i += 3) {
+      shuffled.push_back(points[i]);
+    }
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.NextInt(i)]);
+    }
+    ASSERT_TRUE(messy.AppendTick(t, std::move(shuffled)).ok());
+  }
+  EXPECT_EQ(messy.closed_convoys(), sorted.closed_convoys());
+  EXPECT_EQ(messy.stats().points_ingested, sorted.stats().points_ingested);
+  auto want = sorted.Finalize();
+  auto got = messy.Finalize();
+  ASSERT_TRUE(want.ok() && got.ok());
+  ASSERT_FALSE(want.value().empty()) << "weak test input";
+  EXPECT_EQ(got.value(), want.value());
+  EXPECT_EQ(messy.stats().validation.reclusterings,
+            sorted.stats().validation.reclusterings);
 }
 
 TEST(OnlineK2HopTest, StatsAreFilled) {

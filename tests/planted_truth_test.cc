@@ -5,8 +5,8 @@
 // answer is known by construction, not via an oracle.
 #include <gtest/gtest.h>
 
-#include "baselines/vcoda.h"
 #include "core/k2hop.h"
+#include "core/vcoda.h"
 #include "gen/synthetic.h"
 #include "tests/test_util.h"
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/clusterer.h"
 #include "common/check.h"
 #include "common/convoy.h"
 #include "common/types.h"
@@ -107,6 +108,62 @@ inline std::unique_ptr<MemoryStore> MakeMemStore(const Dataset& dataset) {
   K2_CHECK_OK(store->BulkLoad(dataset));
   return store;
 }
+
+// A memory store that records the tick and size of every GetPoints call.
+class FetchCountingStore final : public Store {
+ public:
+  explicit FetchCountingStore(Dataset dataset) : inner_(std::move(dataset)) {}
+  std::string name() const override { return "fetch-counting"; }
+  Status BulkLoad(const Dataset& dataset) override {
+    return inner_.BulkLoad(dataset);
+  }
+  Status ScanTimestamp(Timestamp t, std::vector<SnapshotPoint>* out) override {
+    Status status = inner_.ScanTimestamp(t, out);
+    io_stats_ = inner_.io_stats();
+    return status;
+  }
+  Status GetPoints(Timestamp t, const ObjectSet& objects,
+                   std::vector<SnapshotPoint>* out) override {
+    fetches.emplace_back(t, objects.size());
+    Status status = inner_.GetPoints(t, objects, out);
+    io_stats_ = inner_.io_stats();
+    return status;
+  }
+  TimeRange time_range() const override { return inner_.time_range(); }
+  const std::vector<Timestamp>& timestamps() const override {
+    return inner_.timestamps();
+  }
+  uint64_t num_points() const override { return inner_.num_points(); }
+
+  std::vector<std::pair<Timestamp, size_t>> fetches;
+
+ private:
+  MemoryStore inner_;
+};
+
+// The default clusterer, recording every ReCluster call (one thread only).
+class RecordingClusterer final : public SnapshotClusterer {
+ public:
+  std::string name() const override { return "recording"; }
+  Status ValidateParams(const MiningParams& params) const override {
+    return DefaultClusterer()->ValidateParams(params);
+  }
+  Result<std::vector<ObjectSet>> Cluster(
+      Store* store, Timestamp t, const MiningParams& params,
+      SnapshotScratch* scratch, Mutex* store_mu = nullptr) const override {
+    return DefaultClusterer()->Cluster(store, t, params, scratch, store_mu);
+  }
+  Result<std::vector<ObjectSet>> ReCluster(
+      Store* store, Timestamp t, const ObjectSet& objects,
+      const MiningParams& params, SnapshotScratch* scratch,
+      Mutex* store_mu = nullptr) const override {
+    calls.emplace_back(t, objects);
+    return DefaultClusterer()->ReCluster(store, t, objects, params, scratch,
+                                         store_mu);
+  }
+
+  mutable std::vector<std::pair<Timestamp, ObjectSet>> calls;
+};
 
 }  // namespace k2::testing
 

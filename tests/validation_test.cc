@@ -1,13 +1,22 @@
-// Validation (Algorithm 4 / HWMT*): binary subdivision order, FC acceptance,
-// recursive splitting, and the one-pass DCVal bug the paper corrects.
+// Validation (Algorithm 4): HWMT's binary subdivision order, FC acceptance,
+// recursive splitting, the one-pass DCVal bug the paper corrects, and the
+// tick-major round check against the per-candidate binary-order prober it
+// replaced.
 #include <algorithm>
+#include <deque>
+#include <map>
+#include <set>
 
 #include <gtest/gtest.h>
 
 #include "baselines/gold.h"
-#include "baselines/validation.h"
+#include "baselines/sweep.h"
 #include "cluster/store_clustering.h"
 #include "common/rng.h"
+#include "core/k2hop.h"
+#include "core/proof_book.h"
+#include "core/snapshot_slots.h"
+#include "core/validation.h"
 #include "gen/synthetic.h"
 #include "tests/test_util.h"
 
@@ -15,8 +24,10 @@ namespace k2 {
 namespace {
 
 using ::k2::testing::C;
+using ::k2::testing::FetchCountingStore;
 using ::k2::testing::MakeMemStore;
 using ::k2::testing::MakeTracks;
+using ::k2::testing::RecordingClusterer;
 using ::k2::testing::Str;
 
 // ---------------------------------------------------------------------------
@@ -196,62 +207,76 @@ TEST(ValidationTest, DistinctCandidatesWithEqualHashesAreBothChecked) {
   EXPECT_EQ(out.value(), (std::vector<Convoy>{candidates[1], candidates[0]}));
 }
 
+// One candidate, checked alone on one slot with `book`'s proofs.
+FcCheck CheckOne(Store* store, const Convoy& candidate,
+                 const MiningParams& params, const ProofBook& book) {
+  SnapshotSlots slots(store, 1);
+  std::vector<FcCheck> checks(1);
+  EXPECT_TRUE(CheckRound(&slots, {candidate}, params, book, &checks).ok());
+  return checks[0];
+}
+
+// A random walk dense enough for chance convoys that split.
+Dataset DenseWalk(uint64_t seed) {
+  RandomWalkSpec spec;
+  spec.num_objects = 30;
+  spec.num_ticks = 40;
+  spec.area = 24.0;
+  spec.step = 3.0;
+  spec.seed = seed;
+  return GenerateRandomWalk(spec);
+}
+
+// Proofs for a random half of `candidate`'s ticks, from direct ReCluster
+// calls that returned exactly {O}. Returns how many ticks they cover.
+size_t AddRandomProofs(Store* store, const Convoy& candidate,
+                       const MiningParams& params, Rng* rng, ProofBook* book) {
+  size_t covered = 0;
+  for (Timestamp t = candidate.start; t <= candidate.end; ++t) {
+    if (rng->NextInt(2) == 0) continue;
+    auto cs = ReCluster(store, t, candidate.objects, params);
+    EXPECT_TRUE(cs.ok());
+    if (cs.value() != std::vector<ObjectSet>{candidate.objects}) continue;
+    book->Add(candidate.objects, {t, t});
+    ++covered;
+  }
+  return covered;
+}
+
 TEST(ValidationTest, ProvenTicksNeverChangeTheAnswer) {
   // Candidates: clusters of one tick of a dense random walk, given random
   // lifespans around that tick, so some are fully connected and others
-  // split and reach the fallback sweep. Each candidate's proven ranges come
-  // from direct ReCluster calls that returned exactly {O}, on a random half
-  // of its ticks. Every tick of the lifespan is probed, so each proven tick
-  // saves exactly one re-clustering.
+  // split and are swept. Each candidate's proofs come from direct ReCluster
+  // calls that returned exactly {O}, on a random half of its ticks. Every
+  // tick of the lifespan is probed, so each proven tick saves exactly one
+  // re-clustering.
   Rng rng(20261017);
   size_t fully_connected = 0, split_with_proofs = 0;
   for (uint64_t seed : {5u, 17u, 31u}) {
-    RandomWalkSpec spec;
-    spec.num_objects = 30;
-    spec.num_ticks = 40;
-    spec.area = 24.0;
-    spec.step = 3.0;
-    spec.seed = seed;
-    auto store = MakeMemStore(GenerateRandomWalk(spec));
+    auto store = MakeMemStore(DenseWalk(seed));
     const MiningParams params{3, 4, 6.0};
-    SnapshotScratch scratch;
-    for (Timestamp t0 = 0; t0 < spec.num_ticks; t0 += 3) {
+    const Timestamp last = store->time_range().end;
+    for (Timestamp t0 = 0; t0 <= last; t0 += 3) {
       auto clusters = ClusterSnapshot(store.get(), t0, params);
       ASSERT_TRUE(clusters.ok());
       for (const ObjectSet& objects : clusters.value()) {
         const Convoy candidate(
             objects, std::max(0, t0 - static_cast<Timestamp>(rng.NextInt(8))),
-            std::min(spec.num_ticks - 1,
-                     t0 + static_cast<Timestamp>(rng.NextInt(8))));
-        std::vector<TimeRange> proven;
-        size_t covered = 0;
-        for (Timestamp t = candidate.start; t <= candidate.end; ++t) {
-          if (rng.NextInt(2) == 0) continue;
-          auto cs = ReCluster(store.get(), t, objects, params);
-          ASSERT_TRUE(cs.ok());
-          if (cs.value() != std::vector<ObjectSet>{objects}) continue;
-          if (!proven.empty() && proven.back().end + 1 == t) {
-            proven.back().end = t;
-          } else {
-            proven.push_back({t, t});
-          }
-          ++covered;
-        }
-        auto plain =
-            CheckFullyConnected(store.get(), candidate, params, &scratch);
-        auto with = CheckFullyConnected(store.get(), candidate, params,
-                                        &scratch, proven);
-        ASSERT_TRUE(plain.ok() && with.ok());
+            std::min(last, t0 + static_cast<Timestamp>(rng.NextInt(8))));
+        ProofBook book;
+        const size_t covered =
+            AddRandomProofs(store.get(), candidate, params, &rng, &book);
+        const FcCheck plain =
+            CheckOne(store.get(), candidate, params, ProofBook());
+        const FcCheck with = CheckOne(store.get(), candidate, params, book);
         SCOPED_TRACE(Str({candidate}));
-        EXPECT_EQ(with.value().fully_connected, plain.value().fully_connected);
-        EXPECT_EQ(with.value().pieces, plain.value().pieces);
-        EXPECT_EQ(plain.value().reclusterings,
-                  static_cast<size_t>(candidate.length()));
-        EXPECT_EQ(plain.value().proven_ticks, 0u);
-        EXPECT_EQ(with.value().proven_ticks, covered);
-        EXPECT_EQ(with.value().reclusterings,
-                  plain.value().reclusterings - covered);
-        if (plain.value().fully_connected) {
+        EXPECT_EQ(with.fully_connected, plain.fully_connected);
+        EXPECT_EQ(with.pieces, plain.pieces);
+        EXPECT_EQ(plain.reclusterings, static_cast<size_t>(candidate.length()));
+        EXPECT_EQ(plain.proven_ticks, 0u);
+        EXPECT_EQ(with.proven_ticks, covered);
+        EXPECT_EQ(with.reclusterings, plain.reclusterings - covered);
+        if (plain.fully_connected) {
           ++fully_connected;
         } else if (covered > 0) {
           ++split_with_proofs;
@@ -261,6 +286,317 @@ TEST(ValidationTest, ProvenTicksNeverChangeTheAnswer) {
   }
   EXPECT_GT(fully_connected, 0u) << "weak test input";
   EXPECT_GT(split_with_proofs, 0u) << "weak test input";
+}
+
+// ---------------------------------------------------------------------------
+// The tick-major round check against the per-candidate reference
+// ---------------------------------------------------------------------------
+
+// The per-candidate checker that validation used before it went tick-major,
+// kept as the reference: it probes the candidate's unproven ticks in
+// binary-subdivision order and stops at the first that is not exactly {O};
+// a failed candidate is then swept over its whole lifespan, re-clustering
+// every tick nothing has answered yet. Its probes go through `memo`, one
+// per round, so a (t, O) that several candidates of a round ask is
+// re-clustered once, as the round check does.
+using RoundMemo = std::map<std::pair<Timestamp, ObjectSet>,
+                           std::vector<ObjectSet>>;
+
+Result<FcCheck> ReferenceCheck(Store* store, const Convoy& candidate,
+                               const MiningParams& params,
+                               std::span<const TimeRange> proven,
+                               RoundMemo* memo) {
+  const TimeRange life = candidate.lifespan();
+  std::vector<char> whole_at(static_cast<size_t>(life.length()), 0);
+  FcCheck check;
+  for (const TimeRange& r : proven) {
+    for (Timestamp t = std::max(r.start, life.start);
+         t <= std::min(r.end, life.end); ++t) {
+      whole_at[t - life.start] = 1;
+      ++check.proven_ticks;
+    }
+  }
+  auto probe = [&](Timestamp t) -> Result<std::vector<ObjectSet>> {
+    auto [it, inserted] = memo->try_emplace({t, candidate.objects});
+    if (inserted) {
+      ++check.reclusterings;
+      K2_ASSIGN_OR_RETURN(it->second,
+                          ReCluster(store, t, candidate.objects, params));
+    }
+    return it->second;
+  };
+  Timestamp failed_at = kInvalidTimestamp;
+  std::vector<ObjectSet> failed;
+  check.fully_connected = true;
+  for (Timestamp t : BinarySubdivisionOrder(life)) {
+    if (whole_at[t - life.start]) continue;
+    K2_ASSIGN_OR_RETURN(std::vector<ObjectSet> cs, probe(t));
+    if (cs != std::vector<ObjectSet>{candidate.objects}) {
+      check.fully_connected = false;
+      failed_at = t;
+      failed = std::move(cs);
+      break;
+    }
+    whole_at[t - life.start] = 1;
+  }
+  if (check.fully_connected) return check;
+  SweepOptions options;
+  options.min_length = params.k;
+  K2_ASSIGN_OR_RETURN(
+      check.pieces,
+      MaximalConvoySweep(
+          [&](Timestamp t, std::vector<ObjectSet>* out) -> Status {
+            if (whole_at[t - life.start]) {
+              *out = {candidate.objects};
+            } else if (t == failed_at) {
+              *out = failed;
+            } else {
+              K2_ASSIGN_OR_RETURN(*out, probe(t));
+            }
+            return Status::OK();
+          },
+          life, params.m, options));
+  return check;
+}
+
+Result<std::vector<Convoy>> ReferenceValidate(Store* store,
+                                              std::vector<Convoy> candidates,
+                                              const MiningParams& params,
+                                              const ProofBook& book,
+                                              ValidationStats* stats) {
+  return ValidateInRounds(
+      std::move(candidates), params, /*recursive=*/true, stats,
+      [&](const std::vector<Convoy>& round,
+          std::vector<FcCheck>* checks) -> Status {
+        RoundMemo memo;
+        for (size_t i = 0; i < round.size(); ++i) {
+          K2_ASSIGN_OR_RETURN((*checks)[i],
+                              ReferenceCheck(store, round[i], params,
+                                             book.Find(round[i].objects),
+                                             &memo));
+        }
+        return Status::OK();
+      });
+}
+
+// Candidates of every kind: benchmark-like clusters with random lifespans,
+// some repeated with another lifespan (a round then asks their (t, O)
+// twice), and every cluster of a tick's restriction to a random superset.
+std::vector<Convoy> RandomCandidates(Store* store, const MiningParams& params,
+                                     Rng* rng) {
+  std::vector<Convoy> candidates;
+  const Timestamp last = store->time_range().end;
+  for (Timestamp t0 = 0; t0 <= last; t0 += 4) {
+    auto clusters = ClusterSnapshot(store, t0, params);
+    EXPECT_TRUE(clusters.ok());
+    for (const ObjectSet& objects : clusters.value()) {
+      for (int copy = 0; copy < 1 + static_cast<int>(rng->NextInt(2));
+           ++copy) {
+        candidates.emplace_back(
+            objects,
+            std::max(0, t0 - static_cast<Timestamp>(rng->NextInt(10))),
+            std::min(last, t0 + static_cast<Timestamp>(rng->NextInt(10))));
+      }
+    }
+  }
+  return candidates;
+}
+
+void ExpectSameValidation(const ValidationStats& got,
+                          const ValidationStats& want) {
+  EXPECT_EQ(got.candidates_in, want.candidates_in);
+  EXPECT_EQ(got.fc_accepted, want.fc_accepted);
+  EXPECT_EQ(got.split_rounds, want.split_rounds);
+  EXPECT_EQ(got.reclusterings, want.reclusterings);
+  EXPECT_EQ(got.proven_ticks, want.proven_ticks);
+  EXPECT_EQ(got.probed_points, want.probed_points);
+}
+
+TEST(ValidationOracleTest, MatchesTheBinaryOrderProberIdenticalForEveryThreadCount) {
+  // On random stores, with and without proofs, the tick-major round check
+  // returns the reference's convoys and makes its re-clusterings, less the
+  // repeats within a round; and it does so on one slot or several.
+  Rng rng(20261019);
+  size_t splits = 0, repeats = 0;
+  for (uint64_t seed : {3u, 8u, 21u, 34u}) {
+    auto store = MakeMemStore(DenseWalk(seed));
+    const MiningParams params{3, 5, 6.0};
+    const std::vector<Convoy> candidates =
+        RandomCandidates(store.get(), params, &rng);
+    for (bool with_proofs : {false, true}) {
+      ProofBook book;
+      if (with_proofs) {
+        for (const Convoy& c : candidates) {
+          AddRandomProofs(store.get(), c, params, &rng, &book);
+        }
+      }
+      ValidationStats want;
+      auto reference =
+          ReferenceValidate(store.get(), candidates, params, book, &want);
+      ASSERT_TRUE(reference.ok());
+      splits += want.split_rounds;
+      // The same rounds without the memo: what each candidate alone costs.
+      ValidationStats alone;
+      ASSERT_TRUE(ValidateInRounds(
+                      candidates, params, true, &alone,
+                      [&](const std::vector<Convoy>& round,
+                          std::vector<FcCheck>* checks) -> Status {
+                        for (size_t i = 0; i < round.size(); ++i) {
+                          RoundMemo memo;
+                          K2_ASSIGN_OR_RETURN(
+                              (*checks)[i],
+                              ReferenceCheck(store.get(), round[i], params,
+                                             book.Find(round[i].objects),
+                                             &memo));
+                        }
+                        return Status::OK();
+                      })
+                      .ok());
+      repeats += alone.reclusterings - want.reclusterings;
+      for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " proofs=" + std::to_string(with_proofs) +
+                     " threads=" + std::to_string(threads));
+        SnapshotSlots slots(store.get(), threads);
+        ValidationStats got;
+        auto checked = slots.Validate(params, candidates, book, &got);
+        ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+        EXPECT_EQ(checked.value(), reference.value());
+        ExpectSameValidation(got, want);
+      }
+    }
+  }
+  EXPECT_GT(splits, 0u) << "weak test input: nothing split";
+  EXPECT_GT(repeats, 0u) << "weak test input: no (t, O) asked twice";
+}
+
+TEST_F(BridgeScenario, RoundCheckMatchesTheBinaryOrderProber) {
+  // Candidate {a,b,c,d} splits at tick 2, and its pieces are checked in
+  // the next round; the sub-candidate {a,b,c} of the same round asks the
+  // same ticks for other objects.
+  auto store = MakeStore();
+  const std::vector<Convoy> candidates = {C({0, 1, 2, 3}, 0, 5),
+                                          C({0, 1, 2}, 0, 5),
+                                          C({0, 1, 2, 3}, 1, 5)};
+  for (bool with_proofs : {false, true}) {
+    ProofBook book;
+    if (with_proofs) book.Add(ObjectSet::Of({0, 1, 2, 3}), {3, 5});
+    ValidationStats want, got;
+    auto reference =
+        ReferenceValidate(store.get(), candidates, params_, book, &want);
+    SnapshotSlots slots(store.get(), 1);
+    auto checked = slots.Validate(params_, candidates, book, &got);
+    ASSERT_TRUE(reference.ok() && checked.ok());
+    EXPECT_GT(want.split_rounds, 0u);
+    EXPECT_EQ(checked.value(), reference.value());
+    ExpectSameValidation(got, want);
+  }
+}
+
+TEST(ValidationRoundTest, OneFetchPerTickForTheUnionOfTheUnprovenSets) {
+  // A round reads each tick that some candidate needs with one GetPoints
+  // call for the union of the distinct unproven sets there, and
+  // re-clusters each of those sets once.
+  Rng rng(7);
+  size_t shared_ticks = 0;
+  for (uint64_t seed : {2u, 13u}) {
+    FetchCountingStore store(DenseWalk(seed));
+    RecordingClusterer clusterer;
+    MiningParams params{3, 5, 6.0};
+    params.clusterer = &clusterer;
+    const std::vector<Convoy> round = [&] {
+      std::vector<Convoy> all = RandomCandidates(&store, params, &rng);
+      std::set<Convoy> distinct(all.begin(), all.end());
+      return std::vector<Convoy>(distinct.begin(), distinct.end());
+    }();
+    ProofBook book;
+    for (const Convoy& c : round) {
+      if (rng.NextInt(3) == 0) AddRandomProofs(&store, c, params, &rng, &book);
+    }
+    clusterer.calls.clear();
+    store.fetches.clear();
+    SnapshotSlots slots(&store, 1);
+    std::vector<FcCheck> checks(round.size());
+    ASSERT_TRUE(CheckRound(&slots, round, params, book, &checks).ok());
+
+    // The distinct unproven (t, O) asks, by tick.
+    std::map<Timestamp, std::set<ObjectSet>> want;
+    for (const Convoy& c : round) {
+      const std::span<const TimeRange> proven = book.Find(c.objects);
+      for (Timestamp t = c.start; t <= c.end; ++t) {
+        bool is_proven = false;
+        for (const TimeRange& r : proven) is_proven |= r.Contains(t);
+        if (!is_proven) want[t].insert(c.objects);
+      }
+    }
+    std::vector<std::pair<Timestamp, size_t>> want_fetches;
+    std::map<Timestamp, std::set<ObjectSet>> got;
+    for (const auto& [t, sets] : want) {
+      std::set<ObjectId> keys;
+      for (const ObjectSet& s : sets) keys.insert(s.begin(), s.end());
+      want_fetches.emplace_back(t, keys.size());
+      if (sets.size() > 1) ++shared_ticks;
+    }
+    for (const auto& [t, set] : clusterer.calls) {
+      EXPECT_TRUE(got[t].insert(set).second)
+          << set.DebugString() << " re-clustered twice at tick " << t;
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(store.fetches, want_fetches);
+    size_t charged = 0;
+    for (const FcCheck& check : checks) charged += check.reclusterings;
+    EXPECT_EQ(charged, clusterer.calls.size());
+  }
+  EXPECT_GT(shared_ticks, 0u) << "weak test input";
+}
+
+TEST(ValidationRoundTest, ReportsEveryWholeAnswerAsAProof) {
+  // With `proven`, a round reports, per candidate, its runs of ticks that
+  // a re-clustering answered exactly {O}: all of them and nothing else.
+  Rng rng(11);
+  size_t runs = 0;
+  for (uint64_t seed : {4u, 9u}) {
+    auto store = MakeMemStore(DenseWalk(seed));
+    const MiningParams params{3, 5, 6.0};
+    const std::vector<Convoy> round = [&] {
+      std::vector<Convoy> all = RandomCandidates(store.get(), params, &rng);
+      std::set<Convoy> distinct(all.begin(), all.end());
+      return std::vector<Convoy>(distinct.begin(), distinct.end());
+    }();
+    ProofBook book;
+    for (const Convoy& c : round) {
+      if (rng.NextInt(3) == 0) {
+        AddRandomProofs(store.get(), c, params, &rng, &book);
+      }
+    }
+    SnapshotSlots slots(store.get(), 1);
+    std::vector<FcCheck> checks(round.size());
+    std::vector<ProvenRun> proven;
+    ASSERT_TRUE(
+        CheckRound(&slots, round, params, book, &checks, &proven).ok());
+    std::set<std::pair<Timestamp, ObjectSet>> got, want;
+    for (const ProvenRun& run : proven) {
+      for (Timestamp t = run.ticks.start; t <= run.ticks.end; ++t) {
+        got.emplace(t, run.objects);
+      }
+    }
+    for (const Convoy& c : round) {
+      const std::span<const TimeRange> known = book.Find(c.objects);
+      for (Timestamp t = c.start; t <= c.end; ++t) {
+        bool is_proven = false;
+        for (const TimeRange& r : known) is_proven |= r.Contains(t);
+        if (is_proven) continue;
+        auto cs = ReCluster(store.get(), t, c.objects, params);
+        ASSERT_TRUE(cs.ok());
+        if (cs.value() == std::vector<ObjectSet>{c.objects}) {
+          want.emplace(t, c.objects);
+        }
+      }
+    }
+    EXPECT_EQ(got, want);
+    runs += proven.size();
+  }
+  EXPECT_GT(runs, 0u) << "weak test input";
 }
 
 }  // namespace
