@@ -15,11 +15,15 @@ exit 1 — when:
     any drift is a correctness bug, no tolerance);
   * a logical work counter differs: io_stats.points_read,
     io_stats.point_fetches, io_stats.point_queries,
-    io_stats.scanned_points, reclusterings or validation_reclusterings.
-    These count what the miner read, in how many store calls, and what it
-    re-clustered, not how long it took, so they are as deterministic as
-    the convoys and gated exactly; a field absent on either side is
-    skipped;
+    io_stats.scanned_points, reclusterings, validation_reclusterings or
+    probed_points. These count what the miner read, in how many store
+    calls, and what it re-clustered, not how long it took, so they are as
+    deterministic as the convoys and gated exactly; a field absent on
+    either side is skipped;
+  * an eager-channel count of the online miner differs: closed_eagerly
+    (convoys emitted before Finalize) or open_at_finalize (walk branches
+    still alive at Finalize), both on the streaming records. They are as
+    deterministic as the convoys and gated the same way;
   * a record's wall time exceeds baseline * tolerance (default 2.0,
     override with --tolerance or K2_BENCH_TIME_TOL), ignoring records
     where both sides are under --min-ms (default 5 ms, pure noise);
@@ -93,7 +97,7 @@ def percentile_fields(base, live):
 EXACT_FIELDS = ("io_stats.points_read", "io_stats.point_fetches",
                 "io_stats.point_queries", "io_stats.scanned_points",
                 "reclusterings", "validation_reclusterings",
-                "probed_points")
+                "probed_points", "closed_eagerly", "open_at_finalize")
 
 
 def dotted(rec, path):

@@ -111,5 +111,35 @@ class ExactCounterTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
 
 
+def streaming_record(**fields):
+    rec = {"bench": "bench_streaming", "miner": "online_k2hop",
+           "store": "memory", "params": {"m": 3, "k": 200, "eps": 30},
+           "wall_ms": 20.0, "convoys": 58, "closed_eagerly": 56,
+           "open_at_finalize": 7}
+    rec.update(fields)
+    return rec
+
+
+class EagerChannelTest(unittest.TestCase):
+    def test_drifted_eager_count_fails(self):
+        code, out = compare(streaming_record(),
+                            streaming_record(closed_eagerly=55))
+        self.assertEqual(code, 1, out)
+        self.assertIn("closed_eagerly drifted 56 -> 55", out)
+        code, out = compare(streaming_record(),
+                            streaming_record(open_at_finalize=8))
+        self.assertEqual(code, 1, out)
+        self.assertIn("open_at_finalize drifted 7 -> 8", out)
+
+    def test_absent_eager_count_is_skipped(self):
+        fresh = streaming_record()
+        del fresh["closed_eagerly"]
+        del fresh["open_at_finalize"]
+        code, out = compare(streaming_record(), fresh)
+        self.assertEqual(code, 0, out)
+        code, out = compare(fresh, streaming_record())
+        self.assertEqual(code, 0, out)
+
+
 if __name__ == "__main__":
     unittest.main()

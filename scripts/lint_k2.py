@@ -10,7 +10,10 @@ would otherwise have to re-check by hand on every PR:
                               ValidateMiningParams before touching data,
                               and one that takes a Store* also returns
                               that store's status() — a store whose
-                              recovery failed must not mine as empty
+                              recovery failed must not mine as empty —
+                              and checks its time_range() with
+                              ValidateTickRange, so a tick loop near
+                              INT32_MAX cannot wrap
   no-atomic-shared-ptr        std::atomic<std::shared_ptr<...>> is banned
                               (libstdc++ implements it with a spinlock;
                               the serving layer's SnapshotCell exists
@@ -220,6 +223,13 @@ def check_validate_mining_params(sf, findings):
                     f"public miner entry {name}() never checks "
                     f"{store}->status(); a store whose recovery failed "
                     "would mine as empty"))
+            if not re.search(r"ValidateTickRange\(\s*" + store +
+                             r"->time_range\(\)", body):
+                findings.append(Finding(
+                    sf.rel, lineno, "validate-mining-params",
+                    f"public miner entry {name}() never checks "
+                    f"ValidateTickRange({store}->time_range(), ...); a "
+                    "tick loop near INT32_MAX would wrap"))
 
 
 def check_atomic_shared_ptr(sf, findings):

@@ -49,9 +49,22 @@ class ValidateMiningParamsTest(unittest.TestCase):
                 "                                    const MiningParams& p) {\n"
                 "  K2_RETURN_NOT_OK(ValidateMiningParams(p));\n"
                 "  K2_RETURN_NOT_OK(s->status());\n"
+                "  K2_RETURN_NOT_OK(ValidateTickRange(s->time_range(), p));\n"
                 "  return Convoys(s);\n"
                 "}\n")})
         self.assertEqual(findings, [])
+
+    def test_entry_without_tick_range_check_fails(self):
+        findings = run_on({
+            "src/core/m.cc": (
+                "Result<std::vector<Convoy>> MineFoo(Store* s,\n"
+                "                                    const MiningParams& p) {\n"
+                "  K2_RETURN_NOT_OK(ValidateMiningParams(p));\n"
+                "  K2_RETURN_NOT_OK(s->status());\n"
+                "  return Convoys(s);\n"
+                "}\n")})
+        self.assertEqual(rules(findings), ["validate-mining-params"])
+        self.assertIn("ValidateTickRange(s->time_range()", findings[0].message)
 
     def test_entry_without_store_check_fails(self):
         findings = run_on({

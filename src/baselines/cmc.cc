@@ -16,6 +16,7 @@ ClustersAtFn StoreClustersFn(Store* store, const MiningParams& params) {
 Result<std::vector<Convoy>> MineCmc(Store* store, const MiningParams& params) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
   K2_RETURN_NOT_OK(store->status());
+  K2_RETURN_NOT_OK(ValidateTickRange(store->time_range(), params));
   const TimeRange range = store->time_range();
   auto clusters_at = StoreClustersFn(store, params);
 
@@ -77,6 +78,7 @@ Result<std::vector<Convoy>> MinePccd(Store* store,
                                      const MiningParams& params) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
   K2_RETURN_NOT_OK(store->status());
+  K2_RETURN_NOT_OK(ValidateTickRange(store->time_range(), params));
   SweepOptions options;
   options.min_length = params.k;
   return MaximalConvoySweep(StoreClustersFn(store, params),

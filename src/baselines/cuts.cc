@@ -74,6 +74,7 @@ Result<std::vector<Convoy>> MineCuts(Store* store, const MiningParams& params,
                                      CutsStats* stats) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
   K2_RETURN_NOT_OK(store->status());
+  K2_RETURN_NOT_OK(ValidateTickRange(store->time_range(), params));
   CutsStats local;
   CutsStats* s = stats != nullptr ? stats : &local;
   const int lambda = options.lambda > 0 ? options.lambda : params.k;

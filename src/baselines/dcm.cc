@@ -61,6 +61,7 @@ Result<std::vector<Convoy>> MineDcm(Store* store, const MiningParams& params,
                                     DcmStats* stats) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
   K2_RETURN_NOT_OK(store->status());
+  K2_RETURN_NOT_OK(ValidateTickRange(store->time_range(), params));
   DcmStats local;
   DcmStats* s = stats != nullptr ? stats : &local;
 

@@ -104,6 +104,7 @@ Result<std::vector<Convoy>> MineSpare(Store* store, const MiningParams& params,
                                       SpareStats* stats) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
   K2_RETURN_NOT_OK(store->status());
+  K2_RETURN_NOT_OK(ValidateTickRange(store->time_range(), params));
   SpareStats local;
   SpareStats* s = stats != nullptr ? stats : &local;
   const int workers = std::max(1, options.num_workers);

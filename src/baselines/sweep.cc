@@ -1,6 +1,5 @@
 #include "baselines/sweep.h"
 
-#include <unordered_map>
 #include <utility>
 
 #include "cluster/dbscan.h"
@@ -22,17 +21,36 @@ ClustersAtFn DatasetClustersFn(const Dataset* dataset,
 
 namespace {
 
-/// Active candidates: object set -> earliest start time. Keeping only the
-/// earliest start per set is sound because a later-started duplicate is
-/// always a sub-convoy of the earlier one.
-using CandidateMap = std::unordered_map<ObjectSet, Timestamp, ObjectSetHash>;
-
 void AddCandidate(CandidateMap* map, ObjectSet set, Timestamp start) {
   auto [it, inserted] = map->try_emplace(std::move(set), start);
   if (!inserted && start < it->second) it->second = start;
 }
 
 }  // namespace
+
+void FoldCandidates(
+    CandidateMap* active, const std::vector<ObjectSet>& clusters, int m,
+    Timestamp now,
+    const std::function<void(const ObjectSet& set, Timestamp start)>& died) {
+  CandidateMap next;
+  for (const auto& [set, start] : *active) {
+    bool fully_extended = false;
+    for (const ObjectSet& c : clusters) {
+      ObjectSet x = ObjectSet::Intersect(set, c);
+      if (x.size() < static_cast<size_t>(m)) continue;
+      if (x == set) fully_extended = true;
+      AddCandidate(&next, std::move(x), start);
+    }
+    if (!fully_extended) died(set, start);
+  }
+  // Corrected candidate maintenance: every cluster opens a candidate, even
+  // when it extended an existing one. Guard against callers handing in
+  // sub-(m,eps)-clusters — Def. 2 requires size >= m.
+  for (const ObjectSet& c : clusters) {
+    if (c.size() >= static_cast<size_t>(m)) AddCandidate(&next, c, now);
+  }
+  *active = std::move(next);
+}
 
 Result<std::vector<Convoy>> MaximalConvoySweep(const ClustersAtFn& clusters_at,
                                                TimeRange range, int m,
@@ -51,27 +69,11 @@ Result<std::vector<Convoy>> MaximalConvoySweep(const ClustersAtFn& clusters_at,
   for (Timestamp t = range.start; t <= range.end; ++t) {
     clusters.clear();
     K2_RETURN_NOT_OK(clusters_at(t, &clusters));
-    CandidateMap next;
-    for (auto& [set, start] : active) {
-      bool fully_extended = false;
-      for (const ObjectSet& c : clusters) {
-        ObjectSet x = ObjectSet::Intersect(set, c);
-        if (x.size() < static_cast<size_t>(m)) continue;
-        if (x == set) fully_extended = true;
-        AddCandidate(&next, std::move(x), start);
-      }
-      if (!fully_extended) {
-        Convoy v(set, start, t - 1);
-        if (keep(v)) emitted.push_back(std::move(v));
-      }
-    }
-    // Corrected candidate maintenance: every cluster opens a candidate, even
-    // when it extended an existing one. Guard against callers handing in
-    // sub-(m,eps)-clusters — Def. 2 requires size >= m.
-    for (const ObjectSet& c : clusters) {
-      if (c.size() >= static_cast<size_t>(m)) AddCandidate(&next, c, t);
-    }
-    active = std::move(next);
+    FoldCandidates(&active, clusters, m, t,
+                   [&](const ObjectSet& set, Timestamp start) {
+                     Convoy v(set, start, t - 1);
+                     if (keep(v)) emitted.push_back(std::move(v));
+                   });
   }
   for (auto& [set, start] : active) {
     Convoy v(set, start, range.end);

@@ -8,6 +8,7 @@
 #define K2_BASELINES_SWEEP_H_
 
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/convoy.h"
@@ -38,6 +39,22 @@ struct SweepOptions {
   bool keep_left_border = false;
   bool keep_right_border = false;
 };
+
+/// Active candidates: object set -> earliest start tick. Keeping only the
+/// earliest start per set is sound because a later-started duplicate is
+/// always a sub-convoy of the earlier one.
+using CandidateMap = std::unordered_map<ObjectSet, Timestamp, ObjectSetHash>;
+
+/// One step of the candidate fold, which the sweep runs per tick and the
+/// DCM merge (SpanningConvoyMerger) per hop-window: intersects each active
+/// set with every cluster, keeps each intersection of >= m objects at its
+/// earliest start, calls `died(set, start)`, in no particular order, for
+/// each active set that no cluster holds whole, and opens a candidate at
+/// `now` for every cluster of >= m objects.
+void FoldCandidates(
+    CandidateMap* active, const std::vector<ObjectSet>& clusters, int m,
+    Timestamp now,
+    const std::function<void(const ObjectSet& set, Timestamp start)>& died);
 
 /// Mines all maximal convoys inside `range` (every tick in the range is
 /// consulted; ticks without clusters terminate every candidate). The result

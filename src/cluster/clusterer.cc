@@ -1,7 +1,9 @@
 #include "cluster/clusterer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "cluster/graph_clusterer.h"
@@ -76,6 +78,21 @@ Status ValidateMiningParams(const MiningParams& params) {
         std::to_string(params.k));
   }
   return ResolveClusterer(params)->ValidateParams(params);
+}
+
+Status ValidateTickRange(TimeRange range, const MiningParams& params) {
+  if (range.empty()) return Status::OK();
+  const Timestamp first = kInvalidTimestamp + 1;
+  const Timestamp last =
+      std::numeric_limits<Timestamp>::max() - std::max(1, params.k / 2);
+  if (range.start < first || range.end > last) {
+    return Status::Invalid(
+        "ticks must lie in [" + std::to_string(first) + ", " +
+        std::to_string(last) + "] for k=" + std::to_string(params.k) +
+        ", got [" + std::to_string(range.start) + ", " +
+        std::to_string(range.end) + "]");
+  }
+  return Status::OK();
 }
 
 }  // namespace k2

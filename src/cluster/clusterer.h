@@ -119,6 +119,14 @@ const SnapshotClusterer* ResolveClusterer(const MiningParams& params);
 /// this accepts exactly the set MiningParams::Valid() accepts.
 Status ValidateMiningParams(const MiningParams& params);
 
+/// The ticks every miner accepts: (INT32_MIN, INT32_MAX - ⌊k/2⌋]. INT32_MIN
+/// is kInvalidTimestamp, and above the upper bound the benchmark grid's
+/// next step of ⌊k/2⌋ ticks would wrap. A range that leaves these bounds is
+/// a named kInvalid error; an empty range passes. Every public miner entry
+/// checks its store's time_range() here, next to the store's status(), and
+/// OnlineK2HopMiner::AppendTick checks each tick. `params` must be valid.
+Status ValidateTickRange(TimeRange range, const MiningParams& params);
+
 }  // namespace k2
 
 #endif  // K2_CLUSTER_CLUSTERER_H_

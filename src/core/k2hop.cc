@@ -215,37 +215,17 @@ Result<std::vector<ObjectSet>> HwmtSpanning(
   return surviving;
 }
 
-namespace {
-
-void AddEarliest(SpanningConvoyMerger::StartMap* map, ObjectSet set,
-                 Timestamp start);
-
-}  // namespace
-
 void SpanningConvoyMerger::AddWindow(Timestamp window_start,
                                      const std::vector<ObjectSet>& spanning,
                                      std::vector<Convoy>* died) {
-  StartMap next;
   // Deaths of one window can dominate each other (active entries overlap);
   // deaths of different windows never can, so a per-window maximal set is
   // enough to reproduce the global merge result.
   MaximalConvoySet window_died;
-  for (const auto& [set, start] : active_) {
-    bool fully_extended = false;
-    for (const ObjectSet& s : spanning) {
-      ObjectSet x = ObjectSet::Intersect(set, s);
-      if (x.size() < static_cast<size_t>(m_)) continue;
-      if (x == set) fully_extended = true;
-      AddEarliest(&next, std::move(x), start);
-    }
-    if (!fully_extended) {
-      window_died.Insert(Convoy(set, start, window_start));
-    }
-  }
-  for (const ObjectSet& s : spanning) {
-    AddEarliest(&next, s, window_start);
-  }
-  active_ = std::move(next);
+  FoldCandidates(&active_, spanning, m_, window_start,
+                 [&](const ObjectSet& set, Timestamp start) {
+                   window_died.Insert(Convoy(set, start, window_start));
+                 });
   for (Convoy& v : window_died.TakeSorted()) died->push_back(std::move(v));
 }
 
@@ -258,31 +238,6 @@ void SpanningConvoyMerger::Finish(Timestamp last_benchmark,
   active_.clear();
   for (Convoy& v : closing.TakeSorted()) died->push_back(std::move(v));
 }
-
-std::vector<Convoy> MergeSpanningConvoys(
-    const std::vector<std::vector<ObjectSet>>& spanning,
-    const std::vector<Timestamp>& benchmarks, int m) {
-  MaximalConvoySet results;
-  SpanningConvoyMerger merger(m);
-  std::vector<Convoy> died;
-  for (size_t w = 0; w < spanning.size(); ++w) {
-    merger.AddWindow(benchmarks[w], spanning[w], &died);
-  }
-  if (!benchmarks.empty()) merger.Finish(benchmarks.back(), &died);
-  for (Convoy& v : died) results.Insert(std::move(v));
-  return results.TakeSorted();
-}
-
-namespace {
-
-/// Merge/extension bookkeeping: object set -> earliest start seen.
-void AddEarliest(SpanningConvoyMerger::StartMap* map, ObjectSet set,
-                 Timestamp start) {
-  auto [it, inserted] = map->try_emplace(std::move(set), start);
-  if (!inserted && start < it->second) it->second = start;
-}
-
-}  // namespace
 
 void WalkGroup::Start(const Convoy& seed) {
   Walk walk;
@@ -572,6 +527,7 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
                                       K2HopStats* stats) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
   K2_RETURN_NOT_OK(store->status());
+  K2_RETURN_NOT_OK(ValidateTickRange(store->time_range(), params));
   K2HopStats local;
   K2HopStats* s = stats != nullptr ? stats : &local;
   *s = K2HopStats();
@@ -628,12 +584,12 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
     s->phases.Add("merge", sw.ElapsedSeconds());
   }
 
-  // Close the fold: the maximal spanning convoys.
+  // Close the fold. Its deaths are the maximal spanning convoys already:
+  // deaths of different windows never dominate each other.
   Stopwatch sw;
   merger.Finish(benchmarks.back(), &died);
-  MaximalConvoySet maximal;
-  for (Convoy& v : died) maximal.Insert(std::move(v));
-  std::vector<Convoy> merged = maximal.TakeSorted();
+  std::vector<Convoy> merged = std::move(died);
+  SortConvoys(&merged);
   s->merged_convoys = merged.size();
   s->phases.Add("merge", sw.ElapsedSeconds());
 

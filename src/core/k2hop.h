@@ -27,9 +27,9 @@
 #define K2_CORE_K2HOP_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "baselines/sweep.h"
 #include "cluster/store_clustering.h"
 #include "common/convoy.h"
 #include "common/status.h"
@@ -111,7 +111,9 @@ struct K2HopStats {
 };
 
 /// Mines all maximal fully connected (m,eps)-convoys with lifespan >= k
-/// (Algorithm 1). `stats` may be null; it is reset first.
+/// (Algorithm 1). `stats` may be null; it is reset first. The store's ticks
+/// must lie in (INT32_MIN, INT32_MAX - ⌊k/2⌋] (ValidateTickRange); any
+/// other range is a kInvalid error.
 Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
                                       const K2HopOptions& options = {},
                                       K2HopStats* stats = nullptr);
@@ -179,28 +181,19 @@ Result<std::vector<ObjectSet>> HwmtSpanning(
     std::vector<ProvenRun>* proven = nullptr,
     const ProofBook* book = nullptr);
 
-/// DCM merge (Sec. 4.4): folds per-window spanning convoys left to right
-/// into maximal spanning convoys. `spanning[i]` spans
-/// [benchmarks[i], benchmarks[i+1]].
-std::vector<Convoy> MergeSpanningConvoys(
-    const std::vector<std::vector<ObjectSet>>& spanning,
-    const std::vector<Timestamp>& benchmarks, int m);
-
-/// Incremental form of the DCM merge: feed the spanning convoys of one
-/// closed hop-window at a time, left to right. A merged spanning convoy is
-/// surfaced ("dies") the moment it fails to extend into the next window, so
-/// the online miner can hand it to extension without waiting for the rest
-/// of the stream. Feeding every window and then Finish() yields exactly the
-/// convoy set of MergeSpanningConvoys (which is implemented on top of this
-/// class): dominance between merged convoys can only occur between convoys
-/// dying at the same window — an earlier death can never be dominated by a
-/// later one, because an object set that dies at window w cannot have a
-/// superset still spanning w.
+/// The DCM merge (Sec. 4.4): folds the spanning convoys of one closed
+/// hop-window at a time, left to right, into maximal spanning convoys, one
+/// FoldCandidates step (baselines/sweep.h) per window. A merged spanning
+/// convoy is surfaced ("dies") the moment it fails to extend into the next
+/// window, so the online miner can hand it to extension without waiting for
+/// the rest of the stream. Feeding every window and then Finish() yields
+/// the maximal spanning convoys with no further filter: dominance between
+/// merged convoys can only occur between convoys dying at the same window,
+/// and each window's deaths come out maximal. An earlier death can never
+/// be dominated by a later one, because an object set that dies at window
+/// w cannot have a superset still spanning w.
 class SpanningConvoyMerger {
  public:
-  /// Object set -> earliest tick the set has been spanning since.
-  using StartMap = std::unordered_map<ObjectSet, Timestamp, ObjectSetHash>;
-
   explicit SpanningConvoyMerger(int m) : m_(m) {}
 
   /// Folds the window that starts at benchmark `window_start`; appends to
@@ -218,7 +211,7 @@ class SpanningConvoyMerger {
 
  private:
   int m_;
-  StartMap active_;
+  CandidateMap active_;  ///< spanning set -> earliest tick it spans since
 };
 
 /// Extension walks in lockstep (Algorithm 3 and its mirror — the inner

@@ -60,6 +60,7 @@ Status OnlineK2HopMiner::AppendTick(Timestamp t,
                            std::to_string(t) + " is not past the frontier " +
                            std::to_string(frontier_));
   }
+  K2_RETURN_NOT_OK(ValidateTickRange({t, t}, params_));
   Stopwatch tick_sw;
   // The wire path sends ticks strictly increasing by oid already.
   if (std::adjacent_find(points.begin(), points.end(),
@@ -135,14 +136,12 @@ Status OnlineK2HopMiner::ProcessBenchmark(Timestamp b) {
     return Status::OK();
   }));
   ++stats_.benchmark_points;
-  if (have_prev_benchmark_) {
+  if (prev_benchmark_ != kInvalidTimestamp) {
     K2_RETURN_NOT_OK(
         CloseWindow(prev_benchmark_, b, prev_benchmark_clusters_, clusters));
   }
   prev_benchmark_clusters_ = std::move(clusters);
   prev_benchmark_ = b;
-  have_prev_benchmark_ = true;
-  last_benchmark_ = b;
   return Status::OK();
 }
 
@@ -209,55 +208,44 @@ Status OnlineK2HopMiner::AdvanceWalks(Timestamp upto) {
 
 Status OnlineK2HopMiner::OnRightResult(Convoy r) {
   if (!right_seen_.insert(r).second) return Status::OK();
-  // During Finalize the eager channel stays quiet: everything left is
-  // either an open convoy or resolved by the barriers right after.
-  if (finalizing_) return Status::OK();
-  K2_ASSIGN_OR_RETURN(const std::vector<Convoy>* lefts, LeftPieces(r));
-  for (const Convoy& f : *lefts) {
-    if (f.length() < params_.k) continue;
-    K2_ASSIGN_OR_RETURN(const std::vector<Convoy>* pieces, ValidatedPieces(f));
-    for (const Convoy& p : *pieces) Emit(p);
+  K2_ASSIGN_OR_RETURN(std::vector<Convoy> lefts, LeftPieces(r));
+  for (const Convoy& f : lefts) {
+    // A left piece that validation already produced is FC: validating it
+    // again would return the piece itself.
+    if (f.length() < params_.k || validated_.contains(f)) continue;
+    K2_ASSIGN_OR_RETURN(std::vector<Convoy> pieces, ValidatedPieces(f));
+    for (const Convoy& p : pieces) Emit(p);
   }
   return Status::OK();
 }
 
-void OnlineK2HopMiner::Emit(const Convoy& closed) {
-  if (!emitted_.insert(closed).second) return;
-  closed_.push_back(closed);
+void OnlineK2HopMiner::Emit(const Convoy& validated) {
+  if (!validated_.insert(validated).second || finalizing_) return;
+  closed_.push_back(validated);
   ++stats_.closed_convoys;
-  if (options_.on_closed) options_.on_closed(closed);
+  if (options_.on_closed) options_.on_closed(validated);
 }
 
-Result<const std::vector<Convoy>*> OnlineK2HopMiner::LeftPieces(
-    const Convoy& r) {
-  auto it = left_cache_.find(r);
-  if (it != left_cache_.end()) return &it->second;
-  // Every tick left of r.start is final, so the walk result can never
-  // change — compute once, reuse at the Finalize barrier.
+Result<std::vector<Convoy>> OnlineK2HopMiner::LeftPieces(const Convoy& r) {
+  // Every tick left of r.start is final, so the walk reads only final data.
   std::vector<Convoy> pieces;
   K2_RETURN_NOT_OK(Mined("extend-left", [&]() -> Status {
-    auto result = ExtendLeft(store_, params_, {r}, start_, &book_);
-    K2_RETURN_NOT_OK(result.status());
-    pieces = result.MoveValue();
+    K2_ASSIGN_OR_RETURN(pieces,
+                        ExtendLeft(store_, params_, {r}, start_, &book_));
     return Status::OK();
   }));
-  it = left_cache_.emplace(r, std::move(pieces)).first;
-  return &it->second;
+  return pieces;
 }
 
-Result<const std::vector<Convoy>*> OnlineK2HopMiner::ValidatedPieces(
+Result<std::vector<Convoy>> OnlineK2HopMiner::ValidatedPieces(
     const Convoy& f) {
-  auto it = validate_cache_.find(f);
-  if (it != validate_cache_.end()) return &it->second;
   std::vector<Convoy> pieces;
   K2_RETURN_NOT_OK(Mined("validation", [&]() -> Status {
     ValidationStats vs;
     SnapshotSlots slots(store_, 1);
     std::vector<ProvenRun> proven;
-    auto result = slots.Validate(params_, {f}, book_, &vs,
-                                 /*recursive=*/true, &proven);
-    K2_RETURN_NOT_OK(result.status());
-    pieces = result.MoveValue();
+    K2_ASSIGN_OR_RETURN(pieces, slots.Validate(params_, {f}, book_, &vs,
+                                               /*recursive=*/true, &proven));
     book_.Add(proven);
     stats_.validation.candidates_in += vs.candidates_in;
     stats_.validation.fc_accepted += vs.fc_accepted;
@@ -267,8 +255,7 @@ Result<const std::vector<Convoy>*> OnlineK2HopMiner::ValidatedPieces(
     stats_.validation.probed_points += vs.probed_points;
     return Status::OK();
   }));
-  it = validate_cache_.emplace(f, std::move(pieces)).first;
-  return &it->second;
+  return pieces;
 }
 
 Result<std::vector<Convoy>> OnlineK2HopMiner::Finalize() {
@@ -277,22 +264,28 @@ Result<std::vector<Convoy>> OnlineK2HopMiner::Finalize() {
   finalizing_ = true;
   stats_.total_points = store_->num_points();
   const TimeRange range{start_, frontier_};
-  if (stats_.ticks_ingested == 0 || range.length() < params_.k) {
-    final_result_.emplace();
-    return *final_result_;
+  if (stats_.ticks_ingested > 0 && range.length() >= params_.k) {
+    status_ = FlushStream();
+    K2_RETURN_NOT_OK(status_);
   }
+  // Validation produced every convoy batch MineK2Hop returns, since the
+  // walks are batch's walks, and each convoy it produced is FC with
+  // lifespan >= k, so it lies inside one of those. Their maximal ones are
+  // batch's answer.
+  final_result_ = FilterMaximal({validated_.begin(), validated_.end()});
+  right_seen_.clear();
+  validated_.clear();
+  book_ = ProofBook();
+  return *final_result_;
+}
 
-  auto fail = [&](Status s) {
-    status_ = std::move(s);
-    return status_;
-  };
-
+Status OnlineK2HopMiner::FlushStream() {
   // 1. Flush the merge at the final benchmark point; the still-active
   //    spanning convoys become right-extension seeds like any other death.
   std::vector<Convoy> died;
   {
     Stopwatch sw;
-    merger_.Finish(last_benchmark_, &died);
+    merger_.Finish(prev_benchmark_, &died);
     stats_.phases.Add("merge", sw.ElapsedSeconds());
   }
   stats_.merged_convoys += died.size();
@@ -300,43 +293,18 @@ Result<std::vector<Convoy>> OnlineK2HopMiner::Finalize() {
     ++stats_.walks_started;
     walks_.Start(v);
   }
-  Status s = AdvanceWalks(frontier_);
-  if (!s.ok()) return fail(std::move(s));
+  K2_RETURN_NOT_OK(AdvanceWalks(frontier_));
 
   // 2. Branches that survived to the frontier are the open convoys: close
   //    them at the dataset boundary, as batch ExtendRight does at range.end.
+  //    They take the same tail as every other right result, silently.
   std::vector<Convoy> open;
   std::vector<ProvenRun> proven;
   walks_.Flush(frontier_, &open, &proven);
   book_.Add(proven);
   stats_.open_convoys = open.size();
-  for (Convoy& c : open) {
-    s = OnRightResult(std::move(c));
-    if (!s.ok()) return fail(std::move(s));
-  }
-
-  // 3. Replay the batch pipeline's global barriers over the accumulated
-  //    per-convoy results. All heavy per-convoy work (right walks, left
-  //    walks, validation) is already cached; only the set algebra runs here.
-  MaximalConvoySet rset;
-  for (const Convoy& r : right_seen_) rset.Insert(r);
-  right_seen_.clear();
-  const std::vector<Convoy> right_maximal = rset.TakeSorted();
-
-  MaximalConvoySet lset;
-  for (const Convoy& r : right_maximal) {
-    auto lp = LeftPieces(r);
-    if (!lp.ok()) return fail(lp.status());
-    for (const Convoy& f : *lp.value()) lset.Insert(f);
-  }
-  MaximalConvoySet out;
-  for (const Convoy& f : FilterMinLength(lset.TakeSorted(), params_.k)) {
-    auto vp = ValidatedPieces(f);
-    if (!vp.ok()) return fail(vp.status());
-    for (const Convoy& p : *vp.value()) out.Insert(p);
-  }
-  final_result_ = out.TakeSorted();
-  return *final_result_;
+  for (Convoy& c : open) K2_RETURN_NOT_OK(OnRightResult(std::move(c)));
+  return Status::OK();
 }
 
 }  // namespace k2

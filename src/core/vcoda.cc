@@ -9,6 +9,7 @@ Result<std::vector<Convoy>> MineVcoda(Store* store, const MiningParams& params,
                                       bool corrected, VcodaStats* stats) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
   K2_RETURN_NOT_OK(store->status());
+  K2_RETURN_NOT_OK(ValidateTickRange(store->time_range(), params));
   const IoStats io_before = store->io_stats();
   VcodaStats local;
   VcodaStats* s = stats != nullptr ? stats : &local;

@@ -4,18 +4,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <span>
 #include <tuple>
 
+#include "baselines/cmc.h"
+#include "baselines/cuts.h"
+#include "baselines/dcm.h"
 #include "baselines/gold.h"
+#include "baselines/spare.h"
 #include "cluster/store_clustering.h"
 #include "common/rng.h"
 #include "core/k2hop.h"
 #include "core/online.h"
 #include "core/snapshot_slots.h"
 #include "core/tick_probe.h"
+#include "core/vcoda.h"
 #include "gen/synthetic.h"
 #include "storage/memory_store.h"
 #include "storage/store.h"
@@ -431,6 +438,19 @@ TEST(HwmtTest, OneFetchPerProbedTickForTheUnionOfTheSurvivingSets) {
 // Merge — the paper's Fig. 5 / Table 3 example
 // ---------------------------------------------------------------------------
 
+/// Folds `spanning[w]` as the window that starts at `benchmarks[w]`, then
+/// finishes at the last benchmark; returns every death.
+std::vector<Convoy> Merge(const std::vector<std::vector<ObjectSet>>& spanning,
+                          const std::vector<Timestamp>& benchmarks, int m) {
+  SpanningConvoyMerger merger(m);
+  std::vector<Convoy> died;
+  for (size_t w = 0; w < spanning.size(); ++w) {
+    merger.AddWindow(benchmarks[w], spanning[w], &died);
+  }
+  merger.Finish(benchmarks.back(), &died);
+  return died;
+}
+
 TEST(MergeTest, PaperTable3Example) {
   // Objects a..k = 1..11. Four hop-windows [b0,b1],[b1,b2],[b2,b3],[b3,b4].
   // H0: {a,b,c,d}, {e,f,g,h}, {i,j,k}
@@ -448,11 +468,9 @@ TEST(MergeTest, PaperTable3Example) {
       {ObjectSet::Of({1, 2}), ObjectSet::Of({3, 4, 7, 8}),
        ObjectSet::Of({5, 6})},
   };
-  const std::vector<Convoy> merged =
-      MergeSpanningConvoys(spanning, benchmarks, 2);
   // Expected maximal spanning convoys (Table 3, final column plus the
   // finished rows of earlier columns):
-  const std::vector<Convoy> expected = FilterMaximal({
+  const std::vector<Convoy> expected = {
       C({1, 2, 3, 4}, 0, 8),   // {a,b,c,d} [b0,b2]
       C({5, 6, 7, 8}, 0, 4),   // {e,f,g,h} [b0,b1]
       C({9, 10, 11}, 0, 4),    // {i,j,k}   [b0,b1]
@@ -463,21 +481,21 @@ TEST(MergeTest, PaperTable3Example) {
       C({3, 4, 7, 8}, 8, 16),  // {c,d,g,h} [b2,b4]
       C({1, 2, 5, 6}, 8, 12),  // {a,b,e,f} [b2,b3]
       C({9, 10, 11}, 8, 12),   // {i,j,k}   [b2,b3]
-  });
-  EXPECT_SAME_CONVOYS(merged, expected);
+  };
+  EXPECT_SAME_CONVOYS(Merge(spanning, benchmarks, 2), expected);
 }
 
 TEST(MergeTest, EmptyWindowBreaksChains) {
   const std::vector<Timestamp> benchmarks{0, 4, 8};
   const std::vector<std::vector<ObjectSet>> spanning = {
       {ObjectSet::Of({1, 2})}, {}};
-  const auto merged = MergeSpanningConvoys(spanning, benchmarks, 2);
+  const auto merged = Merge(spanning, benchmarks, 2);
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0], C({1, 2}, 0, 4));
 }
 
 TEST(MergeTest, NoWindows) {
-  EXPECT_TRUE(MergeSpanningConvoys({}, {0}, 2).empty());
+  EXPECT_TRUE(Merge({}, {0}, 2).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -1160,6 +1178,76 @@ TEST(K2HopTest, FailedSnapshotOpenIsTheMinesError) {
   ASSERT_TRUE(want.ok());
   ASSERT_FALSE(want.value().empty()) << "weak test input";
   EXPECT_EQ(mined.value(), want.value());
+}
+
+// ---------------------------------------------------------------------------
+// The minable tick range, (INT32_MIN, INT32_MAX - ⌊k/2⌋]
+// ---------------------------------------------------------------------------
+
+Dataset Shifted(const Dataset& data, Timestamp shift) {
+  DatasetBuilder builder;
+  for (const PointRecord& rec : data.records()) {
+    builder.Add(rec.t + shift, rec.oid, rec.x, rec.y);
+  }
+  return builder.Build();
+}
+
+TEST(K2HopTest, EveryMinerRejectsTicksOutsideTheMinableRange) {
+  // On ticks [INT32_MAX - 5, INT32_MAX] the benchmark grid would wrap and
+  // grow without end, and so would the baselines' tick loops. A range
+  // starting at INT32_MIN (kInvalidTimestamp) is out too.
+  DatasetBuilder builder;
+  for (Timestamp t = 0; t <= 5; ++t) {
+    builder.Add(t, 1, 0.0, 0.0);
+    builder.Add(t, 2, 0.5, 0.0);
+  }
+  const Dataset at_zero = builder.Build();
+  const MiningParams params{2, 4, 1.0};
+  using MineFn = std::function<Result<std::vector<Convoy>>(Store*)>;
+  const std::map<std::string, MineFn> miners = {
+      {"k2hop", [&](Store* s) { return MineK2Hop(s, params); }},
+      {"cmc", [&](Store* s) { return MineCmc(s, params); }},
+      {"pccd", [&](Store* s) { return MinePccd(s, params); }},
+      {"vcoda", [&](Store* s) { return MineVcoda(s, params); }},
+      {"dcm", [&](Store* s) { return MineDcm(s, params); }},
+      {"spare", [&](Store* s) { return MineSpare(s, params); }},
+      {"cuts", [&](Store* s) { return MineCuts(s, params); }},
+  };
+  const Timestamp max = std::numeric_limits<Timestamp>::max();
+  for (Timestamp shift : {max - 5, kInvalidTimestamp}) {
+    auto store = MakeMemStore(Shifted(at_zero, shift));
+    for (const auto& [name, mine] : miners) {
+      auto mined = mine(store.get());
+      ASSERT_FALSE(mined.ok()) << name << " at " << shift;
+      EXPECT_EQ(mined.status().code(), StatusCode::kInvalid) << name;
+      EXPECT_NE(mined.status().message().find("ticks must lie in"),
+                std::string::npos)
+          << mined.status().ToString();
+    }
+  }
+}
+
+TEST(K2HopTest, RangeEndingAtTheTickBoundMinesAsAtTickZero) {
+  RandomWalkSpec spec;
+  spec.num_objects = 12;
+  spec.num_ticks = 30;
+  spec.area = 50.0;
+  spec.step = 6.0;
+  spec.seed = 77;
+  const Dataset data = GenerateRandomWalk(spec);
+  const MiningParams params{2, 6, 9.0};
+  // The last tick lands exactly on INT32_MAX - ⌊k/2⌋.
+  const Timestamp shift =
+      std::numeric_limits<Timestamp>::max() - 3 - data.time_range().end;
+  auto want = MineK2Hop(MakeMemStore(data).get(), params);
+  auto shifted = MineK2Hop(MakeMemStore(Shifted(data, shift)).get(), params);
+  ASSERT_TRUE(want.ok() && shifted.ok()) << shifted.status().ToString();
+  ASSERT_FALSE(want.value().empty()) << "weak test input";
+  std::vector<Convoy> back;
+  for (const Convoy& v : shifted.value()) {
+    back.push_back(Convoy(v.objects, v.start - shift, v.end - shift));
+  }
+  EXPECT_EQ(back, want.value());
 }
 
 }  // namespace

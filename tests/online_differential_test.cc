@@ -3,7 +3,8 @@
 // IDENTICAL (same vector, canonical order) to batch MineK2Hop over the
 // bulk-loaded data with the same parameters — on every storage engine, on
 // adversarial dense random walks, on datasets whose length is not a
-// multiple of ⌊k/2⌋, on tick streams with gaps, and on Brinkhoff data.
+// multiple of ⌊k/2⌋, on tick streams with gaps, on Brinkhoff data, and on a
+// Trucks stream where later convoys subsume eager emissions.
 #include <algorithm>
 #include <memory>
 
@@ -14,6 +15,7 @@
 #include "core/online.h"
 #include "gen/brinkhoff.h"
 #include "gen/synthetic.h"
+#include "gen/trucks.h"
 #include "tests/test_util.h"
 
 namespace k2 {
@@ -182,6 +184,55 @@ TEST(OnlineBrinkhoffTest, StreamingMatchesBatchOnMemoryAndLsm) {
   const MiningParams mining{3, 10, 60.0};
   for (StoreKind kind : {StoreKind::kMemory, StoreKind::kLsm}) {
     ExpectStreamingMatchesBatch(data, mining, kind, "brinkhoff");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Dominance: a convoy that ends later subsumes an eager emission
+// ---------------------------------------------------------------------------
+
+TEST(OnlineDominanceTest, FinalizeDropsEmissionsThatLaterConvoysSubsume) {
+  // Slow Trucks at a short k: some convoys closed eagerly are subsumed by
+  // convoys that end later (7 of 170 here), so Finalize() must fold them
+  // away rather than return every emission.
+  TrucksParams trucks;
+  trucks.num_trajectories = 138;
+  trucks.ticks = 600;
+  trucks.seed = 13;
+  trucks.grid.side_speed = 18.0;
+  trucks.grid.main_speed = 30.0;
+  trucks.grid.highway_speed = 45.0;
+  const Dataset data = GenerateTrucks(trucks);
+  const MiningParams params{2, 10, 40.0};
+  for (StoreKind kind : {StoreKind::kMemory, StoreKind::kLsm}) {
+    SCOPED_TRACE(StoreKindName(kind));
+    auto store = CreateStore(kind, ScratchDir("online_dominance") + "/" +
+                                       StoreKindName(kind));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    std::vector<Convoy> emitted;
+    OnlineK2HopOptions options;
+    options.on_closed = [&](const Convoy& v) { emitted.push_back(v); };
+    OnlineK2HopMiner miner(store.value().get(), params, options);
+    for (Timestamp t : data.timestamps()) {
+      ASSERT_TRUE(miner.AppendTick(t, SnapshotPoints(data, t)).ok()) << t;
+    }
+    auto streamed = miner.Finalize();
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    const std::vector<Convoy>& final_set = streamed.value();
+    size_t subsumed = 0;
+    for (const Convoy& v : emitted) {
+      if (std::find(final_set.begin(), final_set.end(), v) == final_set.end()) {
+        ++subsumed;
+      }
+      EXPECT_TRUE(std::any_of(
+          final_set.begin(), final_set.end(),
+          [&](const Convoy& w) { return v.IsSubConvoyOf(w); }))
+          << v.DebugString() << " is inside no final convoy";
+    }
+    EXPECT_GT(subsumed, 0u) << "no emission was subsumed: weak test input";
+    auto batch = MineK2Hop(store.value().get(), params);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(final_set, batch.value());
   }
 }
 

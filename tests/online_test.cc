@@ -4,6 +4,9 @@
 // (the heavy randomized equivalence lives in online_differential_test.cc).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/rng.h"
 #include "core/k2hop.h"
 #include "core/online.h"
@@ -44,6 +47,8 @@ std::vector<Convoy> BatchMine(const Dataset& data, const MiningParams& params) {
 // ---------------------------------------------------------------------------
 
 TEST(SpanningConvoyMergerTest, IncrementalEqualsBatchOnPaperTable3) {
+  // The windows of MergeTest.PaperTable3Example (objects a..k = 1..11): each
+  // row of Table 3's answer surfaces at the window where it stops extending.
   const std::vector<Timestamp> benchmarks{0, 4, 8, 12, 16};
   const std::vector<std::vector<ObjectSet>> spanning = {
       {ObjectSet::Of({1, 2, 3, 4}), ObjectSet::Of({5, 6, 7, 8}),
@@ -55,16 +60,64 @@ TEST(SpanningConvoyMergerTest, IncrementalEqualsBatchOnPaperTable3) {
       {ObjectSet::Of({1, 2}), ObjectSet::Of({3, 4, 7, 8}),
        ObjectSet::Of({5, 6})},
   };
-  const std::vector<Convoy> batch =
-      MergeSpanningConvoys(spanning, benchmarks, 2);
-
+  const std::vector<std::vector<Convoy>> deaths_by_window = {
+      {},
+      {C({5, 6, 7, 8}, 0, 4), C({9, 10, 11}, 0, 4)},
+      {C({1, 2, 3, 4}, 0, 8)},
+      {C({1, 2, 5, 6}, 8, 12), C({9, 10, 11}, 8, 12)},
+  };
   SpanningConvoyMerger merger(2);
-  std::vector<Convoy> died;
   for (size_t w = 0; w < spanning.size(); ++w) {
+    std::vector<Convoy> died;
     merger.AddWindow(benchmarks[w], spanning[w], &died);
+    EXPECT_SAME_CONVOYS(died, deaths_by_window[w]) << "window " << w;
   }
+  std::vector<Convoy> died;
   merger.Finish(benchmarks.back(), &died);
-  EXPECT_SAME_CONVOYS(died, batch);
+  EXPECT_SAME_CONVOYS(died, std::vector<Convoy>({C({1, 2}, 0, 16),
+                                                 C({3, 4}, 0, 16),
+                                                 C({5, 6}, 0, 16),
+                                                 C({7, 8}, 0, 16),
+                                                 C({3, 4, 7, 8}, 8, 16)}));
+}
+
+TEST(SpanningConvoyMergerTest, DeathsAreMaximalWithoutAFilter) {
+  // The batch miner takes the merger's deaths as the maximal spanning
+  // convoys without filtering them: no death dominates another, within a
+  // window or across windows. Random windows over 12 objects, with the
+  // pairwise disjoint sets HWMT returns and with overlapping ones.
+  Rng rng(20261019);
+  size_t deaths = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const bool disjoint = trial % 2 == 0;
+    const int m = 2 + static_cast<int>(rng.NextInt(2));
+    SpanningConvoyMerger merger(m);
+    std::vector<Convoy> died;
+    Timestamp b = 0;
+    const int windows = 1 + static_cast<int>(rng.NextInt(8));
+    for (int w = 0; w < windows; ++w, b += 4) {
+      std::vector<ObjectId> objects(12);
+      for (ObjectId i = 0; i < objects.size(); ++i) objects[i] = i;
+      for (size_t i = objects.size(); i > 1; --i) {
+        std::swap(objects[i - 1], objects[rng.NextInt(i)]);
+      }
+      std::vector<ObjectSet> spanning;
+      for (size_t used = 0, sets = rng.NextInt(5); sets > 0; --sets) {
+        const size_t size = m + rng.NextInt(4);
+        if (disjoint && used + size > objects.size()) break;
+        const size_t from =
+            disjoint ? used : rng.NextInt(objects.size() - size + 1);
+        spanning.push_back(ObjectSet(std::vector<ObjectId>(
+            objects.begin() + from, objects.begin() + from + size)));
+        used += size;
+      }
+      merger.AddWindow(b, spanning, &died);
+    }
+    merger.Finish(b, &died);
+    deaths += died.size();
+    EXPECT_SAME_CONVOYS(FilterMaximal(died), died) << "trial " << trial;
+  }
+  EXPECT_GT(deaths, 2000u) << "weak test input";
 }
 
 TEST(SpanningConvoyMergerTest, DeathSurfacesAtItsWindow) {
@@ -136,6 +189,58 @@ TEST(OnlineK2HopTest, RejectsOutOfOrderAppends) {
   EXPECT_EQ(bad.code(), StatusCode::kInvalid);
   // The miner stays usable after a rejected (not-applied) append.
   EXPECT_TRUE(miner.AppendTick(6, {{1, 0, 0}, {2, 0.5, 0}}).ok());
+}
+
+TEST(OnlineK2HopTest, RejectsTicksOutsideTheMinableRange) {
+  // Past INT32_MAX - ⌊k/2⌋ the benchmark schedule would wrap and Drain()
+  // would never return; INT32_MIN is kInvalidTimestamp.
+  MemoryStore store;
+  OnlineK2HopMiner miner(&store, {3, 30, 30.0});
+  const std::vector<SnapshotPoint> group = {{1, 0, 0}, {2, 0.5, 0}, {3, 1, 0}};
+  const Timestamp max = std::numeric_limits<Timestamp>::max();
+  for (Timestamp t : {max, max - 14, kInvalidTimestamp}) {
+    const Status s = miner.AppendTick(t, group);
+    EXPECT_EQ(s.code(), StatusCode::kInvalid) << t;
+    EXPECT_NE(s.message().find("ticks must lie in"), std::string::npos)
+        << s.ToString();
+  }
+  EXPECT_EQ(store.num_points(), 0u);
+  EXPECT_EQ(miner.frontier(), kInvalidTimestamp);
+  // The miner still works afterwards.
+  for (Timestamp t = 0; t < 40; ++t) {
+    ASSERT_TRUE(miner.AppendTick(t, group).ok()) << t;
+  }
+  auto result = miner.Finalize();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value(), std::vector<Convoy>{C({1, 2, 3}, 0, 39)});
+}
+
+TEST(OnlineK2HopTest, StreamEndingAtTheTickBoundMinesAsAtTickZero) {
+  RandomWalkSpec spec;
+  spec.num_objects = 10;
+  spec.num_ticks = 30;
+  spec.area = 50.0;
+  spec.step = 6.0;
+  spec.seed = 77;
+  const Dataset data = GenerateRandomWalk(spec);
+  const MiningParams params{2, 6, 9.0};
+  // The last tick lands exactly on INT32_MAX - ⌊k/2⌋.
+  const Timestamp shift =
+      std::numeric_limits<Timestamp>::max() - 3 - data.time_range().end;
+  MemoryStore store;
+  OnlineK2HopMiner miner(&store, params);
+  for (Timestamp t : data.timestamps()) {
+    ASSERT_TRUE(miner.AppendTick(t + shift, SnapshotPoints(data, t)).ok());
+  }
+  auto shifted = miner.Finalize();
+  ASSERT_TRUE(shifted.ok()) << shifted.status().ToString();
+  std::vector<Convoy> back;
+  for (const Convoy& v : shifted.value()) {
+    back.push_back(Convoy(v.objects, v.start - shift, v.end - shift));
+  }
+  const std::vector<Convoy> want = BatchMine(data, params);
+  ASSERT_FALSE(want.empty()) << "weak test input";
+  EXPECT_EQ(back, want);
 }
 
 TEST(OnlineK2HopTest, RejectsAppendAfterFinalizeAndIsIdempotent) {

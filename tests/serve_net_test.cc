@@ -523,6 +523,26 @@ TEST(K2ServerTest, RejectedTickKeepsConnectionUsable) {
   EXPECT_TRUE(server.value()->serving_status().ok());
 }
 
+TEST(K2ServerTest, TickAtTheTopOfTheRangeIsRejected) {
+  // A tick at INT32_MAX would wrap the miner's benchmark schedule, and the
+  // ingest would hold the ingest lock forever: the server must reject it
+  // and keep answering.
+  auto server = K2Server::Start(TestServerOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = MustConnect(*server.value());
+  ASSERT_NE(client, nullptr);
+  const std::vector<SnapshotPoint> tick = {
+      {1, 0.0, 0.0}, {2, 1.0, 0.0}, {3, 2.0, 0.0}};
+  auto rejected = client->Ingest(std::numeric_limits<Timestamp>::max(), tick);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().ToString().find("IngestRejected"),
+            std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_TRUE(client->Ping().ok());
+  EXPECT_TRUE(client->Ingest(0, tick).ok());
+  EXPECT_TRUE(server.value()->serving_status().ok());
+}
+
 TEST(K2ServerTest, NonFiniteCoordinateIsRejected) {
   auto server = K2Server::Start(TestServerOptions());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
