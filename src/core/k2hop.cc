@@ -48,11 +48,23 @@ std::vector<Timestamp> BinarySubdivisionOrder(TimeRange range) {
   return order;
 }
 
-std::vector<Timestamp> BenchmarkPoints(TimeRange range, int k) {
+Timestamp NextBenchmarkPoint(Timestamp b, Timestamp next_data,
+                             Timestamp hop) {
+  // When b < next_data, b and the grid points after it below next_data
+  // carry no data, and gap_last is the last of them; otherwise gap_last is
+  // at most b. In 64 bits: a gap may span more than INT32_MAX ticks.
+  const int64_t gap_last = b + (int64_t{next_data} - 1 - b) / hop * hop;
+  return static_cast<Timestamp>(std::max(int64_t{b} + hop, gap_last));
+}
+
+std::vector<Timestamp> BenchmarkPoints(const std::vector<Timestamp>& ticks,
+                                       int k) {
   std::vector<Timestamp> points;
-  if (range.empty() || k < 2) return points;
-  const Timestamp hop = std::max(1, k / 2);
-  for (Timestamp b = range.start; b <= range.end; b += hop) {
+  if (ticks.empty() || k < 2) return points;
+  auto next = ticks.begin();  // the first data tick >= b
+  for (Timestamp b = ticks.front(); b <= ticks.back();
+       b = NextBenchmarkPoint(b, *next, k / 2)) {
+    while (*next < b) ++next;
     points.push_back(b);
   }
   return points;
@@ -131,8 +143,7 @@ Result<std::vector<ObjectSet>> HwmtSpanning(
     bool binary_order, bool verify_right_benchmark,
     SnapshotScratch* scratch, std::vector<ProvenRun>* proven,
     const ProofBook* book) {
-  std::vector<ObjectSet> surviving = candidates;
-  if (surviving.empty()) return surviving;
+  if (candidates.empty()) return std::vector<ObjectSet>{};
   std::optional<SnapshotScratch> local_scratch;
   if (scratch == nullptr) scratch = &local_scratch.emplace();
 
@@ -150,69 +161,56 @@ Result<std::vector<ObjectSet>> HwmtSpanning(
   }
   if (verify_right_benchmark) order.insert(order.begin(), b_right);
 
-  // Per surviving set: its proven ticks in the book, and the probed ticks
-  // at which it was answered exactly itself. Those become its proof runs
-  // when it splits or dies, or when the window ends.
-  const auto find = [&](const ObjectSet& s) {
-    return book != nullptr ? book->Find(s) : std::span<const TimeRange>();
-  };
-  std::vector<std::span<const TimeRange>> known;
-  for (const ObjectSet& s : surviving) known.push_back(find(s));
-  std::vector<std::vector<Timestamp>> whole(surviving.size());
-  const auto report = [&](const ObjectSet& set, std::vector<Timestamp>* ticks) {
-    if (proven == nullptr || ticks->empty()) return;
-    std::sort(ticks->begin(), ticks->end());
-    size_t b = 0;
-    for (size_t e = 1; e <= ticks->size(); ++e) {
-      if (e < ticks->size() && (*ticks)[e] == (*ticks)[e - 1] + 1) continue;
-      proven->push_back(ProvenRun{set, {(*ticks)[b], (*ticks)[e - 1]}});
-      b = e;
-    }
-  };
-
   // The surviving sets are pairwise disjoint: candidates intersect two
   // benchmark partitions, and ReCluster splits a set into disjoint
   // clusters. So the probe's one fetch per tick reads exactly the keys one
   // fetch per set would.
+  struct Survivor {
+    ObjectSet objects;
+    std::span<const TimeRange> known;  ///< its proven ticks in the book
+    bool candidate;  ///< one of the candidates, unsplit so far
+  };
+  const auto survivor = [&](ObjectSet objects, bool candidate) {
+    std::span<const TimeRange> known;
+    if (book != nullptr) known = book->Find(objects);
+    return Survivor{std::move(objects), known, candidate};
+  };
+  std::vector<Survivor> surviving;
+  for (const ObjectSet& c : candidates) surviving.push_back(survivor(c, true));
   TickProbe probe;
   std::vector<TickProbe::Ask> asks;
   std::vector<TickProbe::Answer> answers;
   for (Timestamp t : order) {
     asks.clear();
-    for (size_t i = 0; i < surviving.size(); ++i) {
-      asks.push_back(TickProbe::Ask{&surviving[i], known[i]});
-      scratch->probed_points += surviving[i].size();
+    for (const Survivor& s : surviving) {
+      asks.push_back(TickProbe::Ask{&s.objects, s.known});
+      scratch->probed_points += s.objects.size();
     }
     answers.resize(asks.size());
     K2_RETURN_NOT_OK(probe.Run(store, t, asks, params, scratch, answers));
-    std::vector<ObjectSet> next;
-    std::vector<std::span<const TimeRange>> next_known;
-    std::vector<std::vector<Timestamp>> next_whole;
+    std::vector<Survivor> next;
     for (size_t i = 0; i < surviving.size(); ++i) {
       if (answers[i].whole) {
-        whole[i].push_back(t);
         next.push_back(std::move(surviving[i]));
-        next_known.push_back(known[i]);
-        next_whole.push_back(std::move(whole[i]));
         continue;
       }
-      report(surviving[i], &whole[i]);
       for (ObjectSet& c : answers[i].clusters) {
-        next_known.push_back(find(c));
-        next.push_back(std::move(c));
-        next_whole.emplace_back();
+        next.push_back(survivor(std::move(c), false));
       }
     }
     surviving = std::move(next);
-    known = std::move(next_known);
-    whole = std::move(next_whole);
-    if (surviving.empty()) return surviving;  // no spanning convoy here
+    if (surviving.empty()) return std::vector<ObjectSet>{};  // none spans
   }
-  for (size_t i = 0; i < surviving.size(); ++i) {
-    report(surviving[i], &whole[i]);
+  std::vector<ObjectSet> spanning;
+  for (Survivor& s : surviving) {
+    // An unsplit candidate was answered itself at every interior tick.
+    if (s.candidate && proven != nullptr && b_right - b_left > 1) {
+      proven->push_back(ProvenRun{s.objects, {b_left + 1, b_right - 1}});
+    }
+    spanning.push_back(std::move(s.objects));
   }
-  std::sort(surviving.begin(), surviving.end());
-  return surviving;
+  std::sort(spanning.begin(), spanning.end());
+  return spanning;
 }
 
 void SpanningConvoyMerger::AddWindow(Timestamp window_start,
@@ -308,21 +306,19 @@ void WalkGroup::Collect(Timestamp t, size_t walks, const ProofBook* book) {
 
 void WalkGroup::Step(Walk* walk, Timestamp t,
                      std::vector<ProvenRun>* proven) {
+  // A branch that found itself starts or continues its run.
   bool all_whole = true;
-  for (const Branch& b : walk->branches) all_whole &= answers_[b.ask].whole;
-  if (all_whole) {
-    // Every branch found itself: the runs go on, nothing moves.
-    for (Branch& b : walk->branches) {
-      if (b.proven_from == kInvalidTimestamp) b.proven_from = t;
-    }
-    return;
+  for (Branch& b : walk->branches) {
+    const bool whole = answers_[b.ask].whole;
+    if (whole && b.proven_from == kInvalidTimestamp) b.proven_from = t;
+    all_whole &= whole;
   }
+  if (all_whole) return;  // nothing moves
   stale_ = true;
   std::vector<Branch> next;
   for (Branch& branch : walk->branches) {
     const TickProbe::Answer& answer = answers_[branch.ask];
     if (answer.whole) {
-      if (branch.proven_from == kInvalidTimestamp) branch.proven_from = t;
       next.push_back(std::move(branch));
       continue;
     }
@@ -339,19 +335,12 @@ void WalkGroup::Step(Walk* walk, Timestamp t,
                  : Convoy(std::move(branch.objects), cur_end,
                           walk->other_side));
   }
-  // All branches of one walk share other_side, so deduplication is by
-  // object set alone. A child equal to a branch that found itself is that
-  // branch, and keeps its run.
+  // The branches stay pairwise disjoint (a split yields disjoint clusters
+  // of one branch), so no two are equal; the order fixes the order in
+  // which they are emitted.
   std::sort(next.begin(), next.end(), [](const Branch& a, const Branch& b) {
-    if (a.objects != b.objects) return a.objects < b.objects;
-    return (a.proven_from != kInvalidTimestamp) >
-           (b.proven_from != kInvalidTimestamp);
+    return a.objects < b.objects;
   });
-  next.erase(std::unique(next.begin(), next.end(),
-                         [](const Branch& a, const Branch& b) {
-                           return a.objects == b.objects;
-                         }),
-             next.end());
   walk->branches = std::move(next);
 }
 
@@ -550,7 +539,8 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
 
   // Steps 1–4, shard by shard. A range of at least k ticks holds at least
   // two benchmarks, so the plan has at least one shard.
-  const std::vector<Timestamp> benchmarks = BenchmarkPoints(range, params.k);
+  const std::vector<Timestamp> benchmarks =
+      BenchmarkPoints(store->timestamps(), params.k);
   const std::vector<ShardPlan> plan =
       PlanShards(benchmarks, options.num_shards);
   s->benchmark_points = benchmarks.size();

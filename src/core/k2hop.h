@@ -9,12 +9,11 @@
 // tick at a time through one probe path (core/tick_probe.h): a tick's sets
 // are read with one fetch, each distinct set is re-clustered once, and a
 // (t, S) that the run's ProofBook (core/proof_book.h) proves is answered
-// {S} without a read. Every call that returns exactly {S} proves S
-// connected at that tick, and HWMT and the walks report these proofs as
-// ProvenRuns: HWMT the whole-answered ticks of every set it probed, a walk
-// the contiguous run of ticks on which a branch found itself (never its
-// birth tick: a branch born from a split was only re-clustered as part of
-// its parent there).
+// {S} without a read. HWMT and the walks report as ProvenRuns only sets
+// whose whole answer they hold as a result: HWMT the window interior of
+// each candidate it kept unsplit, a walk the contiguous run of ticks on
+// which a branch found itself (never its birth tick: a branch born from a
+// split was only re-clustered as part of its parent there).
 //
 // MineK2Hop is the one batch miner. With K2HopOptions::num_shards > 1 it
 // mines the timeline as contiguous time shards of hop-windows, the
@@ -76,7 +75,8 @@ struct K2HopStats {
   /// "candidates", "HWMT", "merge", "extend-right", "extend-left",
   /// "validation", each summed over the shards.
   PhaseTimer phases;
-  size_t benchmark_points = 0;  ///< the grid; a shard boundary counts once
+  /// Grid points clustered (BenchmarkPoints); a shard boundary counts once.
+  size_t benchmark_points = 0;
   size_t hop_windows = 0;
   size_t hop_windows_mined = 0;  ///< windows with a non-empty candidate set
   size_t candidate_clusters = 0;
@@ -126,8 +126,20 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
 /// timestamps is higher than ... in distant timestamps" (Sec. 4.3).
 std::vector<Timestamp> BinarySubdivisionOrder(TimeRange range);
 
-/// Benchmark ticks start + i*⌊k/2⌋ covering the store's range.
-std::vector<Timestamp> BenchmarkPoints(TimeRange range, int k);
+/// The benchmark grid start + i*⌊k/2⌋ over `ticks`, the store's data ticks
+/// (Store::timestamps()), from the first through the last. Grid points
+/// strictly between two consecutive data ticks carry no data; of a run of
+/// three or more only the first, which closes the windows before the gap,
+/// and the last, which opens the window after it, are kept. The windows in
+/// between would have no candidates and nothing to merge. No convoy loses
+/// a benchmark: it has data at every tick of its lifespan.
+std::vector<Timestamp> BenchmarkPoints(const std::vector<Timestamp>& ticks,
+                                       int k);
+
+/// The grid point that follows benchmark `b`, given `next_data`, the first
+/// data tick >= b, and the spacing `hop` = ⌊k/2⌋: b + hop, or, when b lies
+/// in a gap, the gap's last grid point if that lies further.
+Timestamp NextBenchmarkPoint(Timestamp b, Timestamp next_data, Timestamp hop);
 
 /// Candidate clusters CC_i of one hop-window: pairwise intersections of the
 /// adjacent benchmark cluster sets, keeping sets of size >= m (Sec. 4.2).
@@ -169,10 +181,10 @@ std::vector<ShardPlan> PlanShards(const std::vector<Timestamp>& benchmarks,
 /// walks running ahead of the window proved) proves there is answered
 /// without a read, and the others are read with one GetPoints call for
 /// their union, so the store sees the same keys as one call per set would
-/// make. `scratch` (optional) makes
-/// repeated calls allocation-free. `proven` (optional) receives, for every
-/// set HWMT probed, the runs of consecutive probed ticks at which it was
-/// answered exactly itself, whether it survived, split or died later.
+/// make. `scratch` (optional) makes repeated calls allocation-free.
+/// `proven` (optional) receives the interior [b_left + 1, b_right - 1] of
+/// each candidate that survives unsplit, answered exactly itself there; a
+/// survivor born from a split was not asked before its birth.
 Result<std::vector<ObjectSet>> HwmtSpanning(
     Store* store, const MiningParams& params, Timestamp b_left,
     Timestamp b_right, const std::vector<ObjectSet>& candidates,
@@ -283,7 +295,7 @@ class WalkGroup {
   struct Walk {
     Timestamp other_side;  ///< fixed boundary on the non-walking side
     Timestamp next_t;
-    std::vector<Branch> branches;  ///< live branches, sorted by objects
+    std::vector<Branch> branches;  ///< live, disjoint, sorted by objects
     std::vector<Convoy> done;      ///< pieces not yet handed out
   };
 

@@ -116,18 +116,20 @@ Status OnlineK2HopMiner::AppendTick(Timestamp t,
 Status OnlineK2HopMiner::Drain() {
   // Every tick <= frontier_ is final (appends are strictly increasing), so
   // all benchmark points the frontier has passed can be clustered and their
-  // hop-windows mined now.
+  // hop-windows mined now. The pending ones lie past the previous data
+  // tick, so frontier_ is the first data tick at or after each of them,
+  // and the grid skips a gap's interior as batch BenchmarkPoints does.
   while (next_benchmark_ <= frontier_) {
     K2_RETURN_NOT_OK(ProcessBenchmark(next_benchmark_));
-    next_benchmark_ += hop_;
+    next_benchmark_ = NextBenchmarkPoint(next_benchmark_, frontier_, hop_);
   }
   return AdvanceWalks(frontier_);
 }
 
 Status OnlineK2HopMiner::ProcessBenchmark(Timestamp b) {
-  // Benchmarks land on the arithmetic grid start + i*hop whether or not the
-  // tick carries data — an empty snapshot clusters to nothing, exactly as
-  // in the batch miner.
+  // Benchmarks land on the grid of BenchmarkPoints whether or not the tick
+  // carries data — an empty snapshot clusters to nothing, exactly as in
+  // the batch miner.
   std::vector<ObjectSet> clusters;
   K2_RETURN_NOT_OK(Mined("benchmark", [&]() -> Status {
     auto result = ClusterSnapshot(store_, b, params_, &scratch_);
@@ -199,7 +201,6 @@ Status OnlineK2HopMiner::AdvanceWalks(Timestamp upto) {
   }));
   stats_.open_walks_peak = std::max(stats_.open_walks_peak, walks_.size());
   book_.Add(proven);
-  if (!completed.empty()) walks_.AddOpenRuns(&book_);  // for the left walks
   for (Convoy& c : completed) {
     K2_RETURN_NOT_OK(OnRightResult(std::move(c)));
   }
@@ -243,10 +244,10 @@ Result<std::vector<Convoy>> OnlineK2HopMiner::ValidatedPieces(
   K2_RETURN_NOT_OK(Mined("validation", [&]() -> Status {
     ValidationStats vs;
     SnapshotSlots slots(store_, 1);
-    std::vector<ProvenRun> proven;
-    K2_ASSIGN_OR_RETURN(pieces, slots.Validate(params_, {f}, book_, &vs,
-                                               /*recursive=*/true, &proven));
-    book_.Add(proven);
+    K2_ASSIGN_OR_RETURN(pieces, slots.Validate(params_, {f}, book_, &vs));
+    // Recursive validation returns only FC convoys: each was answered {O}
+    // at every tick of its lifespan.
+    for (const Convoy& p : pieces) book_.Add(p.objects, p.lifespan());
     stats_.validation.candidates_in += vs.candidates_in;
     stats_.validation.fc_accepted += vs.fc_accepted;
     stats_.validation.split_rounds += vs.split_rounds;

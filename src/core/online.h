@@ -62,7 +62,7 @@ struct OnlineK2HopStats {
   size_t ticks_ingested = 0;
   uint64_t points_ingested = 0;
   size_t empty_ticks = 0;  ///< AppendTick calls with no points (no-ops)
-  size_t benchmark_points = 0;
+  size_t benchmark_points = 0;  ///< grid points clustered (BenchmarkPoints)
   size_t hop_windows = 0;
   size_t hop_windows_mined = 0;
   size_t candidate_clusters = 0;
@@ -167,7 +167,7 @@ class OnlineK2HopMiner {
   /// tail once.
   std::set<Convoy> right_seen_;
   /// What HWMT, the walks and validation proved so far, read and written
-  /// live (the right walks' runs are added as they grow).
+  /// live (the live right walks' runs so far are added before each HWMT).
   ProofBook book_;
 
   std::vector<Convoy> closed_;

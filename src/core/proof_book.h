@@ -1,20 +1,23 @@
-// Connectivity proofs of one mining run. A ReCluster(t, S) call that
-// returns exactly {S} proves that S is connected at t: the restriction of
-// tick t to S is one cluster, which is all that FC validation (Sec. 4.6)
-// asks of each tick of a candidate's lifespan. HWMT and the extension
-// walks make such calls anyway; the ProofBook keeps what they proved,
-// keyed by object set. Keying by set (not carrying proofs on Convoy) lets
-// them survive every MaximalConvoySet fold and cache between the phases.
+// Connectivity proofs of one mining run. S is proven connected at t when
+// the restriction of tick t to S is one cluster, which is all that FC
+// validation (Sec. 4.6) asks of each tick of a candidate's lifespan. The
+// ProofBook keeps such proofs keyed by object set. Keying by set (not
+// carrying proofs on Convoy) lets them survive every MaximalConvoySet fold
+// and cache between the phases.
 //
-// A phase that reads the book asks it through its TickProbe
+// A phase writes a proof only for a set whose whole answer it already
+// holds as a result: HWMT the window interior of each candidate it keeps
+// unsplit, an extension walk the run of ticks on which a branch found
+// itself, and the online miner's FC validation the lifespan of each convoy
+// it accepts. A phase reads the book through its TickProbe
 // (core/tick_probe.h): a proven (t, S) is answered {S} without a store
-// read. In batch, the two extension phases and validation read the book
-// that the earlier phases built, and HWMT and the walks add their own
-// proofs after their phase, so the book never changes while a phase runs.
-// Batch HWMT does not read the book: it holds only earlier shards' HWMT
-// runs then, which never cover a tick of a later shard's windows. The
-// online miner is single-threaded and reads and writes its book live, and
-// its HWMT reads what the right walks running ahead of the window proved.
+// read. In batch, the extension phases and validation read the book that
+// the earlier phases built, and HWMT and the walks add their proofs after
+// their phase, so the book never changes while a phase runs. Batch HWMT
+// does not read the book: it holds only earlier shards' HWMT runs then,
+// which never cover a tick of a later shard's windows. The online miner
+// is single-threaded and reads and writes its book live, and its HWMT
+// reads what the right walks running ahead of the window proved.
 //
 // Only an exact {S} answer is a proof. A cluster that ReCluster returns
 // for a superset of S proves nothing about S on its own: DBSCAN restricted
@@ -33,8 +36,8 @@
 
 namespace k2 {
 
-/// `objects` is connected at every tick of `ticks`: ReCluster returned
-/// exactly {objects} there.
+/// `objects` is connected at every tick of `ticks`: the phase that reports
+/// it was answered exactly {objects} there.
 struct ProvenRun {
   ObjectSet objects;
   TimeRange ticks;

@@ -83,13 +83,12 @@ Result<std::vector<Convoy>> SnapshotSlots::Extend(
 
 Result<std::vector<Convoy>> SnapshotSlots::Validate(
     const MiningParams& params, std::vector<Convoy> candidates,
-    const ProofBook& book, ValidationStats* stats, bool recursive,
-    std::vector<ProvenRun>* proven) {
+    const ProofBook& book, ValidationStats* stats, bool recursive) {
   return ValidateInRounds(
       std::move(candidates), params, recursive, stats,
       [&](const std::vector<Convoy>& round,
           std::vector<FcCheck>* checks) -> Status {
-        return CheckRound(this, round, params, book, checks, proven);
+        return CheckRound(this, round, params, book, checks);
       });
 }
 

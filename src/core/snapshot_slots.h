@@ -71,14 +71,14 @@ class SnapshotSlots {
 
   /// FC validation (Sec. 4.6) in rounds (ValidateInRounds), each round
   /// checked tick-major with its ticks fanned out over the slots
-  /// (CheckRound). The tasks only read `book`; `proven` (optional) receives
-  /// the runs of ticks the rounds answered exactly {O}.
+  /// (CheckRound). The tasks only read `book`. With `recursive`, every
+  /// returned convoy was answered {O} at each tick of its lifespan, so a
+  /// caller that keeps a book may add the lifespans to it.
   Result<std::vector<Convoy>> Validate(const MiningParams& params,
                                        std::vector<Convoy> candidates,
                                        const ProofBook& book,
                                        ValidationStats* stats,
-                                       bool recursive = true,
-                                       std::vector<ProvenRun>* proven = nullptr);
+                                       bool recursive = true);
 
   /// Store IO consumed since construction: the store's own delta plus each
   /// snapshot's reads since it was opened (snapshot setup excluded).

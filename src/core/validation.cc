@@ -14,8 +14,7 @@ namespace k2 {
 
 Status CheckRound(SnapshotSlots* slots, const std::vector<Convoy>& round,
                   const MiningParams& params, const ProofBook& book,
-                  std::vector<FcCheck>* checks,
-                  std::vector<ProvenRun>* proven) {
+                  std::vector<FcCheck>* checks) {
   const size_t n = round.size();
   if (n == 0) return Status::OK();
   // Candidates in object-set order, so that the asks of one tick for equal
@@ -25,11 +24,25 @@ Status CheckRound(SnapshotSlots* slots, const std::vector<Convoy>& round,
   std::stable_sort(by_set.begin(), by_set.end(), [&](uint32_t a, uint32_t b) {
     return round[a].objects < round[b].objects;
   });
-  Timestamp lo = round[0].start, hi = round[0].end;
-  for (const Convoy& c : round) {
-    lo = std::min(lo, c.start);
-    hi = std::max(hi, c.end);
+  // The round's ticks, ascending: the union of the lifespans, however far
+  // apart they lie. Each lifespan is a contiguous stretch of them, from
+  // first[i], so tick_index(i, t) indexes the per-tick arrays below.
+  std::vector<uint32_t> by_start(n);
+  std::iota(by_start.begin(), by_start.end(), 0);
+  std::sort(by_start.begin(), by_start.end(), [&](uint32_t a, uint32_t b) {
+    return round[a].start < round[b].start;
+  });
+  std::vector<Timestamp> round_ticks;
+  std::vector<uint32_t> first(n);
+  for (uint32_t i : by_start) {
+    Timestamp t = round[i].start;
+    if (!round_ticks.empty()) t = std::max(t, round_ticks.back() + 1);
+    first[i] = static_cast<uint32_t>(round_ticks.size() - (t - round[i].start));
+    for (; t <= round[i].end; ++t) round_ticks.push_back(t);
   }
+  const auto tick_index = [&](size_t i, Timestamp t) {
+    return first[i] + static_cast<uint32_t>(t - round[i].start);
+  };
   // The unproven ticks of candidate i are its lifespan minus known[i].
   std::vector<std::span<const TimeRange>> known(n);
   auto for_unproven = [&](size_t i, auto&& fn) {
@@ -42,15 +55,15 @@ Status CheckRound(SnapshotSlots* slots, const std::vector<Convoy>& round,
   };
 
   // Counting sort of the (tick, candidate) asks by tick: tick_begin[k] is
-  // the first ask of tick lo + k. Each candidate also lists its asks in
-  // tick order, from cand_begin[i].
-  std::vector<uint32_t> tick_begin(static_cast<size_t>(hi - lo) + 2, 0);
+  // the first ask of tick round_ticks[k]. Each candidate also lists its
+  // asks in tick order, from cand_begin[i].
+  std::vector<uint32_t> tick_begin(round_ticks.size() + 1, 0);
   std::vector<uint32_t> cand_begin(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
     known[i] = book.Find(round[i].objects);
     uint32_t asks = 0;
     for_unproven(i, [&](Timestamp t) {
-      ++tick_begin[t - lo + 1];
+      ++tick_begin[tick_index(i, t) + 1];
       ++asks;
     });
     cand_begin[i + 1] = cand_begin[i] + asks;
@@ -69,18 +82,17 @@ Status CheckRound(SnapshotSlots* slots, const std::vector<Convoy>& round,
     for (uint32_t i : by_set) {
       uint32_t at = cand_begin[i];
       for_unproven(i, [&](Timestamp t) {
-        const uint32_t a = fill[t - lo]++;
+        const uint32_t a = fill[tick_index(i, t)]++;
         ask_cand[a] = i;
         cand_asks[at++] = CandAsk{t, a};
       });
     }
   }
-  // The distinct sets of tick t's asks [b, e) are asked from probes[b],
-  // and answered into answers[b, b + distinct[k]); answer_of[a] is ask a's
-  // answer. A set's re-clustering is charged to the first candidate that
-  // asks it.
-  std::vector<Timestamp> ticks;
-  std::vector<uint32_t> distinct;
+  // The distinct sets of the asks [b, e) of tick round_ticks[k] are asked
+  // from probes[b], and answered into answers[b, b + distinct[j]), where
+  // asked[j] = k; answer_of[a] is ask a's answer. A set's re-clustering is
+  // charged to the first candidate that asks it.
+  std::vector<uint32_t> asked, distinct;
   std::vector<TickProbe::Ask> probes(total);
   std::vector<uint32_t> answer_of(total);
   for (size_t k = 0; k + 1 < tick_begin.size(); ++k) {
@@ -95,44 +107,28 @@ Status CheckRound(SnapshotSlots* slots, const std::vector<Convoy>& round,
       }
       answer_of[a] = b + d - 1;
     }
-    ticks.push_back(lo + static_cast<Timestamp>(k));
+    asked.push_back(static_cast<uint32_t>(k));
     distinct.push_back(d);
   }
 
   // One probe per tick.
   std::vector<TickProbe::Answer> answers(total);
   K2_RETURN_NOT_OK(slots->ForEach(
-      ticks.size(), [&](SnapshotSlots::Slot& slot, size_t k) -> Status {
-        const uint32_t b = tick_begin[ticks[k] - lo];
+      asked.size(), [&](SnapshotSlots::Slot& slot, size_t j) -> Status {
+        const uint32_t b = tick_begin[asked[j]];
         return slot.probe.Run(
-            slot.store, ticks[k],
-            std::span<const TickProbe::Ask>(probes).subspan(b, distinct[k]),
+            slot.store, round_ticks[asked[j]],
+            std::span<const TickProbe::Ask>(probes).subspan(b, distinct[j]),
             params, &slot.scratch,
-            std::span<TickProbe::Answer>(answers).subspan(b, distinct[k]));
+            std::span<TickProbe::Answer>(answers).subspan(b, distinct[j]));
       }));
 
-  // Verdicts and proofs, then the sweeps of the candidates that failed.
+  // Verdicts, then the sweeps of the candidates that failed.
   std::vector<uint32_t> failed;
   for (uint32_t i = 0; i < n; ++i) {
     bool all_whole = true;
-    Timestamp from = kInvalidTimestamp, last = kInvalidTimestamp;
     for (uint32_t p = cand_begin[i]; p < cand_begin[i + 1]; ++p) {
-      const Timestamp t = cand_asks[p].t;
-      const bool whole = answers[answer_of[cand_asks[p].ask]].whole;
-      all_whole &= whole;
-      if (proven == nullptr) continue;
-      // A run of consecutive whole ticks ends at a gap or a split.
-      if (from != kInvalidTimestamp && (!whole || t != last + 1)) {
-        proven->push_back(ProvenRun{round[i].objects, {from, last}});
-        from = kInvalidTimestamp;
-      }
-      if (whole) {
-        if (from == kInvalidTimestamp) from = t;
-        last = t;
-      }
-    }
-    if (from != kInvalidTimestamp) {
-      proven->push_back(ProvenRun{round[i].objects, {from, last}});
+      all_whole &= answers[answer_of[cand_asks[p].ask]].whole;
     }
     (*checks)[i].fully_connected = all_whole;
     if (!all_whole) failed.push_back(i);

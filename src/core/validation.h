@@ -31,7 +31,6 @@ namespace k2 {
 
 class ProofBook;
 class SnapshotSlots;
-struct ProvenRun;
 
 struct ValidationStats {
   size_t candidates_in = 0;
@@ -78,14 +77,13 @@ Result<std::vector<Convoy>> ValidateInRounds(
     const FcRoundChecker& check_round);
 
 /// The tick-major round check on `slots` (see the file comment). `book` is
-/// only read. Every candidate's verdict and pieces, and the round's
-/// re-clusterings, are the same for every slot count. `proven` (optional)
-/// receives each candidate's runs of consecutive ticks that a
-/// re-clustering answered exactly {O}.
+/// only read, and the round records no proof: what it proves is its
+/// result, the FC candidates, each answered {O} at every tick of its
+/// lifespan. Every candidate's verdict and pieces, and the round's
+/// re-clusterings, are the same for every slot count.
 Status CheckRound(SnapshotSlots* slots, const std::vector<Convoy>& round,
                   const MiningParams& params, const ProofBook& book,
-                  std::vector<FcCheck>* checks,
-                  std::vector<ProvenRun>* proven = nullptr);
+                  std::vector<FcCheck>* checks);
 
 }  // namespace k2
 

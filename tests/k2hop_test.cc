@@ -44,19 +44,42 @@ using ::k2::testing::ScratchDir;
 // BenchmarkPoints (Lemma 3 coverage)
 // ---------------------------------------------------------------------------
 
+// Every tick of `range`, as the data ticks of a store without gaps.
+std::vector<Timestamp> DenseTicks(TimeRange range) {
+  std::vector<Timestamp> ticks;
+  for (Timestamp t = range.start; t <= range.end; ++t) ticks.push_back(t);
+  return ticks;
+}
+
 TEST(BenchmarkPointsTest, SpacingIsFloorKHalf) {
-  EXPECT_EQ(BenchmarkPoints({0, 16}, 8),
+  EXPECT_EQ(BenchmarkPoints(DenseTicks({0, 16}), 8),
             (std::vector<Timestamp>{0, 4, 8, 12, 16}));
-  EXPECT_EQ(BenchmarkPoints({0, 10}, 5),
+  EXPECT_EQ(BenchmarkPoints(DenseTicks({0, 10}), 5),
             (std::vector<Timestamp>{0, 2, 4, 6, 8, 10}));
 }
 
 TEST(BenchmarkPointsTest, KEqualTwoMakesEveryTickABenchmark) {
-  EXPECT_EQ(BenchmarkPoints({3, 6}, 2), (std::vector<Timestamp>{3, 4, 5, 6}));
+  EXPECT_EQ(BenchmarkPoints(DenseTicks({3, 6}), 2),
+            (std::vector<Timestamp>{3, 4, 5, 6}));
 }
 
 TEST(BenchmarkPointsTest, EmptyRange) {
-  EXPECT_TRUE(BenchmarkPoints({0, -1}, 8).empty());
+  EXPECT_TRUE(BenchmarkPoints(DenseTicks({0, -1}), 8).empty());
+}
+
+TEST(BenchmarkPointsTest, AGapKeepsOnlyItsFirstAndLastGridPoint) {
+  // hop = 2. Grid points 4, 6 and 8 lie in the gap (2, 9): 6 goes. Grid
+  // points 4 and 6 lie in the gap (2, 7): both stay.
+  EXPECT_EQ(BenchmarkPoints({0, 1, 2, 9, 10}, 4),
+            (std::vector<Timestamp>{0, 2, 4, 8, 10}));
+  EXPECT_EQ(BenchmarkPoints({0, 1, 2, 7, 8}, 4),
+            (std::vector<Timestamp>{0, 2, 4, 6, 8}));
+  // A gap wider than INT32_MAX ticks, between the first and the last tick
+  // a miner accepts at k = 30; the last tick is off the grid.
+  const Timestamp first = kInvalidTimestamp + 1;
+  const Timestamp last = std::numeric_limits<Timestamp>::max() - 15;
+  EXPECT_EQ(BenchmarkPoints({first, last}, 30),
+            (std::vector<Timestamp>{first, first + 15, last - 14}));
 }
 
 TEST(BenchmarkPointsTest, Lemma3EveryKWindowContainsTwoConsecutive) {
@@ -64,7 +87,7 @@ TEST(BenchmarkPointsTest, Lemma3EveryKWindowContainsTwoConsecutive) {
   // consecutive benchmark points must fall inside it.
   for (int k = 2; k <= 12; ++k) {
     const TimeRange range{0, 60};
-    const std::vector<Timestamp> b = BenchmarkPoints(range, k);
+    const std::vector<Timestamp> b = BenchmarkPoints(DenseTicks(range), k);
     for (Timestamp s = range.start; s + k - 1 <= range.end; ++s) {
       const Timestamp e = s + k - 1;
       int longest_consecutive = 0, run = 0;
@@ -396,7 +419,7 @@ TEST(HwmtTest, OneFetchPerProbedTickForTheUnionOfTheSurvivingSets) {
     MiningParams params{3, 8, 6.0};
     params.clusterer = &clusterer;
     const std::vector<Timestamp> b =
-        BenchmarkPoints(store.time_range(), params.k);
+        BenchmarkPoints(store.timestamps(), params.k);
     std::vector<std::vector<ObjectSet>> clusters;
     for (Timestamp t : b) {
       auto c = ClusterSnapshot(&store, t, params);
@@ -574,9 +597,11 @@ void ExpectProven(Store* store, const MiningParams& params,
 }
 
 TEST(ProofTest, HwmtAndWalkProofsHoldOnRandomWalks) {
-  // HWMT reports every set it found whole at some probed ticks, also when
-  // the set split or died later in the window.
-  size_t hwmt_runs = 0, partial_runs = 0, walk_runs = 0, split_born_runs = 0;
+  // HWMT proves the window interior of each candidate that survives it
+  // unsplit, and nothing else: a survivor born from a split was not asked
+  // before its birth.
+  size_t hwmt_runs = 0, split_survivors = 0, walk_runs = 0,
+         split_born_runs = 0;
   for (uint64_t seed : {3u, 11u, 29u, 47u}) {
     RandomWalkSpec spec;
     spec.num_objects = 30;
@@ -587,7 +612,8 @@ TEST(ProofTest, HwmtAndWalkProofsHoldOnRandomWalks) {
     auto store = MakeMemStore(GenerateRandomWalk(spec));
     const MiningParams params{3, 8, 6.0};
     const TimeRange range = store->time_range();
-    const std::vector<Timestamp> b = BenchmarkPoints(range, params.k);
+    const std::vector<Timestamp> b =
+        BenchmarkPoints(store->timestamps(), params.k);
     std::vector<std::vector<ObjectSet>> clusters;
     for (Timestamp t : b) {
       auto c = ClusterSnapshot(store.get(), t, params);
@@ -595,19 +621,30 @@ TEST(ProofTest, HwmtAndWalkProofsHoldOnRandomWalks) {
       clusters.push_back(c.MoveValue());
     }
     for (size_t w = 0; w + 1 < b.size(); ++w) {
+      const std::vector<ObjectSet> candidates =
+          CandidateClusters(clusters[w], clusters[w + 1], params.m);
       std::vector<ProvenRun> proven;
-      auto spanning = HwmtSpanning(
-          store.get(), params, b[w], b[w + 1],
-          CandidateClusters(clusters[w], clusters[w + 1], params.m),
-          /*binary_order=*/true, /*verify_right_benchmark=*/false, nullptr,
-          &proven);
+      auto spanning = HwmtSpanning(store.get(), params, b[w], b[w + 1],
+                                   candidates, /*binary_order=*/true,
+                                   /*verify_right_benchmark=*/false, nullptr,
+                                   &proven);
       ASSERT_TRUE(spanning.ok());
-      for (const ProvenRun& run : proven) {
-        EXPECT_LT(b[w], run.ticks.start);
-        EXPECT_LT(run.ticks.end, b[w + 1]);
-        ExpectProven(store.get(), params, run);
-        if (run.ticks != TimeRange{b[w] + 1, b[w + 1] - 1}) ++partial_runs;
+      std::vector<ObjectSet> want, got;
+      for (const ObjectSet& s : spanning.value()) {
+        if (std::find(candidates.begin(), candidates.end(), s) !=
+            candidates.end()) {
+          want.push_back(s);
+        } else {
+          ++split_survivors;
+        }
       }
+      for (const ProvenRun& run : proven) {
+        EXPECT_EQ(run.ticks, (TimeRange{b[w] + 1, b[w + 1] - 1}));
+        ExpectProven(store.get(), params, run);
+        got.push_back(run.objects);
+      }
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want);
       hwmt_runs += proven.size();
     }
     // Every benchmark cluster seeds a walk each way to the dataset edge.
@@ -633,7 +670,7 @@ TEST(ProofTest, HwmtAndWalkProofsHoldOnRandomWalks) {
     }
   }
   EXPECT_GT(hwmt_runs, 0u) << "weak test input";
-  EXPECT_GT(partial_runs, 0u) << "weak test input";
+  EXPECT_GT(split_survivors, 0u) << "weak test input: no survivor split";
   EXPECT_GT(walk_runs, 0u) << "weak test input";
   EXPECT_GT(split_born_runs, 0u) << "weak test input: no branch split";
 }
@@ -706,7 +743,7 @@ struct WalkFixture {
     data = GenerateRandomWalk(spec);
     auto store = MakeMemStore(data);
     const std::vector<Timestamp> b =
-        BenchmarkPoints(store->time_range(), params.k);
+        BenchmarkPoints(store->timestamps(), params.k);
     std::vector<std::vector<ObjectSet>> clusters;
     for (Timestamp t : b) {
       clusters.push_back(ClusterSnapshot(store.get(), t, params).value());

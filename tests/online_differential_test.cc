@@ -4,7 +4,9 @@
 // bulk-loaded data with the same parameters — on every storage engine, on
 // adversarial dense random walks, on datasets whose length is not a
 // multiple of ⌊k/2⌋, on tick streams with gaps, on Brinkhoff data, and on a
-// Trucks stream where later convoys subsume eager emissions.
+// Trucks stream where later convoys subsume eager emissions. Every convoy
+// closed on the way, final or not, must be whole at each tick of its
+// lifespan.
 #include <algorithm>
 #include <memory>
 
@@ -31,6 +33,21 @@ std::vector<Convoy> BatchMine(const Dataset& data, const MiningParams& params) {
   auto result = MineK2Hop(store.get(), params);
   K2_CHECK(result.ok());
   return result.MoveValue();
+}
+
+/// Every closed convoy, final or not, is FC: re-clustered alone, its
+/// objects form exactly one cluster at every tick of its lifespan. The
+/// online miner records each validated lifespan as a proof on this.
+void ExpectClosedConvoysWhole(Store* store, const MiningParams& params,
+                              const std::vector<Convoy>& closed) {
+  for (const Convoy& v : closed) {
+    for (Timestamp t = v.start; t <= v.end; ++t) {
+      auto clusters = ReCluster(store, t, v.objects, params);
+      ASSERT_TRUE(clusters.ok()) << clusters.status().ToString();
+      ASSERT_EQ(clusters.value(), std::vector<ObjectSet>{v.objects})
+          << v.DebugString() << " is not whole at tick " << t;
+    }
+  }
 }
 
 /// Streams `data` into a fresh store of `kind` and finalizes; checks the
@@ -65,7 +82,9 @@ struct StreamCase {
   int m;
   int k;
   double eps;
-  int gap_modulus;  // 0 = no gaps; else drop ticks with t % gap_modulus == 1
+  // 0 = no gaps; else drop the ticks with 1 <= t % gap_modulus <= gap_run.
+  int gap_modulus;
+  int gap_run = 1;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<StreamCase>& info) {
@@ -73,7 +92,8 @@ std::string CaseName(const ::testing::TestParamInfo<StreamCase>& info) {
   return "seed" + std::to_string(c.seed) + "_n" +
          std::to_string(c.num_objects) + "_t" + std::to_string(c.num_ticks) +
          "_m" + std::to_string(c.m) + "_k" + std::to_string(c.k) +
-         (c.gap_modulus > 0 ? "_gap" + std::to_string(c.gap_modulus) : "");
+         (c.gap_modulus > 0 ? "_gap" + std::to_string(c.gap_modulus) : "") +
+         (c.gap_run > 1 ? "_run" + std::to_string(c.gap_run) : "");
 }
 
 class OnlineDifferentialTest : public ::testing::TestWithParam<StreamCase> {
@@ -92,7 +112,8 @@ class OnlineDifferentialTest : public ::testing::TestWithParam<StreamCase> {
     // reported during them.
     DatasetBuilder builder;
     for (const PointRecord& rec : walk.records()) {
-      if (rec.t % c.gap_modulus == 1) continue;
+      const Timestamp phase = rec.t % c.gap_modulus;
+      if (phase >= 1 && phase <= c.gap_run) continue;
       builder.Add(rec);
     }
     return builder.Build();
@@ -130,6 +151,17 @@ TEST_P(OnlineDifferentialTest, StreamingMatchesGoldFullyConnected) {
                       GoldFullyConnectedConvoys(data, params));
 }
 
+TEST_P(OnlineDifferentialTest, ClosedConvoysAreWholeAtEveryTick) {
+  const Dataset data = MakeData();
+  const MiningParams params = Params();
+  MemoryStore store;
+  OnlineK2HopMiner miner(&store, params);
+  for (Timestamp t : data.timestamps()) {
+    ASSERT_TRUE(miner.AppendTick(t, SnapshotPoints(data, t)).ok());
+  }
+  ExpectClosedConvoysWhole(&store, params, miner.closed_convoys());
+}
+
 // Dense walks: chance convoys, splits, merges — the adversarial input.
 INSTANTIATE_TEST_SUITE_P(
     DenseRandomWalks, OnlineDifferentialTest,
@@ -164,6 +196,16 @@ INSTANTIATE_TEST_SUITE_P(
         StreamCase{42, 10, 24, 50.0, 2, 5, 9.0, 7},
         StreamCase{43, 9, 26, 45.0, 3, 6, 10.0, 4},
         StreamCase{44, 8, 30, 40.0, 2, 9, 8.0, 6}),
+    CaseName);
+
+// Long gaps: each run of missing ticks holds several benchmark grid points,
+// of which the miners cluster only the first and the last.
+INSTANTIATE_TEST_SUITE_P(
+    LongGapStreams, OnlineDifferentialTest,
+    ::testing::Values(
+        StreamCase{51, 8, 70, 40.0, 2, 4, 8.0, 20, 9},
+        StreamCase{52, 10, 80, 50.0, 2, 6, 9.0, 24, 12},
+        StreamCase{53, 9, 90, 35.0, 3, 8, 12.0, 30, 17}),
     CaseName);
 
 // ---------------------------------------------------------------------------
@@ -230,6 +272,7 @@ TEST(OnlineDominanceTest, FinalizeDropsEmissionsThatLaterConvoysSubsume) {
           << v.DebugString() << " is inside no final convoy";
     }
     EXPECT_GT(subsumed, 0u) << "no emission was subsumed: weak test input";
+    ExpectClosedConvoysWhole(store.value().get(), params, emitted);
     auto batch = MineK2Hop(store.value().get(), params);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     EXPECT_EQ(final_set, batch.value());

@@ -340,6 +340,42 @@ TEST(OnlineK2HopTest, MatchesBatchWithTickGaps) {
   EXPECT_EQ(Str(streamed.value()), Str(BatchMine(data, params)));
 }
 
+TEST(OnlineK2HopTest, ALongGapClustersOnlyTheGridPointsAtItsEnds) {
+  // Ticks 0..39 and 150,000,000..150,000,039 carry data, and the same four
+  // objects travel together in both stretches. At k = 30 (hop 15) the gap
+  // holds 9,999,997 grid points; online and batch cluster its first and
+  // last one only, and still agree.
+  constexpr Timestamp kLater = 150'000'000;
+  DatasetBuilder builder;
+  for (Timestamp base : {Timestamp{0}, kLater}) {
+    for (Timestamp t = base; t < base + 40; ++t) {
+      for (ObjectId o = 0; o < 4; ++o) builder.Add(t, o, 5.0 * o, 0.0);
+    }
+  }
+  const Dataset data = builder.Build();
+  const MiningParams params{3, 30, 30.0};
+  EXPECT_EQ(BenchmarkPoints(data.timestamps(), params.k),
+            (std::vector<Timestamp>{0, 15, 30, 45, kLater - 15, kLater,
+                                    kLater + 15, kLater + 30}));
+
+  MemoryStore store;
+  OnlineK2HopMiner miner(&store, params);
+  ASSERT_TRUE(Stream(data, &miner).ok());
+  auto streamed = miner.Finalize();
+  ASSERT_TRUE(streamed.ok());
+  auto batch_store = MakeMemStore(data);
+  K2HopStats stats;
+  auto batch = MineK2Hop(batch_store.get(), params, {}, &stats);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(Str(streamed.value()), Str(batch.value()));
+  const ObjectSet group = ObjectSet::Of({0, 1, 2, 3});
+  EXPECT_EQ(batch.value(),
+            (std::vector<Convoy>{Convoy(group, 0, 39),
+                                 Convoy(group, kLater, kLater + 39)}));
+  EXPECT_EQ(stats.benchmark_points, 8u);
+  EXPECT_EQ(miner.stats().benchmark_points, 8u);
+}
+
 TEST(OnlineK2HopTest, MatchesBatchWhenLengthIsNotAMultipleOfHop) {
   // k = 6 -> hop 3; 14 ticks (0..13) leave a 1-tick tail after the last
   // benchmark at 12.

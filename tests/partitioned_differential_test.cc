@@ -66,7 +66,9 @@ struct PartitionCase {
   int m;
   int k;
   double eps;
-  int gap_modulus;  // 0 = no gaps; else drop ticks with t % gap_modulus == 1
+  // 0 = no gaps; else drop the ticks with 1 <= t % gap_modulus <= gap_run.
+  int gap_modulus;
+  int gap_run = 1;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<PartitionCase>& info) {
@@ -74,7 +76,8 @@ std::string CaseName(const ::testing::TestParamInfo<PartitionCase>& info) {
   return "seed" + std::to_string(c.seed) + "_n" +
          std::to_string(c.num_objects) + "_t" + std::to_string(c.num_ticks) +
          "_m" + std::to_string(c.m) + "_k" + std::to_string(c.k) +
-         (c.gap_modulus > 0 ? "_gap" + std::to_string(c.gap_modulus) : "");
+         (c.gap_modulus > 0 ? "_gap" + std::to_string(c.gap_modulus) : "") +
+         (c.gap_run > 1 ? "_run" + std::to_string(c.gap_run) : "");
 }
 
 class PartitionedDifferentialTest
@@ -92,7 +95,8 @@ class PartitionedDifferentialTest
     if (c.gap_modulus <= 0) return walk;
     DatasetBuilder builder;
     for (const PointRecord& rec : walk.records()) {
-      if (rec.t % c.gap_modulus == 1) continue;
+      const Timestamp phase = rec.t % c.gap_modulus;
+      if (phase >= 1 && phase <= c.gap_run) continue;
       builder.Add(rec);
     }
     return builder.Build();
@@ -163,6 +167,17 @@ INSTANTIATE_TEST_SUITE_P(
         PartitionCase{42, 10, 24, 50.0, 2, 5, 9.0, 7},
         PartitionCase{43, 9, 26, 45.0, 3, 6, 10.0, 4},
         PartitionCase{44, 8, 30, 40.0, 2, 9, 8.0, 6}),
+    CaseName);
+
+// Long gaps: each run of missing ticks holds several benchmark grid points,
+// of which the miner clusters only the first and the last, so a shard can
+// start or end inside a gap.
+INSTANTIATE_TEST_SUITE_P(
+    LongGapStreams, PartitionedDifferentialTest,
+    ::testing::Values(
+        PartitionCase{51, 8, 70, 40.0, 2, 4, 8.0, 20, 9},
+        PartitionCase{52, 10, 80, 50.0, 2, 6, 9.0, 24, 12},
+        PartitionCase{53, 9, 90, 35.0, 3, 8, 12.0, 30, 17}),
     CaseName);
 
 // ---------------------------------------------------------------------------

@@ -550,54 +550,5 @@ TEST(ValidationRoundTest, OneFetchPerTickForTheUnionOfTheUnprovenSets) {
   EXPECT_GT(shared_ticks, 0u) << "weak test input";
 }
 
-TEST(ValidationRoundTest, ReportsEveryWholeAnswerAsAProof) {
-  // With `proven`, a round reports, per candidate, its runs of ticks that
-  // a re-clustering answered exactly {O}: all of them and nothing else.
-  Rng rng(11);
-  size_t runs = 0;
-  for (uint64_t seed : {4u, 9u}) {
-    auto store = MakeMemStore(DenseWalk(seed));
-    const MiningParams params{3, 5, 6.0};
-    const std::vector<Convoy> round = [&] {
-      std::vector<Convoy> all = RandomCandidates(store.get(), params, &rng);
-      std::set<Convoy> distinct(all.begin(), all.end());
-      return std::vector<Convoy>(distinct.begin(), distinct.end());
-    }();
-    ProofBook book;
-    for (const Convoy& c : round) {
-      if (rng.NextInt(3) == 0) {
-        AddRandomProofs(store.get(), c, params, &rng, &book);
-      }
-    }
-    SnapshotSlots slots(store.get(), 1);
-    std::vector<FcCheck> checks(round.size());
-    std::vector<ProvenRun> proven;
-    ASSERT_TRUE(
-        CheckRound(&slots, round, params, book, &checks, &proven).ok());
-    std::set<std::pair<Timestamp, ObjectSet>> got, want;
-    for (const ProvenRun& run : proven) {
-      for (Timestamp t = run.ticks.start; t <= run.ticks.end; ++t) {
-        got.emplace(t, run.objects);
-      }
-    }
-    for (const Convoy& c : round) {
-      const std::span<const TimeRange> known = book.Find(c.objects);
-      for (Timestamp t = c.start; t <= c.end; ++t) {
-        bool is_proven = false;
-        for (const TimeRange& r : known) is_proven |= r.Contains(t);
-        if (is_proven) continue;
-        auto cs = ReCluster(store.get(), t, c.objects, params);
-        ASSERT_TRUE(cs.ok());
-        if (cs.value() == std::vector<ObjectSet>{c.objects}) {
-          want.emplace(t, c.objects);
-        }
-      }
-    }
-    EXPECT_EQ(got, want);
-    runs += proven.size();
-  }
-  EXPECT_GT(runs, 0u) << "weak test input";
-}
-
 }  // namespace
 }  // namespace k2
