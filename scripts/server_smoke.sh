@@ -8,7 +8,8 @@
 # byte-for-byte against an in-process reference engine (including after a
 # mid-stream snapshot swap), the malformed-frame error paths, and finally a
 # kShutdown message whose graceful drain must bring the server process to a
-# clean exit 0.
+# clean exit 0. The second part runs once per publish cadence
+# (--publish-every 1 and 2).
 #
 # Usage: scripts/server_smoke.sh
 #   BUILD_DIR  build tree with k2_server + k2_server_smoke (default: build)
@@ -44,45 +45,53 @@ done
 echo "k2_server refused --m 1, --eps abc, --workers abc and --port 70000"
 
 # Mining params must match on both sides: the smoke binary rebuilds the
-# same catalog in-process and compares raw reply bytes.
-M=3 K=4 EPS=120 PUBLISH_EVERY=2
+# same catalog in-process and compares raw reply bytes. The server is
+# smoked at two publish cadences: one publish per closed convoy (what
+# k2bench serves at) and one per two.
+M=3 K=4 EPS=120
 
 log=$(mktemp)
-trap 'rm -f "$log"; kill "$server_pid" 2>/dev/null || true' EXIT
+server_pid=""
+trap 'rm -f "$log"; [[ -n "$server_pid" ]] && kill "$server_pid" 2>/dev/null || true' EXIT
 
-"$SERVER" --host 127.0.0.1 --port 0 --m "$M" --k "$K" --eps "$EPS" \
-  --publish-every "$PUBLISH_EVERY" > "$log" 2>&1 &
-server_pid=$!
+for PUBLISH_EVERY in 1 2; do
+  "$SERVER" --host 127.0.0.1 --port 0 --m "$M" --k "$K" --eps "$EPS" \
+    --publish-every "$PUBLISH_EVERY" > "$log" 2>&1 &
+  server_pid=$!
 
-# The server prints "k2_server: listening on 127.0.0.1:PORT (...)" once
-# every worker's listener is bound; wait for that line, then parse the
-# kernel-chosen port out of it.
-port=""
-for _ in $(seq 1 100); do
-  if ! kill -0 "$server_pid" 2>/dev/null; then
-    echo "error: k2_server exited before listening:" >&2
+  # The server prints "k2_server: listening on 127.0.0.1:PORT (...)" once
+  # every worker's listener is bound; wait for that line, then parse the
+  # kernel-chosen port out of it.
+  port=""
+  for _ in $(seq 1 100); do
+    if ! kill -0 "$server_pid" 2>/dev/null; then
+      echo "error: k2_server exited before listening:" >&2
+      cat "$log" >&2
+      exit 1
+    fi
+    port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$log")
+    [[ -n "$port" ]] && break
+    sleep 0.1
+  done
+  if [[ -z "$port" ]]; then
+    echo "error: k2_server never reported a listening port:" >&2
     cat "$log" >&2
     exit 1
   fi
-  port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$log")
-  [[ -n "$port" ]] && break
-  sleep 0.1
+  echo "k2_server up on 127.0.0.1:$port (pid $server_pid," \
+    "--publish-every $PUBLISH_EVERY)"
+
+  "$SMOKE" --host 127.0.0.1 --port "$port" --m "$M" --k "$K" --eps "$EPS" \
+    --publish-every "$PUBLISH_EVERY" --shutdown
+
+  # --shutdown sent kShutdown: the daemon must drain and exit 0 on its own.
+  if ! wait "$server_pid"; then
+    echo "error: k2_server did not shut down cleanly:" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+  server_pid=""
+  grep -q "drained and shut down cleanly" "$log"
+  echo "server smoke passed at --publish-every $PUBLISH_EVERY:" \
+    "wire answers byte-identical, drain clean"
 done
-if [[ -z "$port" ]]; then
-  echo "error: k2_server never reported a listening port:" >&2
-  cat "$log" >&2
-  exit 1
-fi
-echo "k2_server up on 127.0.0.1:$port (pid $server_pid)"
-
-"$SMOKE" --host 127.0.0.1 --port "$port" --m "$M" --k "$K" --eps "$EPS" \
-  --publish-every "$PUBLISH_EVERY" --shutdown
-
-# --shutdown sent kShutdown: the daemon must drain and exit 0 on its own.
-if ! wait "$server_pid"; then
-  echo "error: k2_server did not shut down cleanly:" >&2
-  cat "$log" >&2
-  exit 1
-fi
-grep -q "drained and shut down cleanly" "$log"
-echo "server smoke passed: wire answers byte-identical, drain clean"

@@ -28,9 +28,8 @@ Result<std::vector<Convoy>> MineCmc(Store* store, const MiningParams& params) {
   std::vector<Convoy> results;
   std::vector<ObjectSet> clusters;
 
-  for (Timestamp t = range.start; t <= range.end; ++t) {
-    clusters.clear();
-    K2_RETURN_NOT_OK(clusters_at(t, &clusters));
+  // One step of candidate maintenance at tick t with the clusters above.
+  const auto step = [&](Timestamp t) {
     std::vector<Candidate> next;
     std::vector<bool> candidate_matched(active.size(), false);
     std::vector<bool> cluster_matched(clusters.size(), false);
@@ -65,6 +64,18 @@ Result<std::vector<Convoy>> MineCmc(Store* store, const MiningParams& params) {
     }
     active.clear();
     for (auto& [set, start] : dedup) active.push_back(Candidate{set, start});
+  };
+  // Only the data ticks are clustered. A run of ticks without data ends
+  // every candidate at its first tick (one step with no clusters) and then
+  // holds none, so the rest of the run is skipped. The range spans the
+  // data ticks, so no run trails the last one.
+  int64_t unstepped = range.start;  // the first tick not stepped yet
+  for (const Timestamp t : store->timestamps()) {
+    clusters.clear();
+    if (t > unstepped) step(static_cast<Timestamp>(unstepped));
+    K2_RETURN_NOT_OK(clusters_at(t, &clusters));
+    step(t);
+    unstepped = int64_t{t} + 1;
   }
   for (const Candidate& c : active) {
     if (range.end - c.start + 1 >= params.k) {
@@ -82,7 +93,8 @@ Result<std::vector<Convoy>> MinePccd(Store* store,
   SweepOptions options;
   options.min_length = params.k;
   return MaximalConvoySweep(StoreClustersFn(store, params),
-                            store->time_range(), params.m, options);
+                            store->timestamps(), store->time_range(),
+                            params.m, options);
 }
 
 }  // namespace k2

@@ -150,7 +150,8 @@ Result<std::vector<Convoy>> MineCuts(Store* store, const MiningParams& params,
   };
   SweepOptions sweep;
   sweep.min_length = params.k;
-  auto result = MaximalConvoySweep(clusters_at, range, params.m, sweep);
+  auto result = MaximalConvoySweep(clusters_at, store->timestamps(), range,
+                                   params.m, sweep);
   s->phases.Add("refine", sw.ElapsedSeconds());
   return result;
 }

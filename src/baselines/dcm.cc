@@ -89,8 +89,9 @@ Result<std::vector<Convoy>> MineDcm(Store* store, const MiningParams& params,
     sweep.min_length = params.k;
     sweep.keep_left_border = p > 0;
     sweep.keep_right_border = p + 1 < ranges.size();
-    auto result = MaximalConvoySweep(DatasetClustersFn(&dataset, params),
-                                     ranges[p], params.m, sweep);
+    auto result =
+        MaximalConvoySweep(DatasetClustersFn(&dataset, params),
+                           dataset.timestamps(), ranges[p], params.m, sweep);
     if (result.ok()) {
       partition_results[p] = result.MoveValue();
     } else {

@@ -8,6 +8,7 @@
 #define K2_BASELINES_SWEEP_H_
 
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -61,6 +62,16 @@ void FoldCandidates(
 /// is maximal (no element is a sub-convoy of another) and canonically
 /// sorted.
 Result<std::vector<Convoy>> MaximalConvoySweep(const ClustersAtFn& clusters_at,
+                                               TimeRange range, int m,
+                                               const SweepOptions& options);
+
+/// The same sweep, consulting `clusters_at` only at the ticks of `ticks`
+/// (ascending; the ticks with data) that lie in `range`. Every other tick
+/// has no clusters, so a run of them is folded once, as one empty tick
+/// that terminates every candidate: the cost follows the data ticks, not
+/// the length of the range.
+Result<std::vector<Convoy>> MaximalConvoySweep(const ClustersAtFn& clusters_at,
+                                               std::span<const Timestamp> ticks,
                                                TimeRange range, int m,
                                                const SweepOptions& options);
 

@@ -1,7 +1,12 @@
 #include "serve/catalog.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <numeric>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -55,55 +60,127 @@ void SnapshotCell::Store(std::shared_ptr<const CatalogSnapshot> next,
 
 namespace {
 
-// A convoy's footprint: its members' positions at every tick of its
-// lifespan, sorted by x, and their bounding box. The tick counter is 64-bit
-// so that a lifespan ending at the largest Timestamp terminates.
-Result<std::shared_ptr<const Footprint>> BuildFootprint(const Convoy& convoy,
-                                                        Store* store) {
-  auto footprint = std::make_shared<Footprint>();
-  std::vector<FootprintPoint>& points = footprint->points;
+// The bounding box of `points`; an empty Rect when there are none.
+Rect BoundingBox(std::span<const FootprintPoint> points) {
+  if (points.empty()) return Rect{};
+  Rect box{points[0].x, points[0].y, points[0].x, points[0].y};
+  for (const FootprintPoint& p : points.subspan(1)) {
+    box.min_x = std::min(box.min_x, p.x);
+    box.min_y = std::min(box.min_y, p.y);
+    box.max_x = std::max(box.max_x, p.x);
+    box.max_y = std::max(box.max_y, p.y);
+  }
+  return box;
+}
+
+// Chunk `c` of `points`: points [c * kChunk, (c + 1) * kChunk), fewer in
+// the last chunk.
+std::span<const FootprintPoint> Chunk(std::span<const FootprintPoint> points,
+                                      size_t c) {
+  const size_t at = c * CatalogEntry::kChunk;
+  return points.subspan(at,
+                        std::min(CatalogEntry::kChunk, points.size() - at));
+}
+
+// A convoy's entry: the convoy, its members' positions at every tick of its
+// lifespan in read order, and their chunk and whole bounding boxes. The
+// tick counter is 64-bit so that a lifespan ending at the largest Timestamp
+// terminates.
+Result<std::shared_ptr<const CatalogEntry>> BuildEntry(const Convoy& convoy,
+                                                       Store* store) {
+  auto entry = std::make_shared<CatalogEntry>();
+  entry->convoy = convoy;
+  std::vector<FootprintPoint>& points = entry->points;
   std::vector<SnapshotPoint> buf;
   for (int64_t t = convoy.start; t <= convoy.end; ++t) {
     K2_RETURN_NOT_OK(
         store->GetPoints(static_cast<Timestamp>(t), convoy.objects, &buf));
-    // A NaN coordinate is inside no rect and would break the sort below.
+    // A NaN coordinate is inside no rect and would poison the boxes.
     for (const SnapshotPoint& p : buf) {
       if (!std::isnan(p.x) && !std::isnan(p.y)) points.push_back({p.x, p.y});
     }
   }
-  std::ranges::sort(points, {}, &FootprintPoint::x);
-  if (!points.empty()) {
-    const auto [lo, hi] =
-        std::ranges::minmax_element(points, {}, &FootprintPoint::y);
-    footprint->box = {points.front().x, lo->y, points.back().x, hi->y};
+  for (size_t c = 0; c * CatalogEntry::kChunk < points.size(); ++c) {
+    entry->chunk_boxes.push_back(BoundingBox(Chunk(points, c)));
   }
-  return std::shared_ptr<const Footprint>(std::move(footprint));
+  entry->box = BoundingBox(points);
+  return std::shared_ptr<const CatalogEntry>(std::move(entry));
+}
+
+// True when no point of `box` (an empty box has none) can lie in `region`.
+bool Misses(const Rect& box, const Rect& region) {
+  return box.empty() || box.max_x < region.min_x ||
+         box.min_x > region.max_x || box.max_y < region.min_y ||
+         box.min_y > region.max_y;
+}
+
+// True when every point of the non-empty `box` lies in `region`.
+bool Inside(const Rect& box, const Rect& region) {
+  return region.Contains(box.min_x, box.min_y) &&
+         region.Contains(box.max_x, box.max_y);
+}
+
+// Writes the ids of `old` renumbered by `remap`, merged with `fresh`, to
+// `out` and returns the end of what it wrote. Both inputs are in the order
+// `before`, which the remap keeps among old ids, so this is one pass that
+// compares only while placing each fresh id, by binary search.
+template <typename Before>
+ConvoyId* MergeRemapped(std::span<const ConvoyId> old,
+                        const std::vector<ConvoyId>& remap,
+                        std::span<const ConvoyId> fresh, Before before,
+                        ConvoyId* out) {
+  auto next = old.begin();
+  for (const ConvoyId f : fresh) {
+    const auto to = std::partition_point(
+        next, old.end(), [&](ConvoyId id) { return before(remap[id], f); });
+    for (; next != to; ++next) *out++ = remap[*next];
+    *out++ = f;
+  }
+  for (; next != old.end(); ++next) *out++ = remap[*next];
+  return out;
 }
 
 }  // namespace
+
+std::vector<Convoy> CatalogSnapshot::convoys() const {
+  std::vector<Convoy> out;
+  out.reserve(entries_.size());
+  for (const auto& entry : entries_) out.push_back(entry->convoy);
+  return out;
+}
+
+size_t CatalogSnapshot::LowerBound(const Convoy& convoy) const {
+  return static_cast<size_t>(
+      std::lower_bound(entries_.begin(), entries_.end(), convoy,
+                       [](const std::shared_ptr<const CatalogEntry>& entry,
+                          const Convoy& c) { return entry->convoy < c; }) -
+      entries_.begin());
+}
 
 void CatalogSnapshot::ByObject(ObjectId oid, std::vector<ConvoyId>* out) const {
   out->clear();
   const auto it = std::lower_bound(obj_oids_.begin(), obj_oids_.end(), oid);
   if (it == obj_oids_.end() || *it != oid) return;
-  const size_t i = static_cast<size_t>(it - obj_oids_.begin());
-  out->assign(obj_postings_.begin() + obj_starts_[i],
-              obj_postings_.begin() + obj_starts_[i + 1]);
+  const std::span<const ConvoyId> run =
+      Postings(static_cast<size_t>(it - obj_oids_.begin()));
+  out->assign(run.begin(), run.end());
+}
+
+std::span<const ConvoyId> CatalogSnapshot::Postings(size_t i) const {
+  return std::span<const ConvoyId>(obj_postings_)
+      .subspan(obj_starts_[i], obj_starts_[i + 1] - obj_starts_[i]);
 }
 
 void CatalogSnapshot::ByTimeWindow(TimeRange window,
                                    std::vector<ConvoyId>* out) const {
   out->clear();
-  if (convoys_.empty() || window.empty()) return;
-  // Overlap = start <= window.end AND end >= window.start. convoys_ is
+  if (starts_.empty() || window.empty()) return;
+  // Overlap = start <= window.end AND end >= window.start. Ids are
   // start-sorted, so the first conjunct is a prefix cut; the segment tree
   // reports the second inside that prefix in ascending id order.
   const size_t limit = static_cast<size_t>(
-      std::upper_bound(convoys_.begin(), convoys_.end(), window.end,
-                       [](Timestamp t, const Convoy& c) {
-                         return t < c.start;
-                       }) -
-      convoys_.begin());
+      std::upper_bound(starts_.begin(), starts_.end(), window.end) -
+      starts_.begin());
   if (limit == 0) return;
   ReportOverlaps(1, 0, seg_size_, window.start, limit, out);
 }
@@ -113,7 +190,7 @@ void CatalogSnapshot::ReportOverlaps(size_t node, size_t lo, size_t hi,
                                      std::vector<ConvoyId>* out) const {
   if (lo >= limit || seg_max_end_[node] < min_end) return;
   if (hi - lo == 1) {
-    if (lo < convoys_.size()) out->push_back(static_cast<ConvoyId>(lo));
+    if (lo < starts_.size()) out->push_back(static_cast<ConvoyId>(lo));
     return;
   }
   const size_t mid = lo + (hi - lo) / 2;
@@ -131,22 +208,19 @@ void CatalogSnapshot::ByRegion(const Rect& region,
 }
 
 bool CatalogSnapshot::InRegion(ConvoyId id, const Rect& region) const {
-  // A box disjoint from the rect (or empty) is a miss, one inside it a hit;
-  // a straddling box looks for a point inside among those from min x on.
-  const Rect& box = boxes_[id];
-  if (box.empty() || box.max_x < region.min_x || box.min_x > region.max_x ||
-      box.max_y < region.min_y || box.min_y > region.max_y) {
-    return false;
-  }
-  if (region.Contains(box.min_x, box.min_y) &&
-      region.Contains(box.max_x, box.max_y)) {
-    return true;
-  }
-  const std::vector<FootprintPoint>& points = footprints_[id]->points;
-  auto it = std::ranges::lower_bound(points, region.min_x, {},
-                                     &FootprintPoint::x);
-  for (; it != points.end() && it->x <= region.max_x; ++it) {
-    if (region.Contains(it->x, it->y)) return true;
+  // A box that misses the rect (or is empty) is a miss, one inside it a
+  // hit; a straddling box asks its chunks the same two questions, and
+  // scans the points of a chunk that straddles too.
+  if (Misses(boxes_[id], region)) return false;
+  if (Inside(boxes_[id], region)) return true;
+  const CatalogEntry& entry = *entries_[id];
+  for (size_t c = 0; c < entry.chunk_boxes.size(); ++c) {
+    const Rect& chunk = entry.chunk_boxes[c];
+    if (Misses(chunk, region)) continue;
+    if (Inside(chunk, region)) return true;
+    for (const FootprintPoint& p : Chunk(entry.points, c)) {
+      if (region.Contains(p.x, p.y)) return true;
+    }
   }
   return false;
 }
@@ -154,11 +228,10 @@ bool CatalogSnapshot::InRegion(ConvoyId id, const Rect& region) const {
 bool CatalogSnapshot::RankBefore(ConvoyRank rank, ConvoyId a,
                                  ConvoyId b) const {
   if (rank == ConvoyRank::kLongest) {
-    const int64_t la = convoys_[a].length(), lb = convoys_[b].length();
+    const int64_t la = convoy(a).length(), lb = convoy(b).length();
     if (la != lb) return la > lb;
   } else {
-    const size_t sa = convoys_[a].objects.size(),
-                 sb = convoys_[b].objects.size();
+    const size_t sa = convoy(a).objects.size(), sb = convoy(b).objects.size();
     if (sa != sb) return sa > sb;
   }
   return a < b;
@@ -188,17 +261,16 @@ Status ConvoyCatalog::AddConvoy(const Convoy& convoy, Store* store) {
 
 Status ConvoyCatalog::AddLocked(const Convoy& convoy, Store* store) {
   if (FindLocked(convoy)) return Status::OK();
-  K2_ASSIGN_OR_RETURN(auto footprint, BuildFootprint(convoy, store));
-  added_.emplace(convoy, std::move(footprint));
+  K2_ASSIGN_OR_RETURN(auto entry, BuildEntry(convoy, store));
+  added_.emplace(convoy, std::move(entry));
   return Status::OK();
 }
 
-std::shared_ptr<const Footprint> ConvoyCatalog::FindLocked(
+std::shared_ptr<const CatalogEntry> ConvoyCatalog::FindLocked(
     const Convoy& convoy) const {
-  const std::vector<Convoy>& published = base_->convoys_;
-  const auto it = std::lower_bound(published.begin(), published.end(), convoy);
-  if (it != published.end() && *it == convoy) {
-    return base_->footprints_[static_cast<size_t>(it - published.begin())];
+  const size_t at = base_->LowerBound(convoy);
+  if (at < base_->size() && base_->convoy(at) == convoy) {
+    return base_->entries_[at];
   }
   const auto added = added_.find(convoy);
   return added == added_.end() ? nullptr : added->second;
@@ -207,16 +279,16 @@ std::shared_ptr<const Footprint> ConvoyCatalog::FindLocked(
 Status ConvoyCatalog::ReplaceAll(std::span<const Convoy> convoys,
                                  Store* store) {
   MutexLock lock(writer_mu_);
-  // Build the replacement aside (sharing known footprints) so an error
+  // Build the replacement aside (sharing known entries) so an error
   // mid-way leaves the current content untouched.
-  std::map<Convoy, std::shared_ptr<const Footprint>> next;
+  std::map<Convoy, std::shared_ptr<const CatalogEntry>> next;
   for (const Convoy& convoy : convoys) {
     if (next.contains(convoy)) continue;
-    std::shared_ptr<const Footprint> footprint = FindLocked(convoy);
-    if (!footprint) {
-      K2_ASSIGN_OR_RETURN(footprint, BuildFootprint(convoy, store));
+    std::shared_ptr<const CatalogEntry> entry = FindLocked(convoy);
+    if (!entry) {
+      K2_ASSIGN_OR_RETURN(entry, BuildEntry(convoy, store));
     }
-    next.emplace(convoy, std::move(footprint));
+    next.emplace(convoy, std::move(entry));
   }
   base_.reset(new CatalogSnapshot());
   added_ = std::move(next);
@@ -233,98 +305,102 @@ std::shared_ptr<const CatalogSnapshot> ConvoyCatalog::PublishLocked() {
   std::shared_ptr<CatalogSnapshot> snap(new CatalogSnapshot());
   snap->epoch_ = ++epoch_;
   const size_t n = old.size() + added_.size();
-  snap->convoys_.reserve(n);
-  snap->footprints_.reserve(n);
+  snap->entries_.reserve(n);
   snap->boxes_.reserve(n);
+  snap->starts_.reserve(n);
+  snap->seg_size_ = std::bit_ceil(std::max<size_t>(n, 1));
+  snap->seg_max_end_.assign(2 * snap->seg_size_, kInvalidTimestamp);
+  Timestamp* const ends = snap->seg_max_end_.data() + snap->seg_size_;
+  const Timestamp* const old_ends = old.seg_max_end_.data() + old.seg_size_;
 
-  // Convoys, footprints and boxes: the additions merged into the old
-  // canonical order. remap[i] is old id i's new id (increasing in i), and
-  // fresh lists the additions' new ids, ascending.
-  const auto push = [&snap](const Convoy& convoy,
-                           const std::shared_ptr<const Footprint>& footprint) {
-    snap->convoys_.push_back(convoy);
-    snap->footprints_.push_back(footprint);
-    snap->boxes_.push_back(footprint->box);
-    snap->footprint_points_ += footprint->points.size();
-    return static_cast<ConvoyId>(snap->convoys_.size() - 1);
-  };
+  // Entries, boxes, starts and ends: each addition goes in at its place in
+  // the old canonical order, found by binary search, and the old ids in
+  // between are copied over as ranges. remap[i] is old id i's new id
+  // (increasing in i), and fresh lists the additions' new ids, ascending.
   std::vector<ConvoyId> remap, fresh;
   remap.reserve(old.size());
   fresh.reserve(added_.size());
-  auto add = added_.begin();
-  for (size_t i = 0; i < old.size() || add != added_.end();) {
-    if (add == added_.end() ||
-        (i < old.size() && old.convoys_[i] < add->first)) {
-      remap.push_back(push(old.convoys_[i], old.footprints_[i]));
-      ++i;
-    } else {
-      fresh.push_back(push(add->first, add->second));
-      ++add;
-    }
+  const auto take_old = [&](size_t to) {
+    const size_t from = remap.size(), at = snap->entries_.size();
+    remap.resize(to);
+    std::iota(remap.begin() + from, remap.end(), static_cast<ConvoyId>(at));
+    std::copy(old_ends + from, old_ends + to, ends + at);
+    const auto append = [from, to](auto* out, const auto& in) {
+      out->insert(out->end(), in.begin() + from, in.begin() + to);
+    };
+    append(&snap->entries_, old.entries_);
+    append(&snap->boxes_, old.boxes_);
+    append(&snap->starts_, old.starts_);
+  };
+  snap->footprint_points_ = old.footprint_points_;
+  for (const auto& [convoy, entry] : added_) {
+    take_old(old.LowerBound(convoy));
+    ends[snap->entries_.size()] = convoy.end;
+    fresh.push_back(static_cast<ConvoyId>(snap->entries_.size()));
+    snap->entries_.push_back(entry);
+    snap->boxes_.push_back(entry->box);
+    snap->starts_.push_back(convoy.start);
+    snap->footprint_points_ += entry->points.size();
+  }
+  take_old(old.size());
+
+  // Interval index: the max-end segment tree over the ends, bottom up.
+  for (size_t node = snap->seg_size_ - 1; node > 0; --node) {
+    snap->seg_max_end_[node] = std::max(snap->seg_max_end_[2 * node],
+                                        snap->seg_max_end_[2 * node + 1]);
   }
 
-  // Interval index: max-end segment tree over the start-sorted convoys.
-  snap->seg_size_ = 1;
-  while (snap->seg_size_ < std::max<size_t>(n, 1)) snap->seg_size_ *= 2;
-  snap->seg_max_end_.assign(2 * snap->seg_size_, kInvalidTimestamp);
-  for (size_t i = 0; i < n; ++i) {
-    snap->seg_max_end_[snap->seg_size_ + i] = snap->convoys_[i].end;
-  }
-  for (size_t i = snap->seg_size_ - 1; i > 0; --i) {
-    snap->seg_max_end_[i] =
-        std::max(snap->seg_max_end_[2 * i], snap->seg_max_end_[2 * i + 1]);
-  }
-
-  // Inverted object index: the old postings as (oid, remapped id) pairs
-  // keep their (oid, id) order, since the remap is increasing; merging in
-  // the additions' sorted pairs gives the CSR order with ids ascending per
-  // oid. Only the additions' pairs are sorted.
-  std::vector<std::pair<ObjectId, ConvoyId>> postings;
-  postings.reserve(old.obj_postings_.size());
-  for (size_t o = 0; o < old.obj_oids_.size(); ++o) {
-    for (uint32_t p = old.obj_starts_[o]; p < old.obj_starts_[o + 1]; ++p) {
-      postings.emplace_back(old.obj_oids_[o], remap[old.obj_postings_[p]]);
+  // Inverted object index, object by object in ascending oid order: the
+  // old run remapped (still ascending, since the remap is increasing) with
+  // the additions' ids of that object merged in. Only the additions'
+  // (oid, id) pairs are sorted.
+  std::vector<std::pair<ObjectId, ConvoyId>> added_postings;
+  for (const ConvoyId id : fresh) {
+    for (const ObjectId oid : snap->convoy(id).objects) {
+      added_postings.emplace_back(oid, id);
     }
   }
-  const size_t old_postings = postings.size();
-  for (ConvoyId id : fresh) {
-    for (ObjectId oid : snap->convoys_[id].objects) {
-      postings.emplace_back(oid, id);
+  std::sort(added_postings.begin(), added_postings.end());
+  snap->obj_oids_.reserve(old.obj_oids_.size() + added_postings.size());
+  snap->obj_starts_.reserve(old.obj_oids_.size() + added_postings.size() + 1);
+  snap->obj_postings_.resize(old.obj_postings_.size() + added_postings.size());
+  ConvoyId* out = snap->obj_postings_.data();
+  std::vector<ConvoyId> ids;  // the additions' ids of one object
+  for (size_t o = 0, a = 0;
+       o < old.obj_oids_.size() || a < added_postings.size();) {
+    ObjectId oid = o < old.obj_oids_.size()
+                       ? old.obj_oids_[o]
+                       : std::numeric_limits<ObjectId>::max();
+    if (a < added_postings.size()) oid = std::min(oid, added_postings[a].first);
+    std::span<const ConvoyId> run;
+    if (o < old.obj_oids_.size() && old.obj_oids_[o] == oid) {
+      run = old.Postings(o++);
     }
-  }
-  std::sort(postings.begin() + old_postings, postings.end());
-  std::inplace_merge(postings.begin(), postings.begin() + old_postings,
-                     postings.end());
-  snap->obj_postings_.reserve(postings.size());
-  for (const auto& [oid, id] : postings) {
-    if (snap->obj_oids_.empty() || snap->obj_oids_.back() != oid) {
-      snap->obj_oids_.push_back(oid);
-      snap->obj_starts_.push_back(
-          static_cast<uint32_t>(snap->obj_postings_.size()));
+    ids.clear();
+    for (; a < added_postings.size() && added_postings[a].first == oid; ++a) {
+      ids.push_back(added_postings[a].second);
     }
-    snap->obj_postings_.push_back(id);
+    snap->obj_oids_.push_back(oid);
+    snap->obj_starts_.push_back(
+        static_cast<uint32_t>(out - snap->obj_postings_.data()));
+    out = MergeRemapped(run, remap, ids, std::less<ConvoyId>(), out);
   }
   snap->obj_starts_.push_back(
       static_cast<uint32_t>(snap->obj_postings_.size()));
 
   // Rank orders (metric descending, ties by ascending id): the old order
   // remapped is still ranked, because metrics do not change and the remap
-  // keeps ties in id order; merge in the additions, ranked on their own.
+  // keeps ties in id order; the additions, ranked on their own, merge in.
   const CatalogSnapshot* s = snap.get();
   for (const ConvoyRank rank : {ConvoyRank::kLongest, ConvoyRank::kLargest}) {
     const auto before = [s, rank](ConvoyId a, ConvoyId b) {
       return s->RankBefore(rank, a, b);
     };
-    std::vector<ConvoyId> order;
-    order.reserve(n);
-    for (ConvoyId id : old.Ranked(rank)) order.push_back(remap[id]);
-    const size_t old_ranked = order.size();
-    order.insert(order.end(), fresh.begin(), fresh.end());
-    std::sort(order.begin() + old_ranked, order.end(), before);
-    std::inplace_merge(order.begin(), order.begin() + old_ranked, order.end(),
-                       before);
-    (rank == ConvoyRank::kLongest ? snap->by_length_ : snap->by_size_) =
-        std::move(order);
+    std::sort(fresh.begin(), fresh.end(), before);
+    std::vector<ConvoyId>& order =
+        rank == ConvoyRank::kLongest ? snap->by_length_ : snap->by_size_;
+    order.resize(n);
+    MergeRemapped(old.Ranked(rank), remap, fresh, before, order.data());
   }
 
   base_ = std::move(snap);

@@ -3,16 +3,19 @@
 // segment tree over the canonical start-sorted order), an inverted
 // object-id → convoy index (CSR postings), and per-convoy spatial
 // footprints (member positions at every tick of each convoy's lifespan,
-// sorted by x, with their bounding box; built once per convoy and shared
-// by every epoch) — so the questions users ask of mined convoys (Jeung et
-// al.: which convoys contain object o? overlap window [a,b]? pass through
+// in read order, behind a bounding box per chunk of points and one for
+// the whole) — so the questions users ask of mined convoys (Jeung et al.:
+// which convoys contain object o? overlap window [a,b]? pass through
 // region R?) are index lookups instead of rescans of a flat result vector.
 //
+// Each convoy and its footprint live in one immutable CatalogEntry, built
+// once when the convoy enters the catalog and shared by every epoch.
 // Publishing is incremental: the writer keeps the last published snapshot
 // plus the convoys added since, and Publish() merges the sorted additions
-// into that snapshot in one linear pass (canonical order yields an old ->
-// new id remap; postings and rank orders are the old ones remapped with
-// the additions merged in), so no existing posting or rank is re-sorted.
+// into that snapshot in one linear pass over flat arrays (canonical order
+// yields an old -> new id remap; each object's postings and both rank
+// orders are the old ones remapped with the additions merged in), so no
+// convoy is copied and no existing posting or rank is re-sorted.
 //
 // Concurrency model (epoch/RCU, left-right flavour): the write side
 // (AddConvoys / ReplaceAll / Publish, single writer, internally serialized)
@@ -73,11 +76,19 @@ struct FootprintPoint {
   double y = 0.0;
 };
 
-/// One convoy's spatial footprint, built once when the convoy enters the
-/// catalog and shared, immutable, by the writer state and every snapshot.
-struct Footprint {
-  /// Member positions at every tick of the lifespan, sorted by x.
+/// One catalog convoy with its spatial footprint, built once when the convoy
+/// enters the catalog and shared, immutable, by the writer state and every
+/// snapshot.
+struct CatalogEntry {
+  /// Footprint points per chunk box.
+  static constexpr size_t kChunk = 32;
+
+  Convoy convoy;
+  /// Member positions at every tick of the lifespan, tick by tick in the
+  /// order the store returned them; a NaN coordinate is dropped.
   std::vector<FootprintPoint> points;
+  /// chunk_boxes[c] bounds points [c * kChunk, (c + 1) * kChunk).
+  std::vector<Rect> chunk_boxes;
   /// Bounding box of `points`; an empty Rect when there are none.
   Rect box;
 };
@@ -91,11 +102,12 @@ struct Footprint {
 class CatalogSnapshot {
  public:
   uint64_t epoch() const { return epoch_; }
-  size_t size() const { return convoys_.size(); }
-  bool empty() const { return convoys_.empty(); }
-  /// Canonical order; ConvoyId indexes into this.
-  const std::vector<Convoy>& convoys() const { return convoys_; }
-  const Convoy& convoy(ConvoyId id) const { return convoys_[id]; }
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+  /// The convoy with id `id`; the same object in every epoch that holds it.
+  const Convoy& convoy(ConvoyId id) const { return entries_[id]->convoy; }
+  /// A copy of every convoy, in canonical order (ConvoyId indexes into it).
+  std::vector<Convoy> convoys() const;
   /// Total footprint points behind the spatial index.
   size_t footprint_points() const { return footprint_points_; }
 
@@ -120,18 +132,25 @@ class CatalogSnapshot {
   friend class ConvoyCatalog;
   CatalogSnapshot() = default;
 
-  /// Reports every i < limit with convoys_[i].end >= min_end from the
+  /// The first id whose convoy is not below `convoy` in canonical order.
+  size_t LowerBound(const Convoy& convoy) const;
+  /// The postings of oid obj_oids_[i].
+  std::span<const ConvoyId> Postings(size_t i) const;
+  /// Reports every i < limit whose convoy ends at or after min_end from the
   /// max-end segment tree node covering [lo, hi), ascending.
   void ReportOverlaps(size_t node, size_t lo, size_t hi, Timestamp min_end,
                       size_t limit, std::vector<ConvoyId>* out) const;
 
   uint64_t epoch_ = 0;
-  std::vector<Convoy> convoys_;
+  // Canonical order; shared with the writer state and other epochs.
+  std::vector<std::shared_ptr<const CatalogEntry>> entries_;
 
-  // Interval index: convoys_ is start-sorted (canonical order), so the
-  // overlap query "start <= b AND end >= a" is a prefix cut by start plus a
-  // descent of this max-end segment tree (seg_size_ is the padded pow2 leaf
-  // count; unpopulated leaves hold kInvalidTimestamp).
+  // Interval index: ids are start-sorted (canonical order), so the overlap
+  // query "start <= b AND end >= a" is a prefix cut of starts_ plus a
+  // descent of the max-end segment tree over the ends (seg_size_ is the
+  // padded pow2 leaf count; leaf seg_size_ + id holds the end of id, and
+  // unpopulated leaves hold kInvalidTimestamp).
+  std::vector<Timestamp> starts_;
   size_t seg_size_ = 0;
   std::vector<Timestamp> seg_max_end_;
 
@@ -141,9 +160,7 @@ class CatalogSnapshot {
   std::vector<uint32_t> obj_starts_;
   std::vector<ConvoyId> obj_postings_;
 
-  // Footprints shared with the writer state and other epochs; boxes_[id]
-  // copies footprints_[id]->box into the flat array ByRegion scans.
-  std::vector<std::shared_ptr<const Footprint>> footprints_;
+  // boxes_[id] copies entries_[id]->box into the flat array ByRegion scans.
   std::vector<Rect> boxes_;
   size_t footprint_points_ = 0;
 
@@ -219,7 +236,7 @@ class ConvoyCatalog {
 
   /// Replaces the entire content with `convoys` — the reconcile step after
   /// OnlineK2HopMiner::Finalize(), whose authoritative result may drop an
-  /// eagerly emitted convoy that ended up dominated. Footprints of convoys
+  /// eagerly emitted convoy that ended up dominated. Entries of convoys
   /// already in the catalog are shared, not rebuilt. On error the
   /// catalog is unchanged. Publish() afterwards to expose the new content;
   /// that publish merges the whole replacement into an empty snapshot.
@@ -228,8 +245,9 @@ class ConvoyCatalog {
 
   /// Merges the convoys added since the last publish into it and
   /// atomically swaps the result in as the new epoch; returns the published
-  /// snapshot. Linear in the catalog's convoys and postings, plus a sort of
-  /// the additions only; no footprint point is copied.
+  /// snapshot. One pass over the catalog's flat arrays (an entry pointer,
+  /// box and start per convoy, the postings and both rank orders) plus a
+  /// sort of the additions only; no convoy or footprint point is copied.
   std::shared_ptr<const CatalogSnapshot> Publish() K2_EXCLUDES(writer_mu_);
 
   /// The latest published snapshot (never null: epoch 0 is an empty
@@ -253,20 +271,20 @@ class ConvoyCatalog {
   /// every `publish_every` ingests. Errors are sticky in hook_status().
   /// The returned callable borrows this catalog and `store`.
   ///
-  /// A convoy's footprint is read once, at ingest. A publish is one linear
-  /// pass of plain copies over the catalog that re-sorts nothing already
-  /// published (see Publish()); raise publish_every (or publish on a timer)
-  /// only when that pass, which grows with the catalog, shows in ingest
-  /// latency.
+  /// A convoy's footprint is read once, at ingest, and kept in read order
+  /// (no sort). A publish is one merge pass over the catalog's flat arrays
+  /// that copies no convoy and re-sorts nothing already published (see
+  /// Publish()); raise publish_every (or publish on a timer) only when that
+  /// pass, which grows with the catalog, shows in ingest latency.
   std::function<void(const Convoy&)> OnClosedHook(Store* store,
                                                   size_t publish_every = 1);
 
  private:
   Status AddLocked(const Convoy& convoy, Store* store)
       K2_REQUIRES(writer_mu_);
-  /// The shared footprint of `convoy` when the writer state holds it (in
-  /// base_ or added_), else null.
-  std::shared_ptr<const Footprint> FindLocked(const Convoy& convoy) const
+  /// The shared entry of `convoy` when the writer state holds it (in base_
+  /// or added_), else null.
+  std::shared_ptr<const CatalogEntry> FindLocked(const Convoy& convoy) const
       K2_REQUIRES(writer_mu_);
   std::shared_ptr<const CatalogSnapshot> PublishLocked()
       K2_REQUIRES(writer_mu_);
@@ -276,8 +294,8 @@ class ConvoyCatalog {
   /// one, or an empty one after ReplaceAll.
   std::shared_ptr<const CatalogSnapshot> base_ K2_GUARDED_BY(writer_mu_);
   /// Convoys added since, none of them in base_, with their shared
-  /// footprints, in canonical order.
-  std::map<Convoy, std::shared_ptr<const Footprint>> added_
+  /// entries, in canonical order.
+  std::map<Convoy, std::shared_ptr<const CatalogEntry>> added_
       K2_GUARDED_BY(writer_mu_);
   uint64_t epoch_ K2_GUARDED_BY(writer_mu_) = 0;
   Status hook_status_ K2_GUARDED_BY(writer_mu_) = Status::OK();

@@ -149,10 +149,24 @@ class RegionOracle {
   std::vector<std::vector<FootprintPoint>> footprints_;
 };
 
-TEST(ServeRegionOracleTest, RegionAnswersMatchBruteForce) {
-  constexpr int kObjects = 24, kTicks = 30, kBoard = 40, kConvoys = 12;
-  Rng rng(20261017);
-  for (int round = 0; round < 40; ++round) {
+struct RegionOracleConfig {
+  uint64_t seed;
+  int rounds;
+  int ticks;  // the store holds ticks [0, ticks)
+  int board;  // positions are integers in [0, board]
+  int span;   // a lifespan is at most span + 1 ticks
+};
+
+// Checks ByRegion, and its conjunctions with an object and a window, on
+// random catalogs over random walks against RegionOracle. `middle_only`
+// counts the checked rects whose only points of the probed footprint lie
+// in a middle chunk (neither its first nor its last).
+void CheckRegionAnswers(const RegionOracleConfig& config, int* middle_only) {
+  constexpr int kObjects = 24, kConvoys = 12;
+  constexpr size_t kChunk = CatalogEntry::kChunk;
+  const int kTicks = config.ticks, kBoard = config.board;
+  Rng rng(config.seed);
+  for (int round = 0; round < config.rounds; ++round) {
     // Integer random walks; an object skips a tick now and then, so some
     // footprint reads find fewer members than the convoy has.
     std::vector<std::tuple<Timestamp, ObjectId, double, double>> rows;
@@ -184,7 +198,7 @@ TEST(ServeRegionOracleTest, RegionAnswersMatchBruteForce) {
       const Timestamp start =
           static_cast<Timestamp>(rng.UniformInt(0, kTicks - 1));
       const Timestamp end = static_cast<Timestamp>(
-          rng.UniformInt(start, std::min(start + 10, kTicks - 1)));
+          rng.UniformInt(start, std::min(start + config.span, kTicks - 1)));
       convoys.emplace_back(ObjectSet(ids), start, end);
     }
     ConvoyCatalog catalog;
@@ -193,6 +207,44 @@ TEST(ServeRegionOracleTest, RegionAnswersMatchBruteForce) {
     const RegionOracle oracle(*snap, store.get());
 
     for (int r = 0; r < 400; ++r) {
+      const auto check = [&](const Rect& rect) {
+        std::vector<ConvoyId> hits;
+        for (ConvoyId id = 0; id < snap->size(); ++id) {
+          if (oracle.Hits(id, rect)) hits.push_back(id);
+        }
+        std::vector<ConvoyId> got;
+        snap->ByRegion(rect, &got);
+        ASSERT_EQ(got, hits) << "round " << round << " rect " << r;
+
+        ConvoyQuery by_object;
+        by_object.object = static_cast<ObjectId>(rng.UniformInt(0, kObjects));
+        by_object.region = rect;
+        std::vector<ConvoyId> want;
+        for (ConvoyId id : hits) {
+          if (snap->convoy(id).objects.Contains(*by_object.object)) {
+            want.push_back(id);
+          }
+        }
+        ConvoyQueryEngine::FindIds(*snap, by_object, &got);
+        ASSERT_EQ(got, want) << "round " << round << " rect " << r;
+
+        ConvoyQuery by_window;
+        const Timestamp a = static_cast<Timestamp>(rng.UniformInt(0, kTicks));
+        by_window.time_window =
+            TimeRange{a, static_cast<Timestamp>(a + rng.UniformInt(0, 8))};
+        by_window.region = rect;
+        want.clear();
+        for (ConvoyId id : hits) {
+          const Convoy& c = snap->convoy(id);
+          if (c.start <= by_window.time_window->end &&
+              c.end >= by_window.time_window->start) {
+            want.push_back(id);
+          }
+        }
+        ConvoyQueryEngine::FindIds(*snap, by_window, &got);
+        ASSERT_EQ(got, want) << "round " << round << " rect " << r;
+      };
+
       const ConvoyId some =
           static_cast<ConvoyId>(rng.NextInt(snap->size()));
       const std::vector<FootprintPoint>& fp = oracle.footprint(some);
@@ -260,43 +312,41 @@ TEST(ServeRegionOracleTest, RegionAnswersMatchBruteForce) {
           break;
       }
 
-      std::vector<ConvoyId> hits;
-      for (ConvoyId id = 0; id < snap->size(); ++id) {
-        if (oracle.Hits(id, rect)) hits.push_back(id);
-      }
-      std::vector<ConvoyId> got;
-      snap->ByRegion(rect, &got);
-      ASSERT_EQ(got, hits) << "round " << round << " rect " << r;
+      ASSERT_NO_FATAL_FAILURE(check(rect));
 
-      ConvoyQuery by_object;
-      by_object.object = static_cast<ObjectId>(rng.UniformInt(0, kObjects));
-      by_object.region = rect;
-      std::vector<ConvoyId> want;
-      for (ConvoyId id : hits) {
-        if (snap->convoy(id).objects.Contains(*by_object.object)) {
-          want.push_back(id);
+      // A point of a middle chunk of `some`'s footprint, which the
+      // footprint holds nowhere else when the walks do not revisit it.
+      const size_t chunks = (fp.size() + kChunk - 1) / kChunk;
+      if (chunks >= 3) {
+        const auto p = static_cast<size_t>(rng.UniformInt(
+            static_cast<int64_t>(kChunk),
+            static_cast<int64_t>((chunks - 1) * kChunk - 1)));
+        const Rect point{fp[p].x, fp[p].y, fp[p].x, fp[p].y};
+        bool middle = true;
+        for (size_t q = 0; q < fp.size(); ++q) {
+          if (point.Contains(fp[q].x, fp[q].y) &&
+              (q < kChunk || q >= (chunks - 1) * kChunk)) {
+            middle = false;
+          }
         }
+        *middle_only += middle;
+        ASSERT_NO_FATAL_FAILURE(check(point));
       }
-      ConvoyQueryEngine::FindIds(*snap, by_object, &got);
-      ASSERT_EQ(got, want) << "round " << round << " rect " << r;
-
-      ConvoyQuery by_window;
-      const Timestamp a = static_cast<Timestamp>(rng.UniformInt(0, kTicks));
-      by_window.time_window =
-          TimeRange{a, static_cast<Timestamp>(a + rng.UniformInt(0, 8))};
-      by_window.region = rect;
-      want.clear();
-      for (ConvoyId id : hits) {
-        const Convoy& c = snap->convoy(id);
-        if (c.start <= by_window.time_window->end &&
-            c.end >= by_window.time_window->start) {
-          want.push_back(id);
-        }
-      }
-      ConvoyQueryEngine::FindIds(*snap, by_window, &got);
-      ASSERT_EQ(got, want) << "round " << round << " rect " << r;
     }
   }
+}
+
+TEST(ServeRegionOracleTest, RegionAnswersMatchBruteForce) {
+  int middle_only = 0;
+  // Lifespans of at most 11 ticks: footprints of one or two chunks.
+  ASSERT_NO_FATAL_FAILURE(
+      CheckRegionAnswers({20261017, 40, 30, 40, 10}, &middle_only));
+  EXPECT_EQ(middle_only, 0);
+  // Lifespans of up to 81 ticks: footprints of many chunks, most of them
+  // ending in a partial one, probed at single points of middle chunks too.
+  ASSERT_NO_FATAL_FAILURE(
+      CheckRegionAnswers({20261020, 20, 120, 120, 80}, &middle_only));
+  EXPECT_GE(middle_only, 2500);
 }
 
 TEST(ServeFootprintTest, LifespanEndingAtTheLastTimestampIsSampled) {
@@ -350,10 +400,32 @@ TEST_F(ServeFixture, ConjunctionsIntersect) {
             (std::vector<Convoy>{a_}));
 }
 
+// Every answer of `snap` to a fixed probe set, for before/after checks.
+std::vector<std::vector<ConvoyId>> ProbeAnswers(const CatalogSnapshot& snap) {
+  std::vector<std::vector<ConvoyId>> answers;
+  for (ObjectId oid = 0; oid <= 9; ++oid) {
+    snap.ByObject(oid, &answers.emplace_back());
+  }
+  for (Timestamp t = 0; t <= 24; t += 3) {
+    snap.ByTimeWindow({t, t + 4}, &answers.emplace_back());
+  }
+  for (const Rect& rect : {Rect{-10.0, -1.0, 60.0, 1.0},
+                           Rect{-10.0, -1.0, 60.0, 101.0},
+                           Rect{990.0, 990.0, 1010.0, 1010.0}}) {
+    snap.ByRegion(rect, &answers.emplace_back());
+  }
+  for (const ConvoyRank rank : {ConvoyRank::kLongest, ConvoyRank::kLargest}) {
+    answers.push_back(snap.Ranked(rank));
+  }
+  return answers;
+}
+
 TEST_F(ServeFixture, SnapshotsAreImmutableAcrossPublishes) {
   const auto pinned = catalog_.snapshot();
   const uint64_t pinned_epoch = pinned->epoch();
   ASSERT_EQ(pinned->size(), 3u);
+  const std::vector<Convoy> pinned_convoys = pinned->convoys();
+  const auto pinned_answers = ProbeAnswers(*pinned);
 
   const Convoy extra = C({7, 8}, 0, 9);
   // Give the new objects some positions so the footprint read succeeds.
@@ -374,6 +446,17 @@ TEST_F(ServeFixture, SnapshotsAreImmutableAcrossPublishes) {
   EXPECT_TRUE(ids.empty());
   next->ByObject(7, &ids);
   EXPECT_EQ(ids.size(), 1u);
+  EXPECT_EQ(pinned->convoys(), pinned_convoys);
+  EXPECT_EQ(ProbeAnswers(*pinned), pinned_answers);
+
+  // The publish shares every convoy it already held: each one sits at the
+  // same address in the new epoch, under its new id (extra goes in between
+  // a_ and b_, so b_ and c_ move up by one).
+  ASSERT_EQ(next->convoy(1), extra);
+  for (ConvoyId i = 0; i < pinned->size(); ++i) {
+    const ConvoyId j = i == 0 ? 0 : i + 1;
+    EXPECT_EQ(&next->convoy(j), &pinned->convoy(i)) << "old id " << i;
+  }
 }
 
 TEST_F(ServeFixture, ReplaceAllDropsStaleConvoys) {
